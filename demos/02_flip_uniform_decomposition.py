@@ -18,17 +18,19 @@ measured overlaps, and confirm the fixed subspace is exactly flip + uniform.
 import numpy as np
 
 from oscillwalk import (
+    ArcState,
     basis_arc_state,
+    bipartite_double,
     bipartite_partition,
     complete_graph,
     cycle_graph,
     decompose,
+    flip_projection,
     hypercube_graph,
     measured_overlaps,
     one_eigenspace_u2,
     oscillation_bounds,
     uniform_state,
-    vertex_indicator_basis,
 )
 
 for g in (complete_graph(8), hypercube_graph(3), cycle_graph(6)):
@@ -48,14 +50,16 @@ for g in (complete_graph(8), hypercube_graph(3), cycle_graph(6)):
 print("\nfixed subspace of U^2 = flip subspace + uniform span:")
 for g in (complete_graph(5), cycle_graph(4)):
     basis = one_eigenspace_u2(g)
-    indicator = vertex_indicator_basis(g)
-    flip_dim = g.arc_count - indicator.shape[1]
+    # one flip state per independent cycle of the bipartite double
+    flip_dim = g.arc_count - 2 * g.n + bipartite_double(g).graph.num_components
     part = bipartite_partition(g)
     uniform_dim = 1 if part is None else 2
     print(f"  {g.name}: eigenspace dim {basis.shape[1]} "
           f"= flip dim {flip_dim} + uniform dim {uniform_dim}")
     projector = basis @ basis.T
-    flip_proj = np.eye(g.arc_count) - indicator @ indicator.T
+    flip_proj = np.column_stack(
+        [flip_projection(ArcState(g, column))[1].amplitudes.real for column in np.eye(g.arc_count)]
+    )
     sigmas = (
         [uniform_state(g)]
         if part is None

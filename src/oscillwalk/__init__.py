@@ -32,6 +32,7 @@ from .walk import (
     evolve,
     flip_transform,
     overlap,
+    is_flip_state,
     is_selfflip_state,
     ensure_normalized,
     dense_walk_matrix,
@@ -43,14 +44,12 @@ from .oscillation import (
     Decomposition,
     BoundReport,
     OverlapSeries,
-    is_flip_state,
     flip_projection,
     uniform_coefficients,
     decompose,
     oscillation_bounds,
     measured_overlaps,
     one_eigenspace_u2,
-    vertex_indicator_basis,
 )
 from .electric import (
     ElectricNetwork,

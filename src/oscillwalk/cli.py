@@ -351,7 +351,7 @@ def _cmd_table1(args) -> int:
 
 def _cmd_verify(args) -> int:
     extra = _parse_graph(args.graph, args.seed) if args.graph else None
-    results = run_checks(extra_graph=extra, threads=args.threads)
+    results = run_checks(extra_graph=extra)
     lines = []
     failed = 0
     for result in results:
@@ -443,12 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", help="run the built-in property suite")
     _add_common(ver, graph_required=False)
-    ver.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="check-pool size (default: OSCILLWALK_THREADS or cpu count, max 8)",
-    )
     ver.set_defaults(handler=_cmd_verify)
 
     return parser

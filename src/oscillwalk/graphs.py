@@ -32,6 +32,7 @@ __all__ = [
     "bipartite_partition",
     "bipartite_double",
     "edge_disjoint_paths",
+    "label_components",
     "GRAPH_FAMILIES",
 ]
 
@@ -43,6 +44,32 @@ class GraphError(ValueError):
 # ======================================================================================
 # Core container
 # ======================================================================================
+
+
+def label_components(adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Connected-component label and BFS-depth parity of every vertex.
+
+    Components are numbered in order of their smallest vertex, which is the
+    BFS root and has parity 0.  The parity is a proper 2-coloring exactly
+    when the graph is bipartite.
+    """
+    labels = [-1] * len(adjacency)
+    parity = [0] * len(adjacency)
+    label = 0
+    for start in range(len(adjacency)):
+        if labels[start] != -1:
+            continue
+        labels[start] = label
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if labels[v] == -1:
+                    labels[v] = label
+                    parity[v] = parity[u] ^ 1
+                    queue.append(v)
+        label += 1
+    return np.array(labels, dtype=np.int64), np.array(parity, dtype=np.int64)
 
 
 class Graph:
@@ -136,7 +163,7 @@ class Graph:
             dtype=np.int64,
         )
 
-        self.component_labels = self._label_components()
+        self.component_labels, self._bfs_parity = label_components(self.adjacency)
         self.num_components = int(self.component_labels.max()) + 1
         if require_connected and self.num_components > 1:
             raise GraphError(f"{name}: graph is disconnected ({self.num_components} components)")
@@ -167,25 +194,6 @@ class Graph:
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
-
-    # ---- internals -----------------------------------------------------------------
-
-    def _label_components(self) -> np.ndarray:
-        labels = np.full(self.n, -1, dtype=np.int64)
-        label = 0
-        for start in range(self.n):
-            if labels[start] != -1:
-                continue
-            labels[start] = label
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for v in self.adjacency[u]:
-                    if labels[v] == -1:
-                        labels[v] = label
-                        queue.append(v)
-            label += 1
-        return labels
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -447,25 +455,14 @@ def build_graph(family: str, params: Sequence[int | str] = (), seed: int | None 
 
 
 def bipartite_partition(g: Graph) -> Bipartition | None:
-    """2-color `g` by BFS; returns None when an odd cycle exists.
+    """2-color `g` by BFS depth parity; returns None when an odd cycle exists.
 
     The smallest vertex of every component lands in partite_x, so vertex 0
     is always in partite_x.
     """
-    color = np.full(g.n, -1, dtype=np.int64)
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
+    color = g._bfs_parity
+    if np.any(color[g.arc_tails] == color[g.arc_heads]):
+        return None
     return Bipartition(
         partite_x=frozenset(np.flatnonzero(color == 0).tolist()),
         partite_y=frozenset(np.flatnonzero(color == 1).tolist()),

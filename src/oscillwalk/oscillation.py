@@ -15,20 +15,20 @@ Negative bounds are vacuous but reported as-is.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from .electric import circulation_projection
 from .graphs import Graph, bipartite_partition
 from .walk import (
     ArcState,
     ensure_normalized,
     dense_walk_matrix,
     flip_transform,
+    is_flip_state,
     overlap,
     uniform_state,
-    vertex_averages,
     walk_step,
 )
 
@@ -44,7 +44,6 @@ __all__ = [
     "oscillation_bounds",
     "measured_overlaps",
     "one_eigenspace_u2",
-    "vertex_indicator_basis",
     "DENSE_ORACLE_CEILING",
 ]
 
@@ -91,62 +90,24 @@ class OverlapSeries:
     odd_overlaps: np.ndarray
 
 
-def is_flip_state(state: ArcState, tol: float = 1e-9) -> bool:
-    """True iff every vertex's average outgoing and incoming amplitude is
-    within `tol` of zero."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    averages = vertex_averages(state)
-    worst = max(np.max(np.abs(averages.avg_out)), np.max(np.abs(averages.avg_in)))
-    return bool(worst <= tol)
-
-
 # ======================================================================================
-# The flip subspace as an orthogonal complement
+# The flip subspace as the circulations of the bipartite double
 # ======================================================================================
 #
-# The flip conditions say the state is orthogonal to the 2n per-vertex
-# indicator vectors (1/sqrt(d) on the arcs leaving u, resp. entering u), so
-# the flip subspace is the orthogonal complement of their span.  The
-# indicators are unit vectors but not mutually orthogonal, and they carry one
-# linear dependency per connected component of the bipartite double graph.
-
-_indicator_cache: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = weakref.WeakKeyDictionary()
-
-
-def vertex_indicator_basis(g: Graph) -> np.ndarray:
-    """Orthonormal basis (columns) for the span of the 2n out/in indicators.
-
-    Computed by modified Gram-Schmidt with a re-orthogonalization pass and a
-    1e-12 drop tolerance for the dependent vectors.
-    """
-    cached = _indicator_cache.get(g)
-    if cached is not None:
-        return cached
-    weight = 1.0 / np.sqrt(g.degree)
-    columns = np.zeros((g.arc_count, 2 * g.n))
-    for u in range(g.n):
-        columns[g.out_arcs[u], u] = weight
-        columns[g.out_arcs[u] ^ 1, g.n + u] = weight
-    basis = _orthonormalize(columns, drop_tol=1e-12)
-    _indicator_cache[g] = basis
-    return basis
-
-
-def _orthonormalize(columns: np.ndarray, drop_tol: float) -> np.ndarray:
-    rows, count = columns.shape
-    q = np.empty((rows, count))
-    rank = 0
-    for j in range(count):
-        w = columns[:, j].copy()
-        for _ in range(2):  # second pass keeps orthogonality at machine level
-            if rank:
-                w -= q[:, :rank] @ (q[:, :rank].T @ w)
-        nrm = np.linalg.norm(w)
-        if nrm > drop_tol:
-            q[:, rank] = w / nrm
-            rank += 1
-    return q[:, :rank].copy()
+# A flip state sums to zero over the arcs leaving each vertex and over the
+# arcs entering it.  Read the amplitude of arc (u, v) as the current through a
+# unit resistor from u_out = u to v_in = n + v of the bipartite double: those
+# sums become the net outflows at u_out and v_in, so the flip states are
+# exactly the circulations of the double (the paper's flip-state <->
+# circulation bijection).  Their orthogonal complement is the cut space, the
+# potential drops x[u] - x[n + v].  Inject psi's own net outflows (+psi at
+# u_out, -psi at v_in) into the network: the Kirchhoff currents are the
+# potential-drop flow with that divergence, the least-energy one by Thomson's
+# principle, and hence the orthogonal projection of psi onto the cut space.
+# The flip component is psi minus those currents, from one grounded Laplacian
+# solve on the double.  Equivalently, the Gram matrix I + A_D/d of the 2n
+# normalized out/in indicators is sign-similar to L_D/d, the double's
+# Laplacian, because the double is bipartite.
 
 
 def flip_projection(state: ArcState) -> tuple[float, ArcState]:
@@ -157,10 +118,10 @@ def flip_projection(state: ArcState) -> tuple[float, ArcState]:
     |<state|phi>|^2, attained by the normalized flip component.
     """
     psi = ensure_normalized(state)
-    basis = vertex_indicator_basis(psi.graph)
-    flip_amps = psi.amplitudes - basis @ (basis.T @ psi.amplitudes)
+    g = psi.graph
+    flip_amps = circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, psi.amplitudes)
     alpha_sq = float(np.vdot(flip_amps, flip_amps).real)
-    return alpha_sq, ArcState(psi.graph, flip_amps)
+    return alpha_sq, ArcState(g, flip_amps)
 
 
 def uniform_coefficients(state: ArcState) -> tuple[float, ArcState]:

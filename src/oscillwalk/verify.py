@@ -1,15 +1,12 @@
 """Built-in property suite behind the `verify` CLI command.
 
 Each check is a small, self-contained assertion bundle over fixed instances;
-checks are independent and may run concurrently (the OSCILLWALK_THREADS
-environment variable caps the pool).  Results are reported in canonical
-(name-sorted) order regardless of completion order.
+checks are independent and run one after another in canonical (name-sorted)
+order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +40,9 @@ from .oscillation import (
     CapacityError,
     decompose,
     flip_projection,
-    is_flip_state,
     measured_overlaps,
     one_eigenspace_u2,
     oscillation_bounds,
-    vertex_indicator_basis,
 )
 from .walk import (
     ArcState,
@@ -56,6 +51,7 @@ from .walk import (
     basis_arc_state,
     evolve,
     flip_transform,
+    is_flip_state,
     overlap,
     uniform_state,
     walk_step,
@@ -77,10 +73,24 @@ def _random_state(g: Graph, rng: np.random.Generator) -> ArcState:
 
 
 def _random_flip_state(g: Graph, rng: np.random.Generator) -> ArcState:
-    basis = vertex_indicator_basis(g)
-    raw = rng.standard_normal(g.arc_count) + 1j * rng.standard_normal(g.arc_count)
-    amps = raw - basis @ (basis.T @ raw)
-    return ArcState(g, amps / np.linalg.norm(amps))
+    _, component = flip_projection(_random_state(g, rng))
+    return ArcState(g, component.amplitudes / component.norm())
+
+
+def _assert_oscillatory_subspace(g: Graph) -> None:
+    """The projector onto ker(U^2 - 1) equals flip plus uniform projectors."""
+    basis = one_eigenspace_u2(g)
+    projector = basis @ basis.T
+    flip_proj = np.column_stack(
+        [flip_projection(ArcState(g, column))[1].amplitudes.real for column in np.eye(g.arc_count)]
+    )
+    part = bipartite_partition(g)
+    if part is None:
+        sigmas = [uniform_state(g)]
+    else:
+        sigmas = [uniform_state(g, part.partite_x), uniform_state(g, part.partite_y)]
+    uniform_proj = sum(np.outer(s.amplitudes.real, s.amplitudes.real) for s in sigmas)
+    assert np.max(np.abs(projector - (flip_proj + uniform_proj))) <= 1e-8
 
 
 def _zoo() -> list[Graph]:
@@ -240,19 +250,7 @@ def check_flip_projection_maximality() -> None:
 
 def check_oscillatory_subspace_projectors() -> None:
     for g in (complete_graph(4), cycle_graph(5), hypercube_graph(2)):
-        basis = one_eigenspace_u2(g)
-        projector = basis @ basis.T
-        indicator = vertex_indicator_basis(g)
-        flip_proj = np.eye(g.arc_count) - indicator @ indicator.T
-        part = bipartite_partition(g)
-        if part is None:
-            sigmas = [uniform_state(g)]
-        else:
-            sigmas = [uniform_state(g, part.partite_x), uniform_state(g, part.partite_y)]
-        uniform_proj = sum(
-            np.outer(s.amplitudes.real, s.amplitudes.real) for s in sigmas
-        )
-        assert np.max(np.abs(projector - (flip_proj + uniform_proj))) <= 1e-8
+        _assert_oscillatory_subspace(g)
 
 
 # ---- electric networks -----------------------------------------------------------------
@@ -401,38 +399,14 @@ def _graph_checks(g: Graph) -> dict:
         assert np.all(series.even_overlaps >= report.even_bound - 1e-9)
         assert np.all(series.odd_overlaps >= report.odd_bound - 1e-9)
 
-    def targeted_eigenspace() -> None:
-        basis = one_eigenspace_u2(g)
-        indicator = vertex_indicator_basis(g)
-        projector = basis @ basis.T
-        flip_proj = np.eye(g.arc_count) - indicator @ indicator.T
-        part = bipartite_partition(g)
-        if part is None:
-            sigmas = [uniform_state(g)]
-        else:
-            sigmas = [uniform_state(g, part.partite_x), uniform_state(g, part.partite_y)]
-        uniform_proj = sum(np.outer(s.amplitudes.real, s.amplitudes.real) for s in sigmas)
-        assert np.max(np.abs(projector - (flip_proj + uniform_proj))) <= 1e-8
-
     return {
         "target_graph:arc_indexing": targeted_arc_indexing,
         "target_graph:decomposition_bounds": targeted_decomposition,
-        "target_graph:oscillatory_subspace": targeted_eigenspace,
+        "target_graph:oscillatory_subspace": lambda: _assert_oscillatory_subspace(g),
     }
 
 
-def thread_limit() -> int:
-    raw = os.environ.get("OSCILLWALK_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        value = min(8, os.cpu_count() or 1)
-    return value
-
-
-def run_checks(extra_graph: Graph | None = None, threads: int | None = None) -> list[CheckResult]:
+def run_checks(extra_graph: Graph | None = None) -> list[CheckResult]:
     """Run every check; returns results sorted by check name.
 
     CapacityError propagates (the caller maps it to its own exit status);
@@ -441,25 +415,16 @@ def run_checks(extra_graph: Graph | None = None, threads: int | None = None) -> 
     checks = dict(CHECKS)
     if extra_graph is not None:
         checks.update(_graph_checks(extra_graph))
-    if threads is None:
-        threads = thread_limit()
-
-    def run_one(item: tuple[str, object]) -> CheckResult:
-        name, func = item
+    results = []
+    for name, func in sorted(checks.items()):
         try:
             func()
         except AssertionError as exc:
-            return CheckResult(name, False, str(exc) or "assertion failed")
+            results.append(CheckResult(name, False, str(exc) or "assertion failed"))
         except CapacityError:
             raise
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-            return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
-        return CheckResult(name, True)
-
-    items = sorted(checks.items())
-    if threads <= 1:
-        results = [run_one(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, items))
-    return sorted(results, key=lambda r: r.name)
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+        else:
+            results.append(CheckResult(name, True))
+    return results

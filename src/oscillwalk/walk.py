@@ -28,6 +28,7 @@ __all__ = [
     "evolve",
     "flip_transform",
     "overlap",
+    "is_flip_state",
     "is_selfflip_state",
     "ensure_normalized",
     "dense_walk_matrix",
@@ -174,6 +175,16 @@ def overlap(a: ArcState, b: ArcState) -> complex:
     """Inner product <a|b> (conjugation on the first argument)."""
     _same_graph(a, b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def is_flip_state(state: ArcState, tol: float = 1e-9) -> bool:
+    """True iff every vertex's average outgoing and incoming amplitude is
+    within `tol` of zero."""
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    averages = vertex_averages(state)
+    worst = max(np.max(np.abs(averages.avg_out)), np.max(np.abs(averages.avg_in)))
+    return bool(worst <= tol)
 
 
 def is_selfflip_state(state: ArcState, tol: float = 1e-9) -> bool:

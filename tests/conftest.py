@@ -1,7 +1,7 @@
 """Shared helpers: random states and independent oracles.
 
 The flip-subspace oracle here deliberately avoids the library's
-Gram-Schmidt projection route: it builds the zero-average constraint matrix
+Kirchhoff projection route: it builds the zero-average constraint matrix
 explicitly and takes its SVD nullspace through scipy, so projection values
 can be cross-checked between two unrelated code paths.
 """
@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from oscillwalk import ArcState, Graph
-from oscillwalk.oscillation import vertex_indicator_basis
+from oscillwalk import ArcState, Graph, flip_projection
 
 
 def random_state(g: Graph, rng: np.random.Generator, real: bool = False) -> ArcState:
@@ -24,10 +23,15 @@ def random_state(g: Graph, rng: np.random.Generator, real: bool = False) -> ArcS
 
 def random_flip_state(g: Graph, rng: np.random.Generator) -> ArcState:
     """Random normalized flip state (library projection route)."""
-    basis = vertex_indicator_basis(g)
-    raw = rng.standard_normal(g.arc_count) + 1j * rng.standard_normal(g.arc_count)
-    amps = raw - basis @ (basis.T @ raw)
-    return ArcState(g, amps / np.linalg.norm(amps))
+    _, component = flip_projection(random_state(g, rng))
+    return ArcState(g, component.amplitudes / component.norm())
+
+
+def flip_projector(g: Graph) -> np.ndarray:
+    """Dense flip projector: flip_projection applied to every basis arc state."""
+    return np.column_stack(
+        [flip_projection(ArcState(g, column))[1].amplitudes.real for column in np.eye(g.arc_count)]
+    )
 
 
 def flip_constraint_matrix(g: Graph) -> np.ndarray:

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import flip_projector, random_state
 from oscillwalk import (
     ArcState,
     amp_ab,
@@ -44,7 +44,6 @@ from oscillwalk import (
     solve_network,
     torus_graph,
     uniform_state,
-    vertex_indicator_basis,
     walk_step,
 )
 from oscillwalk.cli import main as cli_main
@@ -255,8 +254,7 @@ def test_accept_5_subspace_projector_equality():
             assert g.arc_count <= 200
             basis = one_eigenspace_u2(g)
             projector = basis @ basis.T
-            indicator = vertex_indicator_basis(g)
-            flip_proj = np.eye(g.arc_count) - indicator @ indicator.T
+            flip_proj = flip_projector(g)
             part = bipartite_partition(g)
             sigmas = (
                 [uniform_state(g)]

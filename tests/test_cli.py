@@ -266,16 +266,29 @@ def test_dump_network(tmp_path, capsys):
 
 
 def test_verify_passes(capsys):
-    code, out, _ = run_cli(["verify", "--threads", "4"], capsys)
+    code, out, _ = run_cli(["verify"], capsys)
     assert code == 0
     assert ", 0 failed" in out
     assert all(line.startswith(("PASS", "verify:")) for line in out.strip().splitlines())
 
 
 def test_verify_with_target_graph(capsys):
-    code, out, _ = run_cli(["verify", "--graph", "cycle:5", "--threads", "1"], capsys)
+    code, out, _ = run_cli(["verify", "--graph", "cycle:5"], capsys)
     assert code == 0
     assert "PASS target_graph:oscillatory_subspace" in out
+
+
+def test_cli_import_leaves_csgraph_and_sparse_linalg_unloaded():
+    code = (
+        "import sys, oscillwalk.cli; "
+        "print([m for m in sys.modules "
+        "if m.startswith(('scipy.sparse.csgraph', 'scipy.sparse.linalg'))])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_verify_capacity_exit_code(capsys):

@@ -30,12 +30,14 @@ from oscillwalk import (
     overlap,
     parallel_resistance_identity,
     paths_resistance_bound,
+    random_regular_graph,
     random_resistor_circulation,
     resistance_distance,
     solve_network,
     torus_graph,
     uniform_state,
 )
+from oscillwalk import electric
 from oscillwalk.electric import CERTIFIED, NOT_CERTIFIED
 
 
@@ -172,13 +174,36 @@ def test_grounding_choice_does_not_change_currents():
         assert np.max(np.abs(base.currents - other.currents)) <= 1e-10
 
 
-def test_conjugate_gradient_path_matches_dense():
-    g = torus_graph(2, 5)
+@pytest.mark.parametrize(
+    "g, dense", [(hypercube_graph(3), True), (torus_graph(2, 10), False)], ids=["dense", "cg"]
+)
+def test_currents_match_laplacian_pseudoinverse(g, dense):
     net = network_from_state_double(basis_arc_state(g, 0, 1))
-    dense = solve_network(net)
-    iterative = solve_network(net, dense_threshold=0)
-    assert np.max(np.abs(dense.currents - iterative.currents)) <= 1e-8
-    assert iterative.power == pytest.approx(dense.power, abs=1e-9)
+    unknowns = net.node_count - bipartite_double(g).graph.num_components
+    assert (unknowns <= electric._DENSE_MAX_NODES) == dense
+    pairs = np.array(net.resistor_edges)
+    laplacian = np.zeros((net.node_count, net.node_count))
+    np.add.at(laplacian, (pairs[:, 0], pairs[:, 0]), 1.0)
+    np.add.at(laplacian, (pairs[:, 1], pairs[:, 1]), 1.0)
+    np.add.at(laplacian, (pairs[:, 0], pairs[:, 1]), -1.0)
+    np.add.at(laplacian, (pairs[:, 1], pairs[:, 0]), -1.0)
+    potentials = np.linalg.pinv(laplacian) @ net.injections
+    expected = potentials[pairs[:, 0]] - potentials[pairs[:, 1]]
+    sol = solve_network(net)
+    assert np.max(np.abs(sol.currents - expected)) <= 1e-9
+    assert sol.power == pytest.approx(float(np.sum(np.abs(expected) ** 2)), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(6), hypercube_graph(4), torus_graph(2, 5), cycle_graph(7),
+     random_regular_graph(30, 5, seed=2)],
+    ids=lambda g: g.name,
+)
+def test_double_arc_ids_closed_form(g):
+    double = bipartite_double(g).graph
+    expected = [double.arc_index(u, g.n + v) for u, v in zip(g.arc_tails, g.arc_heads)]
+    assert electric._double_arc_ids(g).tolist() == expected
 
 
 def test_complex_injections_solved_componentwise():

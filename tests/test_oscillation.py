@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import (
     flip_basis_nullspace,
     flip_projection_nullspace,
+    flip_projector,
     random_flip_state,
     random_state,
 )
@@ -15,6 +16,7 @@ from oscillwalk import (
     ArcState,
     CapacityError,
     basis_arc_state,
+    bipartite_double,
     bipartite_partition,
     complete_bipartite_graph,
     complete_graph,
@@ -26,13 +28,15 @@ from oscillwalk import (
     hypercube_graph,
     is_flip_state,
     measured_overlaps,
+    network_from_state_double,
     one_eigenspace_u2,
     oscillation_bounds,
     overlap,
     random_regular_graph,
+    solve_network,
+    torus_graph,
     uniform_coefficients,
     uniform_state,
-    vertex_indicator_basis,
     walk_step,
 )
 
@@ -107,6 +111,17 @@ def test_flip_projection_extremes():
     assert alpha_sq <= 1e-12
 
 
+def test_flip_projection_of_edge_state_on_large_torus():
+    # 40k arcs: one Kirchhoff solve on the double, no arcs x 2n basis
+    g = torus_graph(2, 100)
+    psi = basis_arc_state(g, 0, 1)
+    dn = g.degree * g.n
+    alpha_sq = decompose(psi).alpha_sq
+    assert abs(alpha_sq - (dn - 2 * g.n + 2) / dn) <= 1e-10
+    power = solve_network(network_from_state_double(psi)).power
+    assert abs(alpha_sq - 1 / (1 + power)) <= 1e-10
+
+
 def test_indicator_basis_dimension():
     # span dimension is 2n minus one dependency per double-graph component
     for g, expected in [
@@ -114,9 +129,7 @@ def test_indicator_basis_dimension():
         (cycle_graph(6), 2 * 6 - 2),
         (hypercube_graph(3), 2 * 8 - 2),
     ]:
-        basis = vertex_indicator_basis(g)
-        assert basis.shape == (g.arc_count, expected)
-        assert_allclose(basis.T @ basis, np.eye(expected), atol=1e-12)
+        assert expected == 2 * g.n - bipartite_double(g).graph.num_components
         # complement dimension matches the independent nullspace basis
         assert flip_basis_nullspace(g).shape[1] == g.arc_count - expected
 
@@ -315,8 +328,7 @@ def test_eigenspace_vectors_have_period_two():
 def test_projector_equality_flip_plus_uniform(g):
     basis = one_eigenspace_u2(g)
     projector = basis @ basis.T
-    indicator = vertex_indicator_basis(g)
-    flip_proj = np.eye(g.arc_count) - indicator @ indicator.T
+    flip_proj = flip_projector(g)
     part = bipartite_partition(g)
     sigmas = (
         [uniform_state(g)]
