@@ -52,6 +52,7 @@ from .oscillation import (
     one_eigenspace_u2,
 )
 from .electric import (
+    ConvergenceError,
     ElectricNetwork,
     FlowSolution,
     Circulation,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 configuration error (single-line diagnostic on
 stderr), 2 capacity error (dense-oracle ceiling), 3 failed verification
-checks.  All numeric CSV output uses 9 significant digits, so identical
+checks, 4 a linear solve that did not converge (single-line diagnostic).
+All numeric CSV output uses 9 significant digits, so identical
 configurations produce byte-identical files.
 """
 
@@ -23,6 +24,7 @@ from .complete import (
 )
 from .electric import (
     ZERO_AMPLITUDE_TOL,
+    ConvergenceError,
     ElectricNetwork,
     bounds_from_power,
     localization_verdict,
@@ -120,7 +122,7 @@ def _write(text: str, path: str | None) -> None:
 def _dump_network(net: ElectricNetwork, path: str) -> None:
     payload = {
         "node_count": net.node_count,
-        "resistor_edges": [[int(u), int(v)] for u, v in net.resistor_edges],
+        "resistor_edges": net.resistor_edges.tolist(),
         "injections": {
             str(i): [float(net.injections[i].real), float(net.injections[i].imag)]
             for i in np.flatnonzero(np.abs(net.injections) > 0)
@@ -459,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,7 @@ from .graphs import Graph, bipartite_double, label_components
 from .walk import ArcState, ensure_normalized, is_flip_state, is_selfflip_state
 
 __all__ = [
+    "ConvergenceError",
     "ElectricNetwork",
     "FlowSolution",
     "Circulation",
@@ -63,25 +64,36 @@ CERTIFIED = "oscillatory localization certified"
 NOT_CERTIFIED = "not certified (resistance bound vacuous)"
 
 
+class ConvergenceError(ArithmeticError):
+    """An iterative solve stopped above its residual target."""
+
+
 @dataclass
 class ElectricNetwork:
     """Unit resistors plus per-node current injections (positive = in).
 
-    Parallel resistors between the same node pair are allowed and kept as
-    separate entries.
+    `resistor_edges` is an (m, 2) int64 array, one row per resistor (any
+    sequence of node pairs is accepted and copied); parallel resistors are
+    kept as separate rows.  `injections` is complex, shape (node_count,).
     """
 
     node_count: int
-    resistor_edges: tuple[tuple[int, int], ...]
+    resistor_edges: np.ndarray
     injections: np.ndarray
 
     def __post_init__(self):
-        edges = tuple((int(u), int(v)) for u, v in self.resistor_edges)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"resistor self-loop at node {u}")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"resistor edge ({u},{v}) out of range")
+        edges = np.array(self.resistor_edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"resistor edges need shape (m, 2), got {edges.shape}")
+        loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+        if loops.size:
+            raise ValueError(f"resistor self-loop at node {edges[loops[0], 0]}")
+        outside = np.flatnonzero(((edges < 0) | (edges >= self.node_count)).any(axis=1))
+        if outside.size:
+            u, v = edges[outside[0]].tolist()
+            raise ValueError(f"resistor edge ({u},{v}) out of range")
         self.resistor_edges = edges
         inj = np.asarray(self.injections, dtype=np.complex128)
         if inj.shape != (self.node_count,):
@@ -158,18 +170,7 @@ def network_from_state_double(
     """
     psi = ensure_normalized(state)
     g = psi.graph
-    n = g.n
-    resistors = []
-    injections = np.zeros(2 * n, dtype=np.complex128)
-    for a in range(g.arc_count):
-        delta = psi.amplitudes[a]
-        u, v = int(g.arc_tails[a]), int(g.arc_heads[a])
-        if abs(delta) <= zero_tol:
-            resistors.append((u, n + v))
-        else:
-            injections[n + v] += delta
-            injections[u] -= delta
-    return ElectricNetwork(2 * n, tuple(resistors), injections)
+    return _network(2 * g.n, g.arc_tails, g.n + g.arc_heads, psi.amplitudes, zero_tol)
 
 
 def network_from_selfflip_state(
@@ -189,35 +190,26 @@ def network_from_selfflip_state(
             "(<uv|psi> = -<vu|psi> on every edge)"
         )
     g = psi.graph
-    resistors = []
-    injections = np.zeros(g.n, dtype=np.complex128)
-    for edge_id, (u, v) in enumerate(g.edges):
-        delta = psi.amplitudes[2 * edge_id]
-        if abs(delta) <= zero_tol:
-            resistors.append((u, v))
-        else:
-            injections[v] += delta
-            injections[u] -= delta
-    return ElectricNetwork(g.n, tuple(resistors), injections)
+    return _network(g.n, g.edges[:, 0], g.edges[:, 1], psi.amplitudes[0::2], zero_tol)
+
+
+def _network(
+    node_count: int, tails: np.ndarray, heads: np.ndarray, delta: np.ndarray, zero_tol: float
+) -> ElectricNetwork:
+    """Unit resistor tails[i] -- heads[i] where |delta[i]| <= zero_tol, else
+    delta[i] in at heads[i] and out at tails[i].  In the callers' sorted link
+    order a node's head links precede its tail links: sums run in link order."""
+    is_resistor = np.abs(delta) <= zero_tol
+    injections = np.zeros(node_count, dtype=np.complex128)
+    np.add.at(injections, heads[~is_resistor], delta[~is_resistor])
+    np.add.at(injections, tails[~is_resistor], -delta[~is_resistor])
+    resistors = np.column_stack([tails[is_resistor], heads[is_resistor]])
+    return ElectricNetwork(node_count, resistors, injections)
 
 
 # ======================================================================================
 # Kirchhoff solver
 # ======================================================================================
-
-
-def _edge_arrays(edges: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
-def _component_labels(node_count: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Component of every node of the resistor graph given by edge arrays."""
-    ends = np.concatenate([tails, heads])
-    neighbors = np.concatenate([heads, tails])[np.argsort(ends, kind="stable")].tolist()
-    stops = np.cumsum(np.bincount(ends, minlength=node_count)).tolist()
-    adjacency = [neighbors[lo:hi] for lo, hi in zip([0] + stops[:-1], stops)]
-    return label_components(adjacency)[0]
 
 
 def _grounded_potentials(
@@ -267,7 +259,9 @@ def _grounded_potentials(
 
 
 def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | None = None) -> np.ndarray:
-    """Conjugate gradients with Jacobi preconditioning for SPD `a`."""
+    """Conjugate gradients with Jacobi preconditioning for SPD `a`; raises
+    ConvergenceError if the residual stays above tol * max(1, |b|) after
+    `max_iter` iterations (default 20 n)."""
     n = b.size
     if max_iter is None:
         max_iter = 20 * n
@@ -281,7 +275,7 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
     stop = tol * max(1.0, float(np.linalg.norm(b)))
     for _ in range(max_iter):
         if np.linalg.norm(r) <= stop:
-            break
+            return x
         ap = a @ p
         alpha = rz / float(p @ ap)
         x += alpha * p
@@ -290,6 +284,12 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
+    residual = float(np.linalg.norm(r))
+    if residual > stop:
+        raise ConvergenceError(
+            f"conjugate gradients did not converge in {max_iter} iterations "
+            f"(residual {residual:.3e}, target {stop:.3e})"
+        )
     return x
 
 
@@ -307,8 +307,8 @@ def solve_network(
     (`ground` forces a specific node to be its component's ground, which is
     useful for testing exactly that).
     """
-    tails, heads = _edge_arrays(net.resistor_edges)
-    labels = _component_labels(net.node_count, tails, heads)
+    tails, heads = net.resistor_edges.T
+    labels = label_components(net.node_count, tails, heads)[0]
     component_sums = np.zeros(int(labels.max()) + 1, dtype=np.complex128)
     np.add.at(component_sums, labels, net.injections)
     if np.any(np.abs(component_sums) > feasibility_tol):
@@ -336,7 +336,7 @@ def circulation_projection(
     divergence = np.zeros(node_count, dtype=np.complex128)
     np.add.at(divergence, tails, flow)
     np.add.at(divergence, heads, -flow)
-    labels = _component_labels(node_count, tails, heads)
+    labels = label_components(node_count, tails, heads)[0]
     potentials = _grounded_potentials(node_count, tails, heads, divergence, labels)
     return flow - (potentials[tails] - potentials[heads])
 
@@ -373,8 +373,10 @@ def _double_arc_ids(g: Graph) -> np.ndarray:
 
 
 def _check_matching_double(g: Graph, circulation: Circulation) -> None:
-    double = bipartite_double(g).graph
-    if circulation.graph.edges != double.edges or circulation.graph.n != double.n:
+    # The double's sorted edges are the base arcs (u, n + v) in out_arcs order.
+    expected = np.column_stack([g.arc_tails, g.n + g.arc_heads])[g.out_arcs.ravel()]
+    double = circulation.graph
+    if double.n != 2 * g.n or not np.array_equal(double.edges, expected):
         raise ValueError("circulation is not defined on the bipartite double of this graph")
 
 
@@ -493,7 +495,7 @@ def random_resistor_circulation(
     if count == 0:
         return None
     raw = rng.standard_normal(count)
-    tails, heads = _edge_arrays(net.resistor_edges)
+    tails, heads = net.resistor_edges.T
     projected = circulation_projection(net.node_count, tails, heads, raw).real
     nrm = float(np.linalg.norm(projected))
     if nrm <= 1e-9:

@@ -46,24 +46,30 @@ class GraphError(ValueError):
 # ======================================================================================
 
 
-def label_components(adjacency: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Connected-component label and BFS-depth parity of every vertex.
+def label_components(
+    node_count: int, tails: np.ndarray, heads: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Connected-component label and BFS-depth parity of every node of the
+    undirected graph with edges {tails[i], heads[i]}.
 
-    Components are numbered in order of their smallest vertex, which is the
+    Components are numbered in order of their smallest node, which is the
     BFS root and has parity 0.  The parity is a proper 2-coloring exactly
     when the graph is bipartite.
     """
-    labels = [-1] * len(adjacency)
-    parity = [0] * len(adjacency)
+    ends = np.concatenate([tails, heads])
+    neighbors = np.concatenate([heads, tails])[np.argsort(ends, kind="stable")].tolist()
+    offsets = [0] + np.cumsum(np.bincount(ends, minlength=node_count)).tolist()
+    labels = [-1] * node_count
+    parity = [0] * node_count
     label = 0
-    for start in range(len(adjacency)):
+    for start in range(node_count):
         if labels[start] != -1:
             continue
         labels[start] = label
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in adjacency[u]:
+            for v in neighbors[offsets[u] : offsets[u + 1]]:
                 if labels[v] == -1:
                     labels[v] = label
                     parity[v] = parity[u] ^ 1
@@ -79,23 +85,24 @@ class Graph:
     ----------
     n : int
         Number of vertices (labeled 0..n-1).
-    edges : tuple[tuple[int, int], ...]
-        Lexicographically sorted undirected edges, each as (u, v) with u < v.
+    edges : np.ndarray, shape (m, 2), int64
+        Lexicographically sorted undirected edges, each row (u, v) with u < v.
     degree : int
         Common vertex degree d.
-    adjacency : tuple[tuple[int, ...], ...]
-        Sorted neighbor list per vertex.
+    adjacency : np.ndarray, shape (n, degree), int64
+        Sorted neighbors of each vertex (``arc_heads[out_arcs]``).
     arc_count : int
-        2 * len(edges); arc ids are 0..arc_count-1.
-    arc_tails, arc_heads : np.ndarray
+        2 * m; arc ids are 0..arc_count-1.
+    arc_tails, arc_heads : np.ndarray, shape (arc_count,), int64
         Endpoint arrays: arc a is (arc_tails[a] -> arc_heads[a]).
-    out_arcs : np.ndarray, shape (n, degree)
+    out_arcs : np.ndarray, shape (n, degree), int64
         Arc ids leaving each vertex, in sorted-neighbor order.  Arcs entering
         vertex u are ``out_arcs[u] ^ 1``.
-    component_labels : np.ndarray, shape (n,)
+    component_labels : np.ndarray, shape (n,), int64
         Connected-component label per vertex (0-based, by smallest vertex).
 
-    Instances are immutable after construction and safe to share across
+    `edges` accepts any iterable of vertex pairs.  The arrays are read-only,
+    so instances are immutable after construction and safe to share across
     threads.
     """
 
@@ -109,32 +116,33 @@ class Graph:
     ):
         if n < 1:
             raise GraphError(f"{name}: need at least one vertex, got n={n}")
-        canonical = []
-        seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"{name}: edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"{name}: self-loop at vertex {u} is not allowed")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphError(f"{name}: parallel edge {e} is not allowed")
-            seen.add(e)
-            canonical.append(e)
-        if not canonical:
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if pairs.size == 0:
             raise GraphError(f"{name}: graph has no edges")
-        canonical.sort()
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise GraphError(f"{name}: edges must be vertex pairs, got shape {pairs.shape}")
+        outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+        if outside.size:
+            u, v = pairs[outside[0]].tolist()
+            raise GraphError(f"{name}: edge ({u},{v}) out of range for n={n}")
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            raise GraphError(f"{name}: self-loop at vertex {pairs[loops[0], 0]} is not allowed")
+        low, high = pairs.min(axis=1), pairs.max(axis=1)
+        keys = low * n + high
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeats = order[1:][keys[1:] == keys[:-1]]  # later copies, by input position
+        if repeats.size:
+            i = repeats.min()
+            raise GraphError(f"{name}: parallel edge {(int(low[i]), int(high[i]))} is not allowed")
 
         self.name = name
         self.n = n
-        self.edges = tuple(canonical)
-        self._edge_ids = {e: i for i, e in enumerate(self.edges)}
+        self.edges = np.column_stack([low[order], high[order]])
+        self._edge_keys = keys
 
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
+        deg = np.bincount(self.edges.ravel(), minlength=n)
         if deg.min() != deg.max():
             lo, hi = int(deg.argmin()), int(deg.argmax())
             raise GraphError(
@@ -143,27 +151,15 @@ class Graph:
             )
         self.degree = int(deg[0])
 
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
-
-        m = len(self.edges)
-        self.arc_count = 2 * m
-        tails = np.empty(self.arc_count, dtype=np.int64)
-        heads = np.empty(self.arc_count, dtype=np.int64)
-        for i, (u, v) in enumerate(self.edges):
-            tails[2 * i], heads[2 * i] = u, v
-            tails[2 * i + 1], heads[2 * i + 1] = v, u
-        self.arc_tails = tails
-        self.arc_heads = heads
-        self.out_arcs = np.array(
-            [[self.arc_index(u, v) for v in self.adjacency[u]] for u in range(n)],
-            dtype=np.int64,
-        )
-
-        self.component_labels, self._bfs_parity = label_components(self.adjacency)
+        self.arc_count = 2 * len(self.edges)
+        self.arc_tails = self.edges.ravel()
+        self.arc_heads = self.edges[:, ::-1].ravel()
+        self.out_arcs = np.lexsort((self.arc_heads, self.arc_tails)).reshape(n, self.degree)
+        self.adjacency = self.arc_heads[self.out_arcs]
+        self.component_labels, self._bfs_parity = label_components(n, *self.edges.T)
+        for array in (self.edges, self._edge_keys, self.arc_tails, self.arc_heads,
+                      self.out_arcs, self.adjacency, self.component_labels):
+            array.flags.writeable = False
         self.num_components = int(self.component_labels.max()) + 1
         if require_connected and self.num_components > 1:
             raise GraphError(f"{name}: graph is disconnected ({self.num_components} components)")
@@ -171,11 +167,13 @@ class Graph:
     # ---- arc helpers ---------------------------------------------------------------
 
     def edge_id(self, u: int, v: int) -> int:
-        e = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_ids[e]
-        except KeyError:
-            raise GraphError(f"{self.name}: ({u},{v}) is not an edge") from None
+        low, high = (u, v) if u < v else (v, u)
+        if 0 <= low and high < self.n:
+            key = low * self.n + high
+            i = int(np.searchsorted(self._edge_keys, key))
+            if i < self._edge_keys.size and self._edge_keys[i] == key:
+                return i
+        raise GraphError(f"{self.name}: ({u},{v}) is not an edge")
 
     def arc_index(self, u: int, v: int) -> int:
         """Arc id of the directed edge u -> v."""
@@ -189,11 +187,11 @@ class Graph:
         return a ^ 1
 
     def is_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in self._edge_ids
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
+        try:
+            self.edge_id(u, v)
+        except GraphError:
+            return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -249,8 +247,7 @@ def complete_graph(n: int) -> Graph:
     """Complete graph K_n (n >= 2)."""
     if n < 2:
         raise GraphError(f"complete graph needs n >= 2, got {n}")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph(n, edges, name=f"complete:{n}")
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)), name=f"complete:{n}")
 
 
 def complete_bipartite_graph(half: int) -> Graph:
@@ -261,7 +258,8 @@ def complete_bipartite_graph(half: int) -> Graph:
     """
     if half < 1:
         raise GraphError(f"complete bipartite graph needs half >= 1, got {half}")
-    edges = [(u, half + v) for u in range(half) for v in range(half)]
+    side = np.arange(half)
+    edges = np.column_stack([np.repeat(side, half), half + np.tile(side, half)])
     return Graph(2 * half, edges, name=f"complete_bipartite_balanced:{half}")
 
 
@@ -269,8 +267,8 @@ def cycle_graph(n: int) -> Graph:
     """Cycle C_n (n >= 3; n = 2 would create a parallel edge)."""
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, edges, name=f"cycle:{n}")
+    i = np.arange(n)
+    return Graph(n, np.column_stack([i, (i + 1) % n]), name=f"cycle:{n}")
 
 
 def hypercube_graph(dim: int) -> Graph:
@@ -278,8 +276,9 @@ def hypercube_graph(dim: int) -> Graph:
     if dim < 1:
         raise GraphError(f"hypercube needs dim >= 1, got {dim}")
     n = 1 << dim
-    edges = [(i, i ^ (1 << b)) for i in range(n) for b in range(dim) if i < i ^ (1 << b)]
-    return Graph(n, edges, name=f"hypercube:{dim}")
+    vertices = np.arange(n)[:, None]
+    edges = np.column_stack([np.repeat(vertices, dim), (vertices ^ (1 << np.arange(dim))).ravel()])
+    return Graph(n, edges[edges[:, 0] < edges[:, 1]], name=f"hypercube:{dim}")
 
 
 def torus_graph(dim: int, side: int) -> Graph:
@@ -292,18 +291,12 @@ def torus_graph(dim: int, side: int) -> Graph:
     if side < 3:
         raise GraphError(f"torus needs side >= 3 (side={side} creates parallel edges)")
     n = side**dim
-    strides = [side**k for k in range(dim)]
-
-    def vertex(coords: Sequence[int]) -> int:
-        return sum(c * s for c, s in zip(coords, strides))
-
-    edges = []
-    for v in range(n):
-        coords = [(v // s) % side for s in strides]
-        for axis in range(dim):
-            nxt = list(coords)
-            nxt[axis] = (nxt[axis] + 1) % side
-            edges.append((v, vertex(nxt)))
+    vertices = np.arange(n)[:, None]
+    strides = side ** np.arange(dim)
+    coords = (vertices // strides) % side
+    # One step up each axis, wrapping from side - 1 back to 0.
+    steps = vertices + ((coords + 1) % side - coords) * strides
+    edges = np.column_stack([np.repeat(vertices, dim), steps.ravel()])
     return Graph(n, edges, name=f"torus:{dim}:{side}")
 
 
@@ -377,7 +370,6 @@ def graph_from_edge_list(path: str) -> Graph:
     result must be simple, regular, and connected.
     """
     edges = []
-    max_vertex = -1
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -393,10 +385,10 @@ def graph_from_edge_list(path: str) -> Graph:
             if u < 0 or v < 0:
                 raise GraphError(f"{path}:{lineno}: negative vertex id in {line!r}")
             edges.append((u, v))
-            max_vertex = max(max_vertex, u, v)
     if not edges:
         raise GraphError(f"{path}: no edges found")
-    return Graph(max_vertex + 1, edges, name=f"edge_list:{path}")
+    pairs = np.array(edges, dtype=np.int64)
+    return Graph(int(pairs.max()) + 1, pairs, name=f"edge_list:{path}")
 
 
 GRAPH_FAMILIES = (
@@ -477,10 +469,7 @@ def bipartite_double(g: Graph) -> BipartiteDouble:
     is returned as-is (its component labels distinguish the copies).
     """
     n = g.n
-    edges = []
-    for u, v in g.edges:
-        edges.append((u, n + v))
-        edges.append((v, n + u))
+    edges = np.column_stack([g.arc_tails, n + g.arc_heads])
     double = Graph(2 * n, edges, require_connected=False, name=f"double({g.name})")
     return BipartiteDouble(
         graph=double,
@@ -521,11 +510,10 @@ def edge_disjoint_paths(g: Graph, s: int, t: int) -> PathFamily:
             v = int(g.arc_tails[a])
 
     k = int(flow[g.out_arcs[s]].sum())
+    # Descending arc ids per tail, so pop() yields ascending-head order.
     pos_out: list[list[int]] = [[] for _ in range(g.n)]
-    for a in np.flatnonzero(flow == 1):
+    for a in np.flatnonzero(flow == 1)[::-1]:
         pos_out[g.arc_tails[a]].append(int(a))
-    for stack in pos_out:
-        stack.reverse()  # pop() then yields ascending-head order
 
     paths = []
     for _ in range(k):

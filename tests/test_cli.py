@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: formats, determinism, and exit codes."""
 
 import csv
+import functools
 import json
 import subprocess
 import sys
@@ -180,6 +181,17 @@ def test_resistance_on_hypercube(capsys):
     assert record["k"] == 3
     assert record["paths_bound"] == pytest.approx(0.6, abs=1e-12)
     assert record["path_lengths"] == [1, 3, 3]
+
+
+def test_unconverged_solve_exits_four(capsys, monkeypatch):
+    from oscillwalk import electric
+
+    monkeypatch.setattr(electric, "_pcg", functools.partial(electric._pcg, max_iter=1))
+    code, out, err = run_cli(["resistance", "--graph", "hypercube:8", "--pair", "0:1"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "did not converge" in err
 
 
 def test_resistance_verdict_on_complete_graph(capsys):

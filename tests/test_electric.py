@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from conftest import random_flip_state, random_state
@@ -21,6 +22,7 @@ from oscillwalk import (
     completed_circulation,
     cycle_graph,
     edge_disjoint_paths,
+    ensure_normalized,
     flip_projection,
     flip_to_circulation,
     hypercube_graph,
@@ -129,6 +131,47 @@ def test_zero_state_rejected_at_normalization_gate():
         network_from_state_double(zero)
 
 
+def _link_by_link_network(node_count, links, deltas, zero_tol=electric.ZERO_AMPLITUDE_TOL):
+    """Reference builder: one link at a time, head before tail."""
+    resistors, injections = [], np.zeros(node_count, dtype=np.complex128)
+    for (u, v), delta in zip(links, deltas):
+        if abs(delta) <= zero_tol:
+            resistors.append([u, v])
+        else:
+            injections[v] += delta
+            injections[u] -= delta
+    return resistors, injections
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(8), hypercube_graph(4), random_regular_graph(30, 5, seed=1)],
+    ids=lambda g: g.name,
+)
+def test_network_builders_match_link_by_link_reference(g):
+    rng = np.random.default_rng(8)
+    amps = rng.standard_normal(g.arc_count) + 1j * rng.standard_normal(g.arc_count)
+    amps *= rng.random(g.arc_count) < 0.4
+    state = ArcState(g, amps / np.linalg.norm(amps))
+    net = network_from_state_double(state)
+    links = [(u, g.n + v) for u, v in zip(g.arc_tails.tolist(), g.arc_heads.tolist())]
+    deltas = ensure_normalized(state).amplitudes  # what the builder reads
+    resistors, injections = _link_by_link_network(2 * g.n, links, deltas)
+    assert net.resistor_edges.tolist() == resistors
+    assert np.array_equal(net.injections, injections)  # same summation order, bitwise
+
+    selfflip = np.zeros(g.arc_count, dtype=np.complex128)
+    edge_amps = rng.standard_normal(len(g.edges)) * (rng.random(len(g.edges)) < 0.8)
+    selfflip[0::2] = edge_amps
+    selfflip[1::2] = -edge_amps
+    state = ArcState(g, selfflip / np.linalg.norm(selfflip))
+    net = network_from_selfflip_state(state)
+    deltas = ensure_normalized(state).amplitudes[0::2]
+    resistors, injections = _link_by_link_network(g.n, g.edges.tolist(), deltas)
+    assert net.resistor_edges.tolist() == resistors
+    assert np.array_equal(net.injections, injections)
+
+
 def test_network_validation():
     with pytest.raises(ValueError, match="self-loop"):
         ElectricNetwork(3, ((0, 0),), np.zeros(3))
@@ -192,6 +235,19 @@ def test_currents_match_laplacian_pseudoinverse(g, dense):
     sol = solve_network(net)
     assert np.max(np.abs(sol.currents - expected)) <= 1e-9
     assert sol.power == pytest.approx(float(np.sum(np.abs(expected) ** 2)), abs=1e-9)
+
+
+def test_conjugate_gradients_raise_when_not_converged():
+    # Grounded Laplacian of the path 0-1-...-9 (node 0 pinned): one CG
+    # iteration cannot reach the 1e-13 residual target.
+    diagonal = np.full(9, 2.0)
+    diagonal[-1] = 1.0
+    lap = sp.diags([diagonal, -np.ones(8), -np.ones(8)], [0, 1, -1], format="csr")
+    b = np.random.default_rng(5).standard_normal(9)
+    with pytest.raises(ArithmeticError, match="1 iterations"):
+        electric._pcg(lap, b, max_iter=1)
+    x = electric._pcg(lap, b)
+    assert np.max(np.abs(lap @ x - b)) <= 1e-10
 
 
 @pytest.mark.parametrize(

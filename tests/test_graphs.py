@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillwalk import (
+    Graph,
     GraphError,
     bipartite_double,
     bipartite_partition,
@@ -83,8 +84,33 @@ def test_edge_list_round_trip(tmp_path):
     lines = ["# hypercube Q3"] + [f"{u} {v}" for u, v in g.edges]
     path.write_text("\n".join(lines) + "\n")
     loaded = graph_from_edge_list(str(path))
-    assert loaded.edges == g.edges
+    assert np.array_equal(loaded.edges, g.edges)
     assert loaded.degree == g.degree
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0 0\n0 1\n", r"self-loop at vertex 0 is not allowed"),
+        ("0 1\n1 0\n1 2\n2 0\n", r"parallel edge \(0, 1\) is not allowed"),
+        ("0 1\n1 2\n", r"not regular \(vertex 0 has degree 1, vertex 1 has degree 2\)"),
+    ],
+    ids=["self-loop", "repeated", "irregular"],
+)
+def test_edge_list_faults_keep_their_wording(tmp_path, text, message):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(GraphError, match=message):
+        graph_from_edge_list(str(path))
+
+
+def test_out_of_range_edges_and_non_edge_lookups():
+    with pytest.raises(GraphError, match=r"edge \(0,5\) out of range for n=3"):
+        Graph(3, [(0, 5)])
+    g = complete_graph(4)
+    assert g.is_edge(-1, 0) is False
+    with pytest.raises(GraphError, match="not an edge"):
+        g.arc_index(0, 0)
 
 
 def test_edge_list_rejects_disconnected(tmp_path):
@@ -99,7 +125,14 @@ def test_edge_list_rejects_disconnected(tmp_path):
 
 @pytest.mark.parametrize(
     "g",
-    [complete_graph(5), cycle_graph(6), hypercube_graph(3), torus_graph(2, 3)],
+    [
+        complete_graph(5),
+        cycle_graph(6),
+        hypercube_graph(3),
+        torus_graph(2, 3),
+        complete_bipartite_graph(3),
+        random_regular_graph(20, 3, seed=1),
+    ],
     ids=lambda g: g.name,
 )
 def test_arc_indexing_bijection(g):
@@ -111,6 +144,17 @@ def test_arc_indexing_bijection(g):
         assert g.arc_endpoints(g.reverse_arc(a)) == (v, u)
         seen.add((u, v))
     assert len(seen) == g.arc_count
+
+
+def test_arc_numbering_on_k4():
+    g = complete_graph(4)
+    arcs = list(zip(g.arc_tails.tolist(), g.arc_heads.tolist()))
+    assert arcs == [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0),
+                    (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+    assert np.array_equal(g.arc_tails[g.out_arcs], np.repeat(np.arange(4)[:, None], 3, axis=1))
+    assert np.all(np.diff(g.arc_heads[g.out_arcs], axis=1) > 0)
+    for u in range(g.n):
+        assert list(g.adjacency[u]) == sorted(g.adjacency[u])
 
 
 def test_out_arcs_cover_every_arc():
@@ -192,8 +236,8 @@ def test_random_regular_seed_reproducible():
     a = random_regular_graph(16, 5, seed=9)
     b = random_regular_graph(16, 5, seed=9)
     c = random_regular_graph(16, 5, seed=10)
-    assert a.edges == b.edges
-    assert a.edges != c.edges
+    assert np.array_equal(a.edges, b.edges)
+    assert not np.array_equal(a.edges, c.edges)
 
 
 # ---- edge-disjoint paths ---------------------------------------------------------------
