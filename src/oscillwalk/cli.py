@@ -382,6 +382,9 @@ def _add_common(sub: argparse.ArgumentParser, *, graph_required: bool = True) ->
     )
     sub.add_argument("--seed", type=int, default=0, help="seed for random_regular (default 0)")
     sub.add_argument("--output", "-o", default=None, help="output path (default stdout)")
+
+
+def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
@@ -417,22 +420,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="measured return overlaps vs. bounds")
     _add_common(sim)
+    _add_format(sim)
     _add_state(sim)
     sim.add_argument("--t-max", type=int, default=20)
     sim.set_defaults(handler=_cmd_simulate)
 
     dec = commands.add_parser("decompose", help="flip/uniform/remainder decomposition")
     _add_common(dec)
+    _add_format(dec)
     _add_state(dec)
     dec.set_defaults(handler=_cmd_decompose, format="json")
 
     res = commands.add_parser("resistance", help="resistance distance and path bounds")
     _add_common(res)
+    _add_format(res)
     res.add_argument("--pair", required=True, help="vertex pair 'u:v'")
     res.set_defaults(handler=_cmd_resistance, format="json")
 
     bnd = commands.add_parser("bounds", help="electric-network bounds vs exact projection")
     _add_common(bnd)
+    _add_format(bnd)
     _add_state(bnd)
     bnd.set_defaults(handler=_cmd_bounds, format="json")
 
@@ -440,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--n", type=int, required=True)
     tab.add_argument("--t-max", type=int, default=20)
     tab.add_argument("--output", "-o", default=None)
-    tab.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_format(tab)
     tab.set_defaults(handler=_cmd_table1)
 
     ver = commands.add_parser("verify", help="run the built-in property suite")
@@ -450,10 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args fills a fresh namespace on every call, so no state
+# carries over from one call of main to the next.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.handler(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,17 +47,24 @@ __all__ = [
     "NOT_CERTIFIED",
     "ZERO_AMPLITUDE_TOL",
     "FEASIBILITY_TOL",
+    "CIRCULATION_SCALE",
 ]
 
 # Amplitudes at or below this are treated as the zero (resistor) case.
 ZERO_AMPLITUDE_TOL = 1e-12
 # A component whose net injection exceeds this cannot carry a steady current.
 FEASIBILITY_TOL = 1e-9
+# Norm of the random circulations that perturb Kirchhoff currents in the
+# Thomson-minimality checks.
+CIRCULATION_SCALE = 1e-3
 # Laplacian systems of at most this many unknowns are solved densely, larger
 # ones by CG.  Measured on edge-state double networks (one BLAS thread, 2-core
 # Xeon VM), dense vs CG per solve: 0.23 vs 0.38 ms at 10 nodes, 0.27 vs 0.73 at
 # 50, 0.50 vs 0.57-0.81 at 128 (Q_6, torus 2:8), 1.1-3.7 vs 1.4-2.9 at 200,
-# 1.7 vs 0.48 at 256 (Q_7), 54 vs 5.0 at 1250 (torus 2:25).
+# 1.7 vs 0.48 at 256 (Q_7), 54 vs 5.0 at 1250 (torus 2:25).  A block with at
+# least as many real right-hand sides as unknowns is solved densely too: the
+# flip projector of torus 2:22 (966 unknowns, 1936 columns) takes 0.40-0.48 s
+# that way against 5.1 s by CG column by column.
 _DENSE_MAX_NODES = 128
 
 CERTIFIED = "oscillatory localization certified"
@@ -222,11 +229,15 @@ def _grounded_potentials(
 ) -> np.ndarray:
     """Solve L x = rhs with one node per component pinned to potential 0.
 
-    Each component is grounded at its smallest node (or at `ground` in its
-    own component).  The Laplacian of the free nodes is assembled from the
-    edge arrays; real and imaginary parts are solved independently (L is
-    real), densely up to _DENSE_MAX_NODES unknowns and by diagonally
-    preconditioned conjugate gradients above.
+    `rhs` is one right-hand side of shape (node_count,) or a block of them,
+    (node_count, k), real or complex; the potentials have its shape and
+    dtype.  Each component is grounded at its smallest node (or at `ground`
+    in its own component).  The Laplacian of the free nodes is assembled once
+    from the edge arrays; the real and imaginary parts of every column are
+    solved together as real columns (L is real), densely when the free nodes
+    number at most _DENSE_MAX_NODES or at most the real columns (the dense
+    Laplacian is then no bigger than the right-hand sides), otherwise by
+    diagonally preconditioned conjugate gradients column by column.
     """
     grounds = np.full(int(labels.max()) + 1, node_count)
     np.minimum.at(grounds, labels, np.arange(node_count))
@@ -235,9 +246,10 @@ def _grounded_potentials(
     is_free = np.ones(node_count, dtype=bool)
     is_free[grounds] = False
     free = np.flatnonzero(is_free)
-    potentials = np.zeros(node_count, dtype=np.complex128)
+    block = rhs.reshape(node_count, -1)
+    potentials = np.zeros(block.shape, dtype=block.dtype)
     if free.size == 0:
-        return potentials
+        return potentials.reshape(rhs.shape)
 
     position = np.full(node_count, -1, dtype=np.int64)
     position[free] = np.arange(free.size)
@@ -248,14 +260,19 @@ def _grounded_potentials(
     cols = np.concatenate([pu_free, pv_free, pv[both], pu[both]])
     vals = np.concatenate([np.ones(pu_free.size + pv_free.size), -np.ones(2 * int(both.sum()))])
     lap = sp.csr_matrix((vals, (rows, cols)), shape=(free.size, free.size))
-    rhs_parts = np.column_stack([rhs.real[free], rhs.imag[free]])
+    is_complex = np.iscomplexobj(block)
+    parts = [block.real[free], block.imag[free]] if is_complex else [block[free]]
+    rhs_parts = np.concatenate(parts, axis=1)
 
-    if free.size <= _DENSE_MAX_NODES:
+    if free.size <= max(_DENSE_MAX_NODES, rhs_parts.shape[1]):
         solution = np.linalg.solve(lap.toarray(), rhs_parts)
     else:
-        solution = np.column_stack([_pcg(lap, rhs_parts[:, 0]), _pcg(lap, rhs_parts[:, 1])])
-    potentials[free] = solution[:, 0] + 1j * solution[:, 1]
-    return potentials
+        solution = np.column_stack([_pcg(lap, column) for column in rhs_parts.T])
+    if is_complex:
+        k = block.shape[1]
+        solution = solution[:, :k] + 1j * solution[:, k:]
+    potentials[free] = solution
+    return potentials.reshape(rhs.shape)
 
 
 def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | None = None) -> np.ndarray:
@@ -293,12 +310,7 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
     return x
 
 
-def solve_network(
-    net: ElectricNetwork,
-    *,
-    ground: int | None = None,
-    feasibility_tol: float = FEASIBILITY_TOL,
-) -> FlowSolution:
+def solve_network(net: ElectricNetwork, *, ground: int | None = None) -> FlowSolution:
     """Kirchhoff currents, node potentials, and power of a network.
 
     A component whose injections do not sum to ~0 makes the network
@@ -311,7 +323,7 @@ def solve_network(
     labels = label_components(net.node_count, tails, heads)[0]
     component_sums = np.zeros(int(labels.max()) + 1, dtype=np.complex128)
     np.add.at(component_sums, labels, net.injections)
-    if np.any(np.abs(component_sums) > feasibility_tol):
+    if np.any(np.abs(component_sums) > FEASIBILITY_TOL):
         return FlowSolution(feasible=False, currents=None, potentials=None, power=math.inf)
 
     potentials = _grounded_potentials(
@@ -327,13 +339,16 @@ def circulation_projection(
 ) -> np.ndarray:
     """Orthogonal projection of a flow on unit resistors onto the circulations.
 
-    Resistor i runs from tails[i] to heads[i].  Injecting the flow's
-    divergence (+flow at each tail, -flow at each head) drives potentials x
-    with L x = B flow; the drops x[tail] - x[head] are the gradient part
-    B^T L^+ B flow, and what remains conserves flow at every node.
+    Resistor i runs from tails[i] to heads[i]; `flow` is one flow of shape
+    (len(tails),) or a block of k flows, (len(tails), k), projected with one
+    labeling and one Laplacian; a real flow gives a real projection.
+    Injecting the flow's divergence (+flow at each tail, -flow at each head)
+    drives potentials x with L x = B flow; the drops x[tail] - x[head] are
+    the gradient part B^T L^+ B flow, and what remains conserves flow at
+    every node.
     """
-    flow = np.asarray(flow, dtype=np.complex128)
-    divergence = np.zeros(node_count, dtype=np.complex128)
+    flow = np.asarray(flow, dtype=np.complex128 if np.iscomplexobj(flow) else np.float64)
+    divergence = np.zeros((node_count,) + flow.shape[1:], dtype=flow.dtype)
     np.add.at(divergence, tails, flow)
     np.add.at(divergence, heads, -flow)
     labels = label_components(node_count, tails, heads)[0]
@@ -481,11 +496,10 @@ def localization_verdict(omega: float) -> str:
 
 
 def random_resistor_circulation(
-    net: ElectricNetwork,
-    rng: np.random.Generator,
-    scale: float = 1e-3,
+    net: ElectricNetwork, rng: np.random.Generator
 ) -> np.ndarray | None:
-    """Random circulation supported on the resistor edges, scaled to `scale`.
+    """Random circulation supported on the resistor edges, of norm
+    CIRCULATION_SCALE.
 
     Projects a random per-edge vector onto the kernel of the incidence map
     (conservation at every node); returns None when the resistor graph is a
@@ -496,8 +510,8 @@ def random_resistor_circulation(
         return None
     raw = rng.standard_normal(count)
     tails, heads = net.resistor_edges.T
-    projected = circulation_projection(net.node_count, tails, heads, raw).real
+    projected = circulation_projection(net.node_count, tails, heads, raw)
     nrm = float(np.linalg.norm(projected))
     if nrm <= 1e-9:
         return None
-    return projected * (scale / nrm)
+    return projected * (CIRCULATION_SCALE / nrm)

@@ -34,6 +34,7 @@ __all__ = [
     "edge_disjoint_paths",
     "label_components",
     "GRAPH_FAMILIES",
+    "RANDOM_REGULAR_RESTARTS",
 ]
 
 
@@ -300,9 +301,11 @@ def torus_graph(dim: int, side: int) -> Graph:
     return Graph(n, edges, name=f"torus:{dim}:{side}")
 
 
-def random_regular_graph(
-    n: int, d: int, seed: int | None = None, *, max_restarts: int = 1000
-) -> Graph:
+# Pairing attempts random_regular_graph makes before it gives up.
+RANDOM_REGULAR_RESTARTS = 1000
+
+
+def random_regular_graph(n: int, d: int, seed: int | None = None) -> Graph:
     """Random simple connected d-regular graph via stub pairing.
 
     Stubs (d per vertex) are shuffled and paired greedily, rejecting
@@ -318,7 +321,7 @@ def random_regular_graph(
         raise GraphError(f"n*d must be even for a d-regular graph, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     name = f"random_regular:{n}:{d}" + (f":{seed}" if seed is not None else "")
-    for _ in range(max_restarts):
+    for _ in range(RANDOM_REGULAR_RESTARTS):
         edges = _pair_stubs(rng, n, d)
         if edges is None:
             continue
@@ -327,7 +330,7 @@ def random_regular_graph(
             return g
     raise GraphError(
         f"failed to sample a connected simple {d}-regular graph on {n} vertices "
-        f"within {max_restarts} restarts"
+        f"within {RANDOM_REGULAR_RESTARTS} restarts"
     )
 
 

@@ -45,9 +45,12 @@ __all__ = [
     "measured_overlaps",
     "one_eigenspace_u2",
     "DENSE_ORACLE_CEILING",
+    "SINGULAR_VALUE_TOL",
 ]
 
 DENSE_ORACLE_CEILING = 2000
+# Singular values of U^2 - I at or below this count as the eigenvalue 1.
+SINGULAR_VALUE_TOL = 1e-9
 
 
 class CapacityError(RuntimeError):
@@ -192,11 +195,7 @@ def measured_overlaps(state: ArcState, t_max: int) -> OverlapSeries:
     return OverlapSeries(even_overlaps=np.array(even), odd_overlaps=np.array(odd))
 
 
-def one_eigenspace_u2(
-    g: Graph,
-    ceiling: int = DENSE_ORACLE_CEILING,
-    singular_value_tol: float = 1e-9,
-) -> np.ndarray:
+def one_eigenspace_u2(g: Graph, ceiling: int = DENSE_ORACLE_CEILING) -> np.ndarray:
     """Orthonormal basis (columns) for the eigenspace of U^2 with eigenvalue 1.
 
     Materializes U^2 densely and extracts the nullspace of U^2 - I from its
@@ -210,5 +209,5 @@ def one_eigenspace_u2(
     u = dense_walk_matrix(g)
     shifted = u @ u - np.eye(g.arc_count)
     _, singular_values, vt = np.linalg.svd(shifted)
-    keep = singular_values <= singular_value_tol
+    keep = singular_values <= SINGULAR_VALUE_TOL
     return vt[keep].T.copy()

@@ -1,4 +1,4 @@
-"""Shared helpers: random states and independent oracles.
+"""Independent oracles shared by the tests.
 
 The flip-subspace oracle here deliberately avoids the library's
 Kirchhoff projection route: it builds the zero-average constraint matrix
@@ -11,27 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from oscillwalk import ArcState, Graph, flip_projection
-
-
-def random_state(g: Graph, rng: np.random.Generator, real: bool = False) -> ArcState:
-    amps = rng.standard_normal(g.arc_count).astype(np.complex128)
-    if not real:
-        amps = amps + 1j * rng.standard_normal(g.arc_count)
-    return ArcState(g, amps / np.linalg.norm(amps))
-
-
-def random_flip_state(g: Graph, rng: np.random.Generator) -> ArcState:
-    """Random normalized flip state (library projection route)."""
-    _, component = flip_projection(random_state(g, rng))
-    return ArcState(g, component.amplitudes / component.norm())
-
-
-def flip_projector(g: Graph) -> np.ndarray:
-    """Dense flip projector: flip_projection applied to every basis arc state."""
-    return np.column_stack(
-        [flip_projection(ArcState(g, column))[1].amplitudes.real for column in np.eye(g.arc_count)]
-    )
+from oscillwalk import ArcState, Graph
 
 
 def flip_constraint_matrix(g: Graph) -> np.ndarray:

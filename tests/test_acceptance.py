@@ -14,7 +14,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import flip_projector, random_state
 from oscillwalk import (
     ArcState,
     amp_ab,
@@ -26,28 +25,29 @@ from oscillwalk import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    decompose,
     edge_disjoint_paths,
     flip_projection,
     hypercube_graph,
     localization_verdict,
-    measured_overlaps,
     network_from_selfflip_state,
     network_from_state_double,
-    one_eigenspace_u2,
-    oscillation_bounds,
-    overlap,
     paths_resistance_bound,
     random_regular_graph,
-    random_resistor_circulation,
     resistance_distance,
     solve_network,
     torus_graph,
-    uniform_state,
-    walk_step,
 )
 from oscillwalk.cli import main as cli_main
 from oscillwalk.electric import CERTIFIED
+from oscillwalk.verify import (
+    assert_closed_forms_match_simulation,
+    assert_disjoint_paths_bound,
+    assert_edge_transitive_resistance,
+    assert_oscillatory_subspace,
+    assert_overlap_bounds,
+    assert_thomson,
+    random_state,
+)
 
 # Reference single-edge oscillation table: (t, prob_ab, prob_ba, amp_ab, amp_ba).
 FROZEN_TABLE = (
@@ -136,14 +136,7 @@ def test_accept_1_table_reproduction(tmp_path):
 def test_accept_2_closed_form_vs_simulation():
     with criterion("2 closed forms match full simulation (n in {4,8,16,100}, t<=40)", budget=10.0):
         for n in (4, 8, 16, 100):
-            g = complete_graph(n)
-            psi0 = basis_arc_state(g, 0, 1)
-            reversed_state = basis_arc_state(g, 1, 0)
-            current = psi0
-            for t in range(41):
-                assert abs(overlap(psi0, current).real - amp_ab(n, t)) <= 1e-9
-                assert abs(overlap(reversed_state, current).real - amp_ba(n, t)) <= 1e-9
-                current = walk_step(current)
+            assert_closed_forms_match_simulation(n, 40)
 
 
 # --------------------------------------------------------------------------------------
@@ -231,11 +224,7 @@ def test_accept_4_bounds_hold_for_random_states():
         rng = np.random.default_rng(123)
         for g in graphs:
             for _ in range(50):
-                psi = random_state(g, rng)
-                report = oscillation_bounds(decompose(psi))
-                series = measured_overlaps(psi, 25)
-                assert np.all(series.even_overlaps >= report.even_bound - 1e-9)
-                assert np.all(series.odd_overlaps >= report.odd_bound - 1e-9)
+                assert_overlap_bounds(random_state(g, rng), 25)
 
 
 # --------------------------------------------------------------------------------------
@@ -252,17 +241,7 @@ def test_accept_5_subspace_projector_equality():
         )
         for g in graphs:
             assert g.arc_count <= 200
-            basis = one_eigenspace_u2(g)
-            projector = basis @ basis.T
-            flip_proj = flip_projector(g)
-            part = bipartite_partition(g)
-            sigmas = (
-                [uniform_state(g)]
-                if part is None
-                else [uniform_state(g, part.partite_x), uniform_state(g, part.partite_y)]
-            )
-            uniform_proj = sum(np.outer(s.amplitudes.real, s.amplitudes.real) for s in sigmas)
-            assert np.max(np.abs(projector - (flip_proj + uniform_proj))) <= 1e-8, g.name
+            assert_oscillatory_subspace(g)
 
 
 # --------------------------------------------------------------------------------------
@@ -292,9 +271,7 @@ def test_accept_6_electric_identities():
             + [torus_graph(2, 5)]
         )
         for g in families:
-            u, v = g.edges[0]
-            expected = (g.n - 1) / (g.degree * g.n / 2)
-            assert abs(resistance_distance(g, u, v) - expected) <= 1e-9, g.name
+            assert_edge_transitive_resistance(g)
 
 
 # --------------------------------------------------------------------------------------
@@ -312,13 +289,7 @@ def test_accept_7_kirchhoff_currents_minimize_power():
             network_from_selfflip_state(selfflip_edge_state(complete_graph(6), 0, 1)),
         ]
         for net in networks:
-            sol = solve_network(net)
-            assert sol.feasible
-            for _ in range(100):
-                bump = random_resistor_circulation(net, rng)
-                assert bump is not None
-                perturbed = float(np.sum(np.abs(sol.currents + bump) ** 2))
-                assert perturbed > sol.power
+            assert_thomson(net, rng, 100)
 
 
 # --------------------------------------------------------------------------------------
@@ -332,16 +303,13 @@ def test_accept_8_connectivity_chain():
         omega_q3 = resistance_distance(q3, 0, 1)
         assert abs(omega_q3 - 7 / 12) <= 1e-9
         for u, v in q3.edges:
-            family = edge_disjoint_paths(q3, u, v)
-            assert len(family) == 3
-            bound = paths_resistance_bound(family.lengths)
+            assert_disjoint_paths_bound(q3, u, v, 3)
+            bound = paths_resistance_bound(edge_disjoint_paths(q3, u, v).lengths)
             assert abs(bound - 3 / 5) <= 1e-12
-            assert bound >= omega_q3
 
         for n in (5, 6, 8, 16):
             g = complete_graph(n)
-            family = edge_disjoint_paths(g, 0, 1)
-            assert len(family) == n - 1
+            assert len(edge_disjoint_paths(g, 0, 1)) == n - 1
             omega = resistance_distance(g, 0, 1)
             assert abs(omega - 2 / n) <= 1e-9
             assert omega < 0.5

@@ -3,8 +3,10 @@
 import csv
 import functools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,16 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args):
+    """Run a fresh interpreter that imports oscillwalk from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 def read_csv_rows(text):
@@ -296,11 +308,16 @@ def test_cli_import_leaves_csgraph_and_sparse_linalg_unloaded():
         "print([m for m in sys.modules "
         "if m.startswith(('scipy.sparse.csgraph', 'scipy.sparse.linalg'))])"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-    )
+    result = run_python(["-c", code])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_verify_rejects_format(capsys):
+    code, out, err = run_cli(["verify", "--format", "json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1
 
 
 def test_verify_capacity_exit_code(capsys):
@@ -308,6 +325,19 @@ def test_verify_capacity_exit_code(capsys):
     code, _, err = run_cli(["verify", "--graph", "complete:50"], capsys)
     assert code == 2
     assert "capacity" in err
+
+
+# ---- one parser for every call ----------------------------------------------------------------
+
+
+def test_defaults_do_not_leak_between_calls(capsys):
+    bounds = ["bounds", "--graph", "complete:4", "--state", "edge:0:1"]
+    code, out, _ = run_cli(bounds + ["--format", "csv"], capsys)
+    assert code == 0 and out.startswith("alpha_sq,")
+    code, out, _ = run_cli(bounds, capsys)
+    assert code == 0 and json.loads(out)["double"]["feasible"] is True
+    code, out, _ = run_cli(["simulate"] + bounds[1:] + ["--t-max", "2"], capsys)
+    assert code == 0 and out.startswith("t,overlap_even,")
 
 
 # ---- config errors ---------------------------------------------------------------------------
@@ -343,11 +373,6 @@ def test_edge_list_graph_via_cli(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "oscillwalk.cli", "table1", "--n", "100", "--t-max", "2"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_python(["-m", "oscillwalk.cli", "table1", "--n", "100", "--t-max", "2"])
     assert result.returncode == 0
     assert "reference_caption_n=16" in result.stdout

@@ -17,7 +17,8 @@ from oscillwalk import (
     walk_angle,
     walk_step,
 )
-from oscillwalk.complete import REFERENCE_TABLE, reference_table_note
+from oscillwalk.complete import reference_table_note
+from oscillwalk.verify import assert_closed_forms_match_simulation, assert_reference_table
 
 
 # ---- the 7x7 matrix ------------------------------------------------------------------
@@ -97,11 +98,7 @@ def test_table_rows_spot_values():
 
 
 def test_shipped_reference_rows_match_closed_forms():
-    for t, prob_ab, prob_ba, ref_ab, ref_ba in REFERENCE_TABLE:
-        assert amp_ab(100, t) == pytest.approx(ref_ab, abs=5e-7)
-        assert amp_ba(100, t) == pytest.approx(ref_ba, abs=5e-7)
-        assert amp_ab(100, t) ** 2 == pytest.approx(prob_ab, abs=5e-7)
-        assert amp_ba(100, t) ** 2 == pytest.approx(prob_ba, abs=5e-7)
+    assert_reference_table()
     note = reference_table_note()
     assert "n=100" in note and "n=16" in note
 
@@ -111,14 +108,7 @@ def test_shipped_reference_rows_match_closed_forms():
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_closed_forms_match_full_simulation(n):
-    g = complete_graph(n)
-    psi0 = basis_arc_state(g, 0, 1)
-    reversed_state = basis_arc_state(g, 1, 0)
-    current = psi0
-    for t in range(41):
-        assert abs(overlap(psi0, current).real - amp_ab(n, t)) <= 1e-9
-        assert abs(overlap(reversed_state, current).real - amp_ba(n, t)) <= 1e-9
-        current = walk_step(current)
+    assert_closed_forms_match_simulation(n, 40)
 
 
 @pytest.mark.parametrize("n", [4, 16, 100])

@@ -8,7 +8,6 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from conftest import random_flip_state, random_state
 from oscillwalk import (
     ArcState,
     Circulation,
@@ -21,7 +20,6 @@ from oscillwalk import (
     complete_graph,
     completed_circulation,
     cycle_graph,
-    edge_disjoint_paths,
     ensure_normalized,
     flip_projection,
     flip_to_circulation,
@@ -29,7 +27,6 @@ from oscillwalk import (
     localization_verdict,
     network_from_selfflip_state,
     network_from_state_double,
-    overlap,
     parallel_resistance_identity,
     paths_resistance_bound,
     random_regular_graph,
@@ -41,6 +38,17 @@ from oscillwalk import (
 )
 from oscillwalk import electric
 from oscillwalk.electric import CERTIFIED, NOT_CERTIFIED
+from oscillwalk.verify import (
+    assert_circulation_roundtrip,
+    assert_completed_flow_norm_identity,
+    assert_edge_transitive_resistance,
+    assert_grounding_invariance,
+    assert_kcl,
+    assert_parallel_combination,
+    assert_thomson,
+    random_flip_state,
+    random_state,
+)
 
 
 def selfflip_edge_state(g, u, v):
@@ -55,14 +63,6 @@ def alternating_cycle_state(g):
         amps[g.arc_index(i, (i + 1) % g.n)] = scale
         amps[g.arc_index((i + 1) % g.n, i)] = -scale
     return ArcState(g, amps)
-
-
-def kcl_residual(net, sol):
-    residual = -net.injections.copy()
-    for (u, v), current in zip(net.resistor_edges, sol.currents):
-        residual[u] += current
-        residual[v] -= current
-    return float(np.max(np.abs(residual)))
 
 
 # ---- network construction --------------------------------------------------------------
@@ -204,17 +204,12 @@ def test_triangle_network_power_and_resistance():
 def test_kirchhoff_residuals_small():
     for g in (complete_graph(5), hypercube_graph(3), torus_graph(2, 4)):
         net = network_from_state_double(basis_arc_state(g, 0, 1))
-        sol = solve_network(net)
-        assert kcl_residual(net, sol) <= 1e-9
+        assert_kcl(net, solve_network(net))
 
 
 def test_grounding_choice_does_not_change_currents():
-    g = hypercube_graph(3)
-    net = network_from_state_double(basis_arc_state(g, 0, 1))
-    base = solve_network(net)
-    for ground in (3, 7, 12):
-        other = solve_network(net, ground=ground)
-        assert np.max(np.abs(base.currents - other.currents)) <= 1e-10
+    net = network_from_state_double(basis_arc_state(hypercube_graph(3), 0, 1))
+    assert_grounding_invariance(net, (3, 7, 12))
 
 
 @pytest.mark.parametrize(
@@ -235,6 +230,28 @@ def test_currents_match_laplacian_pseudoinverse(g, dense):
     sol = solve_network(net)
     assert np.max(np.abs(sol.currents - expected)) <= 1e-9
     assert sol.power == pytest.approx(float(np.sum(np.abs(expected) ** 2)), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "g, single_by_cg",
+    [(hypercube_graph(3), False), (torus_graph(2, 10), True)],
+    ids=["dense", "cg"],
+)
+def test_flow_block_projection_matches_single_flows(g, single_by_cg, monkeypatch):
+    # 100 complex flows are 200 real columns, at least the 14 or 198 free
+    # nodes of the double: the block is solved densely, while one flow on the
+    # torus (2 columns, 198 > 128 unknowns) still goes through CG.
+    solved = []
+    pcg = electric._pcg
+    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    rng = np.random.default_rng(36)
+    flows = rng.standard_normal((g.arc_count, 100)) + 1j * rng.standard_normal((g.arc_count, 100))
+    links = (2 * g.n, g.arc_tails, g.n + g.arc_heads)
+    block = electric.circulation_projection(*links, flows)
+    assert solved == []
+    for flow, projected in zip(flows.T, block.T):
+        assert np.max(np.abs(electric.circulation_projection(*links, flow) - projected)) <= 1e-12
+    assert len(solved) == (2 * flows.shape[1] if single_by_cg else 0)
 
 
 def test_conjugate_gradients_raise_when_not_converged():
@@ -269,7 +286,7 @@ def test_complex_injections_solved_componentwise():
     net = network_from_state_double(psi)
     sol = solve_network(net)
     if sol.feasible:
-        assert kcl_residual(net, sol) <= 1e-9
+        assert_kcl(net, sol)
 
 
 def test_parallel_resistors_supported():
@@ -292,10 +309,7 @@ def test_complete_graph_resistance(n):
 
 def test_hypercube_adjacent_resistance():
     g = hypercube_graph(3)
-    omega = resistance_distance(g, 0, 1)
-    assert omega == pytest.approx(7 / 12, abs=1e-9)
-    # edge-transitive closed form, cross-checked by the Laplacian solve
-    assert omega == pytest.approx((g.n - 1) / (g.degree * g.n / 2), abs=1e-9)
+    assert resistance_distance(g, 0, 1) == pytest.approx(7 / 12, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -333,12 +347,7 @@ def test_unit_cycle_circulation_maps_to_alternating_state():
 
 
 def test_circulation_round_trip():
-    g = hypercube_graph(3)
-    phi = random_flip_state(g, np.random.default_rng(32))
-    circ = flip_to_circulation(g, phi)
-    circ.check(1e-9)
-    back = circulation_to_flip(g, circ)
-    assert np.max(np.abs(back.amplitudes - phi.amplitudes)) <= 1e-12
+    assert_circulation_roundtrip(random_flip_state(hypercube_graph(3), np.random.default_rng(32)))
 
 
 def test_zero_circulation_maps_to_zero_state():
@@ -377,11 +386,8 @@ def test_completed_circulation_on_triangle():
     g = complete_graph(3)
     psi = basis_arc_state(g, 0, 1)
     sol = solve_network(network_from_state_double(psi))
-    circ = completed_circulation(g, psi, sol)
-    circ.check(1e-9)
-    phi = circulation_to_flip(g, circ)
-    assert phi.norm() ** 2 == pytest.approx(6.0, abs=1e-9)
-    assert overlap(psi, phi) == pytest.approx(1.0, abs=1e-9)
+    phi = circulation_to_flip(g, completed_circulation(g, psi, sol))
+    assert phi.norm() ** 2 == pytest.approx(6.0, abs=1e-9)  # 1 + P with P = 5
 
 
 def test_completed_circulation_reaches_exact_projection_on_k4():
@@ -418,13 +424,7 @@ def test_completed_circulation_rejects_infeasible_flows():
     ids=lambda g: g.name,
 )
 def test_norm_identity_one_plus_power(g):
-    psi = basis_arc_state(g, *g.edges[0])
-    sol = solve_network(network_from_state_double(psi))
-    phi = circulation_to_flip(g, completed_circulation(g, psi, sol))
-    assert phi.norm() ** 2 == pytest.approx(1.0 + sol.power, abs=1e-9)
-    alpha_sq, _ = flip_projection(psi)
-    lower, _ = bounds_from_power(sol.power, "double")
-    assert lower <= alpha_sq + 1e-9
+    assert_completed_flow_norm_identity(basis_arc_state(g, *g.edges[0]))
 
 
 # ---- dissipation bounds -------------------------------------------------------------------
@@ -464,11 +464,7 @@ def test_parallel_resistance_identity_values():
     ids=lambda g: g.name,
 )
 def test_parallel_identity_against_double_graph_resistance(g):
-    psi = basis_arc_state(g, 0, 1)
-    sol = solve_network(network_from_state_double(psi))
-    double = bipartite_double(g)
-    omega = resistance_distance(double.graph, 0, int(double.in_vertex[1]))
-    assert omega == pytest.approx(parallel_resistance_identity(sol.power), abs=1e-9)
+    assert_parallel_combination(g)
 
 
 def test_triangle_double_resistance_closed_form():
@@ -487,14 +483,6 @@ def test_paths_resistance_bound_values():
         paths_resistance_bound([0, 2])
 
 
-def test_paths_bound_dominates_resistance_on_hypercube():
-    g = hypercube_graph(3)
-    family = edge_disjoint_paths(g, 0, 1)
-    bound = paths_resistance_bound(family.lengths)
-    assert bound == pytest.approx(3 / 5, abs=1e-12)
-    assert bound >= resistance_distance(g, 0, 1)
-
-
 def test_localization_verdict_strings():
     assert localization_verdict(0.4) == CERTIFIED
     assert localization_verdict(0.5) == NOT_CERTIFIED
@@ -510,14 +498,8 @@ def test_localization_verdict_strings():
     ids=lambda g: g.name,
 )
 def test_kirchhoff_currents_minimize_power(g):
-    rng = np.random.default_rng(34)
     net = network_from_state_double(basis_arc_state(g, 0, 1))
-    sol = solve_network(net)
-    for _ in range(30):
-        bump = random_resistor_circulation(net, rng)
-        assert bump is not None
-        perturbed = float(np.sum(np.abs(sol.currents + bump) ** 2))
-        assert perturbed > sol.power
+    assert_thomson(net, np.random.default_rng(34), 30)
 
 
 def test_tree_networks_carry_no_circulation():
@@ -537,6 +519,4 @@ def test_edge_transitive_resistance_closed_forms():
         complete_bipartite_graph(4),
     ]
     for g in graphs:
-        u, v = g.edges[0]
-        expected = (g.n - 1) / (g.degree * g.n / 2)
-        assert resistance_distance(g, u, v) == pytest.approx(expected, abs=1e-9)
+        assert_edge_transitive_resistance(g)

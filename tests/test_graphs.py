@@ -22,22 +22,23 @@ from oscillwalk import (
     random_regular_graph,
     torus_graph,
 )
+from oscillwalk.verify import (
+    assert_arc_indexing,
+    assert_double_graph_structure,
+    assert_family_counts,
+    assert_random_regular_reproducible,
+)
 
 
 # ---- construction ----------------------------------------------------------------------
 
 
 def test_family_sizes():
-    g = complete_graph(4)
-    assert (g.n, len(g.edges), g.degree) == (4, 6, 3)
-    g = hypercube_graph(3)
-    assert (g.n, len(g.edges), g.degree) == (8, 12, 3)
-    g = torus_graph(2, 4)
-    assert (g.n, g.degree, len(g.edges)) == (16, 4, 32)
-    g = cycle_graph(6)
-    assert (g.n, g.degree) == (6, 2)
-    g = complete_bipartite_graph(3)
-    assert (g.n, g.degree, len(g.edges)) == (6, 3, 9)
+    assert_family_counts(complete_graph(4), 4, 6, 3)
+    assert_family_counts(hypercube_graph(3), 8, 12, 3)
+    assert_family_counts(torus_graph(2, 4), 16, 32, 4)
+    assert_family_counts(cycle_graph(6), 6, 6, 2)
+    assert_family_counts(complete_bipartite_graph(3), 6, 9, 3)
 
 
 @pytest.mark.parametrize(
@@ -136,14 +137,7 @@ def test_edge_list_rejects_disconnected(tmp_path):
     ids=lambda g: g.name,
 )
 def test_arc_indexing_bijection(g):
-    seen = set()
-    for a in range(g.arc_count):
-        u, v = g.arc_endpoints(a)
-        assert g.arc_index(u, v) == a
-        assert g.reverse_arc(g.reverse_arc(a)) == a
-        assert g.arc_endpoints(g.reverse_arc(a)) == (v, u)
-        seen.add((u, v))
-    assert len(seen) == g.arc_count
+    assert_arc_indexing(g)
 
 
 def test_arc_numbering_on_k4():
@@ -185,10 +179,7 @@ def test_bipartition_hypercube_is_parity():
 
 
 def test_double_of_triangle_is_six_cycle():
-    double = bipartite_double(complete_graph(3)).graph
-    assert double.n == 6 and double.degree == 2
-    assert double.num_components == 1
-    assert bipartite_partition(double) is not None
+    assert_double_graph_structure(complete_graph(3))  # connected, 2-regular on 6 vertices
 
 
 def test_double_of_bipartite_graph_is_two_copies():
@@ -215,10 +206,7 @@ def test_double_of_single_edge_is_two_edges():
     ids=lambda g: g.name,
 )
 def test_double_component_count_tracks_bipartiteness(g):
-    double = bipartite_double(g).graph
-    assert bipartite_partition(double) is not None
-    expected = 2 if bipartite_partition(g) is not None else 1
-    assert double.num_components == expected
+    assert_double_graph_structure(g)
 
 
 # ---- random regular --------------------------------------------------------------------
@@ -226,17 +214,13 @@ def test_double_component_count_tracks_bipartiteness(g):
 
 @pytest.mark.parametrize("n,d", [(10, 3), (12, 4), (20, 5), (50, 16)])
 def test_random_regular_is_simple_regular_connected(n, d):
-    g = random_regular_graph(n, d, seed=42)
-    assert g.degree == d
-    assert g.num_components == 1
-    assert len(g.edges) == n * d // 2
+    assert_random_regular_reproducible(n, d, 42)
 
 
 def test_random_regular_seed_reproducible():
+    assert_random_regular_reproducible(16, 5, 9)
     a = random_regular_graph(16, 5, seed=9)
-    b = random_regular_graph(16, 5, seed=9)
     c = random_regular_graph(16, 5, seed=10)
-    assert np.array_equal(a.edges, b.edges)
     assert not np.array_equal(a.edges, c.edges)
 
 

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (
-    flip_basis_nullspace,
-    flip_projection_nullspace,
-    flip_projector,
-    random_flip_state,
-    random_state,
-)
+from conftest import flip_basis_nullspace, flip_projection_nullspace
 from oscillwalk import (
     ArcState,
     CapacityError,
@@ -38,6 +32,14 @@ from oscillwalk import (
     uniform_coefficients,
     uniform_state,
     walk_step,
+)
+from oscillwalk.verify import (
+    assert_decomposition,
+    assert_flip_projection_maximal,
+    assert_oscillatory_subspace,
+    assert_overlap_bounds,
+    random_flip_state,
+    random_state,
 )
 
 
@@ -185,13 +187,7 @@ def test_decompose_pure_components():
 def test_decomposition_invariants(g):
     rng = np.random.default_rng(25)
     for _ in range(5):
-        dec = decompose(random_state(g, rng))
-        assert abs(dec.alpha_sq + dec.beta_sq + dec.gamma_sq - 1.0) <= 1e-10
-        parts = [dec.flip_component, dec.uniform_component, dec.remainder_component]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert abs(overlap(parts[i], parts[j])) <= 1e-10
-        assert is_flip_state(dec.flip_component, 1e-9)
+        assert_decomposition(random_state(g, rng))
 
 
 # ---- bounds ------------------------------------------------------------------------------
@@ -240,23 +236,12 @@ def test_flip_state_overlaps_stay_at_one():
 def test_measured_overlaps_respect_bounds(g):
     rng = np.random.default_rng(28)
     for _ in range(5):
-        psi = random_state(g, rng)
-        report = oscillation_bounds(decompose(psi))
-        series = measured_overlaps(psi, 50)
-        assert np.all(series.even_overlaps >= report.even_bound - 1e-9)
-        assert np.all(series.odd_overlaps >= report.odd_bound - 1e-9)
-        assert np.all(series.even_overlaps <= 1 + 1e-12)
-        assert np.all(series.odd_overlaps <= 1 + 1e-12)
+        assert_overlap_bounds(random_state(g, rng), 50)
 
 
 def test_flip_projection_is_maximal_over_flip_states():
-    g = complete_graph(5)
     rng = np.random.default_rng(29)
-    psi = random_state(g, rng)
-    alpha_sq, _ = flip_projection(psi)
-    for _ in range(100):
-        phi = random_flip_state(g, rng)
-        assert abs(overlap(psi, phi)) ** 2 <= alpha_sq + 1e-10
+    assert_flip_projection_maximal(random_state(complete_graph(5), rng), rng, 100)
 
 
 def test_selfflip_state_oscillation_is_stationarity():
@@ -326,17 +311,7 @@ def test_eigenspace_vectors_have_period_two():
     ids=lambda g: g.name,
 )
 def test_projector_equality_flip_plus_uniform(g):
-    basis = one_eigenspace_u2(g)
-    projector = basis @ basis.T
-    flip_proj = flip_projector(g)
-    part = bipartite_partition(g)
-    sigmas = (
-        [uniform_state(g)]
-        if part is None
-        else [uniform_state(g, part.partite_x), uniform_state(g, part.partite_y)]
-    )
-    uniform_proj = sum(np.outer(s.amplitudes.real, s.amplitudes.real) for s in sigmas)
-    assert np.max(np.abs(projector - (flip_proj + uniform_proj))) <= 1e-8
+    assert_oscillatory_subspace(g)
 
 
 def test_eigenspace_dimension_formula():

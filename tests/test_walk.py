@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_flip_state, random_state
 from oscillwalk import (
     ArcState,
     GraphError,
@@ -29,6 +28,17 @@ from oscillwalk import (
     vertex_averages,
     walk_step,
     write_state_csv,
+)
+from oscillwalk.verify import (
+    assert_bipartite_alternation,
+    assert_coin_involution,
+    assert_flip_state_single_step,
+    assert_realness_preserved,
+    assert_shift_involution,
+    assert_uniform_state_stationary,
+    assert_unitarity,
+    random_flip_state,
+    random_state,
 )
 
 ZOO = [complete_graph(5), cycle_graph(6), hypercube_graph(3)]
@@ -113,10 +123,7 @@ def test_coin_fixes_uniform_coin_state():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_coin_is_an_involution(seed):
-    g = ZOO[seed % len(ZOO)]
-    psi = random_state(g, np.random.default_rng(seed))
-    twice = apply_coin(apply_coin(psi))
-    assert np.max(np.abs(twice.amplitudes - psi.amplitudes)) <= 1e-12
+    assert_coin_involution(random_state(ZOO[seed % len(ZOO)], np.random.default_rng(seed)))
 
 
 # ---- shift --------------------------------------------------------------------------------
@@ -133,10 +140,7 @@ def test_shift_swaps_arc_directions():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_shift_is_an_involution(seed):
-    g = ZOO[seed % len(ZOO)]
-    psi = random_state(g, np.random.default_rng(seed))
-    twice = apply_shift(apply_shift(psi))
-    assert np.array_equal(twice.amplitudes, psi.amplitudes)
+    assert_shift_involution(random_state(ZOO[seed % len(ZOO)], np.random.default_rng(seed)))
 
 
 def test_shift_fixes_symmetric_states():
@@ -159,18 +163,7 @@ def test_single_step_reversed_arc_amplitude(n):
 
 
 def test_uniform_state_is_stationary_on_non_bipartite():
-    g = complete_graph(5)
-    sigma = uniform_state(g)
-    assert_allclose(walk_step(sigma).amplitudes, sigma.amplitudes, atol=1e-14)
-
-
-def test_uniform_sides_alternate_on_bipartite():
-    g = hypercube_graph(3)
-    part = bipartite_partition(g)
-    sigma_x = uniform_state(g, part.partite_x)
-    sigma_y = uniform_state(g, part.partite_y)
-    assert_allclose(walk_step(sigma_x).amplitudes, sigma_y.amplitudes, atol=1e-14)
-    assert_allclose(walk_step(sigma_y).amplitudes, sigma_x.amplitudes, atol=1e-14)
+    assert_uniform_state_stationary(complete_graph(5))
 
 
 def test_evolve_zero_steps_returns_state():
@@ -189,9 +182,7 @@ def test_two_step_return_amplitude_on_k100():
 def test_flip_states_step_to_their_flip():
     rng = np.random.default_rng(5)
     for g in ZOO:
-        phi = random_flip_state(g, rng)
-        stepped = walk_step(phi)
-        assert np.max(np.abs(stepped.amplitudes - flip_transform(phi).amplitudes)) <= 1e-10
+        assert_flip_state_single_step(random_flip_state(g, rng))
 
 
 def test_flip_states_have_period_two():
@@ -213,16 +204,12 @@ def test_degenerate_single_edge_graph():
 def test_walk_preserves_norm():
     rng = np.random.default_rng(7)
     for g in ZOO + [random_regular_graph(10, 4, seed=1)]:
-        psi = random_state(g, rng)
-        assert abs(walk_step(psi).norm() - 1.0) <= 1e-12
+        assert_unitarity(random_state(g, rng))
 
 
 def test_real_states_stay_real():
-    rng = np.random.default_rng(8)
-    g = complete_graph(6)
-    psi = random_state(g, rng, real=True)
-    out = evolve(psi, 9)
-    assert np.max(np.abs(out.amplitudes.imag)) < 1e-14
+    psi = random_state(complete_graph(6), np.random.default_rng(8), real=True)
+    assert_realness_preserved(psi, 9)
 
 
 def test_bipartite_side_conservation():
@@ -309,9 +296,7 @@ def test_overlap_conjugates_first_argument():
 
 
 def test_overlap_of_uniform_sides_vanishes():
-    g = cycle_graph(6)
-    part = bipartite_partition(g)
-    assert overlap(uniform_state(g, part.partite_x), uniform_state(g, part.partite_y)) == 0
+    assert_bipartite_alternation(cycle_graph(6))
 
 
 def test_overlap_rejects_mismatched_graphs():
