@@ -47,6 +47,7 @@ from .verify import run_checks
 from .walk import (
     ArcState,
     basis_arc_state,
+    check_tolerance,
     is_selfflip_state,
     read_state_csv,
     uniform_state,
@@ -68,6 +69,18 @@ def _fmt(value: float) -> str:
     if math.isinf(value):
         return "inf"
     return f"{value:.9g}"
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --zero-tol and --flip-tol: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        return check_tolerance(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_graph(spec: str, seed: int) -> Graph:
@@ -402,13 +415,13 @@ def _add_state(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--zero-tol",
-        type=float,
+        type=_tolerance,
         default=ZERO_AMPLITUDE_TOL,
         help="amplitudes at or below this count as zero when building networks",
     )
     sub.add_argument(
         "--flip-tol",
-        type=float,
+        type=_tolerance,
         default=1e-9,
         help="tolerance for the self-flip test on the input state",
     )

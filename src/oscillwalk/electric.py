@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Graph, bipartite_double, label_components
-from .walk import ArcState, ensure_normalized, is_flip_state, is_selfflip_state
+from .walk import ArcState, check_tolerance, ensure_normalized, is_flip_state, is_selfflip_state
 
 __all__ = [
     "ConvergenceError",
@@ -206,7 +206,7 @@ def _network(
     """Unit resistor tails[i] -- heads[i] where |delta[i]| <= zero_tol, else
     delta[i] in at heads[i] and out at tails[i].  In the callers' sorted link
     order a node's head links precede its tail links: sums run in link order."""
-    is_resistor = np.abs(delta) <= zero_tol
+    is_resistor = np.abs(delta) <= check_tolerance(zero_tol)
     injections = np.zeros(node_count, dtype=np.complex128)
     np.add.at(injections, heads[~is_resistor], delta[~is_resistor])
     np.add.at(injections, tails[~is_resistor], -delta[~is_resistor])
@@ -441,7 +441,7 @@ def completed_circulation(
         raise ValueError("cannot complete a circulation from an infeasible flow")
     amps = ensure_normalized(state).amplitudes
     drops = solution.potentials[g.arc_tails] - solution.potentials[g.n + g.arc_heads]
-    return _double_circulation(g, np.where(np.abs(amps) <= zero_tol, drops, amps))
+    return _double_circulation(g, np.where(np.abs(amps) <= check_tolerance(zero_tol), drops, amps))
 
 
 # ======================================================================================

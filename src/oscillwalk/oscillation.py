@@ -23,13 +23,13 @@ from .electric import circulation_projection
 from .graphs import Graph, bipartite_partition
 from .walk import (
     ArcState,
-    ensure_normalized,
+    _slot_order,
+    _slot_steps,
     dense_walk_matrix,
-    flip_transform,
+    ensure_normalized,
     is_flip_state,
     overlap,
     uniform_state,
-    walk_step,
 )
 
 __all__ = [
@@ -177,22 +177,21 @@ def measured_overlaps(state: ArcState, t_max: int) -> OverlapSeries:
     """Return overlaps from a single evolution sweep up to step t_max.
 
     even_overlaps covers steps 0, 2, ..., odd_overlaps steps 1, 3, ...;
-    odd steps are measured against the flipped starting state.
+    odd steps are measured against the flipped starting state, as
+    |<psi0|C x_(t-1)>| on the coined vector (see the `walk` module).
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     psi0 = ensure_normalized(state)
-    flipped = flip_transform(psi0)
-    even = [abs(overlap(psi0, psi0))]
-    odd = []
-    current = psi0
-    for t in range(1, t_max + 1):
-        current = walk_step(current)
-        if t % 2 == 0:
-            even.append(abs(overlap(psi0, current)))
-        else:
-            odd.append(abs(overlap(flipped, current)))
-    return OverlapSeries(even_overlaps=np.array(even), odd_overlaps=np.array(odd))
+    g = psi0.graph
+    order = _slot_order(g)
+    start = psi0.amplitudes[order]
+    current = start.copy()
+    overlaps = np.empty(t_max + 1)
+    overlaps[0] = abs(np.vdot(psi0.amplitudes, psi0.amplitudes))
+    for t, coined in enumerate(_slot_steps(g, order, current, t_max), start=1):
+        overlaps[t] = abs(np.vdot(start, coined if t % 2 else current))
+    return OverlapSeries(even_overlaps=overlaps[0::2], odd_overlaps=overlaps[1::2])
 
 
 def one_eigenspace_u2(g: Graph, ceiling: int = DENSE_ORACLE_CEILING) -> np.ndarray:

@@ -4,11 +4,24 @@ The coin C is the Grover diffusion on each vertex's outgoing arcs (inversion
 about the average outgoing amplitude) and S is the flip-flop shift that swaps
 the amplitudes of (u, v) and (v, u).  Both are real orthogonal maps, so the
 walk preserves realness and the 2-norm.
+
+`apply_coin`, `apply_shift` and `walk_step` act on one `ArcState` in arc order
+and are the single-step reference.  Many steps (`evolve`, and
+`oscillation.measured_overlaps`) run in a *slot-major* copy of the state
+instead: slot j*n + u holds the amplitude of vertex u's j-th out-arc, so the
+slot order is `out_arcs.T.ravel()`.  Viewed as d rows of n slots, the vertex
+sums of the coin are one contiguous column sum over the rows, and the shift is
+one gather with the slot of each slot's reverse arc.  The flip of a state is
+its shift negated, <uv|~psi> = -<vu|psi>, so for any y the odd overlap
+<~psi0|S y> equals -<psi0|y>: the overlap with the flipped start is read off
+the coined vector before the shift, and no flipped copy is kept.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -30,6 +43,7 @@ __all__ = [
     "overlap",
     "is_flip_state",
     "is_selfflip_state",
+    "check_tolerance",
     "ensure_normalized",
     "dense_walk_matrix",
     "write_state_csv",
@@ -78,6 +92,17 @@ class VertexAverages:
 def _same_graph(a: ArcState, b: ArcState) -> None:
     if a.graph is not b.graph:
         raise ValueError("states are bound to different graphs")
+
+
+def check_tolerance(tol: float) -> float:
+    """Return `tol` if it is finite and >= 0, else raise ValueError.
+
+    Every comparison with NaN is false and a negative bound admits nothing,
+    so either would silently turn a tolerance test into a wrong answer.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 def ensure_normalized(state: ArcState, tol: float = NORMALIZATION_TOL) -> ArcState:
@@ -144,10 +169,19 @@ def apply_coin(state: ArcState) -> ArcState:
     return ArcState(g, 2.0 * mean_out[g.arc_tails] - state.amplitudes)
 
 
+def _reversed_arcs(values: np.ndarray) -> np.ndarray:
+    """A copy with the rows of each arc pair swapped: result[a] = values[a ^ 1].
+
+    Arcs 2e and 2e + 1 are the two orientations of edge e, so this swaps
+    (u, v) with (v, u) along the first axis of an amplitude vector or matrix.
+    """
+    pairs = values.reshape(-1, 2, *values.shape[1:])
+    return pairs[:, ::-1].copy().reshape(values.shape)
+
+
 def apply_shift(state: ArcState) -> ArcState:
     """Flip-flop shift: swap the amplitudes of (u, v) and (v, u)."""
-    perm = np.arange(state.graph.arc_count) ^ 1
-    return ArcState(state.graph, state.amplitudes[perm])
+    return ArcState(state.graph, _reversed_arcs(state.amplitudes))
 
 
 def walk_step(state: ArcState) -> ArcState:
@@ -155,20 +189,51 @@ def walk_step(state: ArcState) -> ArcState:
     return apply_shift(apply_coin(state))
 
 
+def _slot_order(g: Graph) -> np.ndarray:
+    """The arc held by each slot: slot j*n + u holds vertex u's j-th out-arc."""
+    return g.out_arcs.T.ravel()
+
+
+def _slot_steps(g: Graph, order: np.ndarray, x: np.ndarray, steps: int):
+    """Advance the slot-major state `x` (slot order `order`) by `steps` walk
+    steps in place; after each step yield the coined vector C x_(t-1), whose
+    shift x now holds.  The yielded buffer is overwritten by the next step."""
+    d, n = g.degree, g.n
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    rev = pos[order ^ 1]  # the slot of each slot's reverse arc
+    del pos  # the generator would keep it alive for the whole sweep
+    rows = x.reshape(d, n)
+    coined = np.empty_like(x)
+    coined_rows = coined.reshape(d, n)
+    twice_mean = np.empty(n, dtype=np.complex128)
+    scale = 2.0 / d
+    for _ in range(steps):
+        np.add.reduce(rows, axis=0, out=twice_mean)
+        twice_mean *= scale
+        np.subtract(twice_mean, rows, out=coined_rows)
+        # mode="clip" lets take write straight into x; "raise" would buffer it
+        np.take(coined, rev, out=x, mode="clip")
+        yield coined
+
+
 def evolve(state: ArcState, t: int) -> ArcState:
     """Apply the walk t times (t >= 0) to a normalized state."""
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
-    current = ensure_normalized(state)
-    for _ in range(t):
-        current = walk_step(current)
-    return current
+    psi = ensure_normalized(state)
+    g = psi.graph
+    order = _slot_order(g)
+    x = psi.amplitudes[order]
+    deque(_slot_steps(g, order, x, t), maxlen=0)  # run the steps
+    amps = np.empty_like(x)
+    amps[order] = x
+    return ArcState(g, amps)
 
 
 def flip_transform(state: ArcState) -> ArcState:
     """The flipped state: <uv|result> = -<vu|state>.  Unitary involution."""
-    perm = np.arange(state.graph.arc_count) ^ 1
-    return ArcState(state.graph, -state.amplitudes[perm])
+    return ArcState(state.graph, -_reversed_arcs(state.amplitudes))
 
 
 def overlap(a: ArcState, b: ArcState) -> complex:
@@ -180,8 +245,8 @@ def overlap(a: ArcState, b: ArcState) -> complex:
 def is_flip_state(state: ArcState, tol: float = 1e-9) -> bool:
     """True iff every vertex's average outgoing and incoming amplitude is
     within `tol` of zero."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     averages = vertex_averages(state)
     worst = max(np.max(np.abs(averages.avg_out)), np.max(np.abs(averages.avg_in)))
     return bool(worst <= tol)
@@ -189,6 +254,7 @@ def is_flip_state(state: ArcState, tol: float = 1e-9) -> bool:
 
 def is_selfflip_state(state: ArcState, tol: float = 1e-9) -> bool:
     """True when the state equals its own flipped version within `tol`."""
+    check_tolerance(tol)
     return bool(
         np.max(np.abs(flip_transform(state).amplitudes - state.amplitudes)) <= tol
     )
@@ -197,11 +263,8 @@ def is_selfflip_state(state: ArcState, tol: float = 1e-9) -> bool:
 def dense_walk_matrix(g: Graph) -> np.ndarray:
     """The walk operator as a dense real matrix on the arc space."""
     coin = -np.eye(g.arc_count)
-    bump = 2.0 / g.degree
-    for u in range(g.n):
-        coin[np.ix_(g.out_arcs[u], g.out_arcs[u])] += bump
-    perm = np.arange(g.arc_count) ^ 1
-    return coin[perm, :]
+    coin[g.out_arcs[:, :, None], g.out_arcs[:, None, :]] += 2.0 / g.degree
+    return _reversed_arcs(coin)
 
 
 # ======================================================================================

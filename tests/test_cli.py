@@ -361,6 +361,25 @@ def test_config_errors_exit_one(args, capsys):
     assert err.strip().count("\n") == 0
 
 
+@pytest.mark.parametrize("command", ["bounds", "simulate", "decompose"])
+@pytest.mark.parametrize("flag", ["--zero-tol", "--flip-tol"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_tolerances_exit_one(command, flag, value, capsys):
+    # a NaN or negative cut once gave power inf / dropped the self-flip block, exit 0
+    args = [command, "--graph", "complete:5", "--state", "selfflip:0:1", f"{flag}={value}"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: argument {flag}: tolerance must be finite and >= 0")
+    assert err.strip().count("\n") == 0
+
+
+def test_zero_tolerances_are_accepted(capsys):
+    args = ["bounds", "--graph", "complete:5", "--state", "selfflip:0:1", "--format", "csv"]
+    code, out, _ = run_cli(args + ["--zero-tol", "0", "--flip-tol", "0"], capsys)
+    assert code == 0
+    assert "power_selfflip" in out
+
+
 def test_edge_list_graph_via_cli(tmp_path, capsys):
     g = hypercube_graph(2)
     path = tmp_path / "c4.edges"

@@ -122,6 +122,21 @@ def test_selfflip_network_rejects_other_states():
         network_from_selfflip_state(basis_arc_state(g, 0, 1))
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+def test_network_builders_reject_bad_tolerances(bad):
+    g = complete_graph(5)
+    psi = selfflip_edge_state(g, 0, 1)
+    with pytest.raises(ValueError, match="tolerance"):
+        network_from_state_double(psi, bad)
+    with pytest.raises(ValueError, match="tolerance"):
+        network_from_selfflip_state(psi, zero_tol=bad)
+    with pytest.raises(ValueError, match="tolerance"):
+        network_from_selfflip_state(psi, selfflip_tol=bad)
+    sol = solve_network(network_from_state_double(psi))
+    with pytest.raises(ValueError, match="tolerance"):
+        completed_circulation(g, psi, sol, zero_tol=bad)
+
+
 def test_zero_state_rejected_at_normalization_gate():
     g = complete_graph(4)
     zero = ArcState(g, np.zeros(g.arc_count))

@@ -21,6 +21,7 @@ from oscillwalk import (
     flip_transform,
     hypercube_graph,
     is_flip_state,
+    is_selfflip_state,
     measured_overlaps,
     network_from_state_double,
     one_eigenspace_u2,
@@ -75,6 +76,16 @@ def test_uniform_and_basis_states_are_not_flip():
 def test_flip_predicate_requires_positive_tolerance():
     with pytest.raises(ValueError):
         is_flip_state(uniform_state(complete_graph(3)), 0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_flip_predicates_reject_bad_tolerances(bad):
+    # NaN compares false with everything and once passed the positivity check
+    psi = uniform_state(complete_graph(3))
+    with pytest.raises(ValueError, match="tolerance"):
+        is_flip_state(psi, bad)
+    with pytest.raises(ValueError, match="tolerance"):
+        is_selfflip_state(psi, bad)
 
 
 # ---- flip projection -------------------------------------------------------------------

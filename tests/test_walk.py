@@ -21,9 +21,11 @@ from oscillwalk import (
     flip_transform,
     hypercube_graph,
     is_selfflip_state,
+    measured_overlaps,
     overlap,
     random_regular_graph,
     read_state_csv,
+    torus_graph,
     uniform_state,
     vertex_averages,
     walk_step,
@@ -143,6 +145,19 @@ def test_shift_is_an_involution(seed):
     assert_shift_involution(random_state(ZOO[seed % len(ZOO)], np.random.default_rng(seed)))
 
 
+def test_shift_and_flip_swap_arc_pairs_exactly():
+    rng = np.random.default_rng(13)
+    for g in ZOO + [complete_graph(2)]:
+        psi = random_state(g, rng)
+        reverse = np.arange(g.arc_count) ^ 1
+        shifted = apply_shift(psi).amplitudes
+        flipped = flip_transform(psi).amplitudes
+        assert np.array_equal(shifted, psi.amplitudes[reverse])
+        assert np.array_equal(flipped, -psi.amplitudes[reverse])
+        assert not np.shares_memory(shifted, psi.amplitudes)
+        assert not np.shares_memory(flipped, psi.amplitudes)
+
+
 def test_shift_fixes_symmetric_states():
     g = cycle_graph(5)
     amps = np.zeros(g.arc_count, dtype=complex)
@@ -225,6 +240,17 @@ def test_bipartite_side_conservation():
         assert np.max(np.abs(stepped.amplitudes[g.out_arcs[x]])) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "g", [complete_graph(5), hypercube_graph(3), cycle_graph(6)], ids=lambda g: g.name
+)
+def test_dense_walk_matrix_matches_per_vertex_loop(g):
+    coin = -np.eye(g.arc_count)
+    for u in range(g.n):
+        coin[np.ix_(g.out_arcs[u], g.out_arcs[u])] += 2.0 / g.degree
+    expected = coin[np.arange(g.arc_count) ^ 1, :]
+    assert np.array_equal(dense_walk_matrix(g), expected)
+
+
 def test_dense_walk_matrix_matches_operator():
     rng = np.random.default_rng(10)
     for g in ZOO:
@@ -232,6 +258,73 @@ def test_dense_walk_matrix_matches_operator():
         matrix = dense_walk_matrix(g)
         assert_allclose(matrix @ psi.amplitudes, walk_step(psi).amplitudes, atol=1e-13)
         assert_allclose(matrix.T @ matrix, np.eye(g.arc_count), atol=1e-12)
+
+
+# ---- many steps: the slot-major stepper behind evolve and measured_overlaps ----------------
+
+
+def stepper_states(g, rng):
+    u, v = (int(x) for x in g.edges[0])
+    selfflip = basis_arc_state(g, u, v).amplitudes - basis_arc_state(g, v, u).amplitudes
+    return {
+        "edge": basis_arc_state(g, u, v),
+        "selfflip": ArcState(g, selfflip / np.sqrt(2)),
+        "uniform": uniform_state(g),
+        "random": random_state(g, rng),
+    }
+
+
+def stepped_overlaps(psi, t_max):
+    """|<psi|U^t psi>| at even t and |<~psi|U^t psi>| at odd t, one walk_step at a time."""
+    flipped = flip_transform(psi)
+    current, series = psi, [abs(overlap(psi, psi))]
+    for t in range(1, t_max + 1):
+        current = walk_step(current)
+        series.append(abs(overlap(flipped if t % 2 else psi, current)))
+    return np.array(series)
+
+
+def assert_stepper_matches(psi, steps, check_every):
+    """measured_overlaps and evolve against a walk_step loop and against
+    matrix powers of the dense walk, to 1e-12, leaving the input untouched."""
+    g = psi.graph
+    before = psi.amplitudes.copy()
+    series = measured_overlaps(psi, steps)
+    assert series.even_overlaps.shape == ((steps + 2) // 2,)
+    assert series.odd_overlaps.shape == ((steps + 1) // 2,)
+    reference = stepped_overlaps(psi, steps)
+    assert np.max(np.abs(series.even_overlaps - reference[0::2])) <= 1e-12
+    assert np.max(np.abs(series.odd_overlaps - reference[1::2])) <= 1e-12
+    matrix = dense_walk_matrix(g)
+    flipped = flip_transform(psi).amplitudes
+    current = psi
+    for t in range(steps + 1):
+        if t % check_every == 0 or t == steps:
+            evolved = evolve(psi, t).amplitudes
+            powered = np.linalg.matrix_power(matrix, t) @ psi.amplitudes
+            assert np.max(np.abs(evolved - current.amplitudes)) <= 1e-12
+            assert np.max(np.abs(evolved - powered)) <= 1e-12
+            target = flipped if t % 2 else psi.amplitudes
+            measured = series.odd_overlaps[t // 2] if t % 2 else series.even_overlaps[t // 2]
+            assert abs(measured - abs(np.vdot(target, powered))) <= 1e-12
+        current = walk_step(current)
+    assert np.array_equal(psi.amplitudes, before)
+
+
+@pytest.mark.parametrize(
+    "g", ZOO + [complete_graph(2), cycle_graph(7)], ids=lambda g: g.name
+)
+def test_stepper_matches_single_steps_and_matrix_powers(g):
+    # complete:2 has degree 1: its slot order is a read-only view of out_arcs
+    for psi in stepper_states(g, np.random.default_rng(12)).values():
+        assert_stepper_matches(psi, 13, 1)
+
+
+@pytest.mark.parametrize("g", [complete_graph(12), torus_graph(2, 5)], ids=lambda g: g.name)
+def test_stepper_over_a_thousand_steps(g):
+    states = stepper_states(g, np.random.default_rng(14))
+    for kind in ("edge", "random"):
+        assert_stepper_matches(states[kind], 1000, 250)
 
 
 # ---- flip transform and averages -----------------------------------------------------------
