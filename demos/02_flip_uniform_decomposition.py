@@ -51,7 +51,7 @@ print("\nfixed subspace of U^2 = flip subspace + uniform span:")
 for g in (complete_graph(5), cycle_graph(4)):
     basis = one_eigenspace_u2(g)
     # one flip state per independent cycle of the bipartite double
-    flip_dim = g.arc_count - 2 * g.n + bipartite_double(g).graph.num_components
+    flip_dim = g.arc_count - 2 * g.n + bipartite_double(g).num_components
     part = bipartite_partition(g)
     uniform_dim = 1 if part is None else 2
     print(f"  {g.name}: eigenspace dim {basis.shape[1]} "

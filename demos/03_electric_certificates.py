@@ -65,8 +65,7 @@ print("double-graph resistance obeys the parallel formula 1 - 1/(1+P):")
 for g in (complete_graph(3), hypercube_graph(3)):
     psi = basis_arc_state(g, 0, 1)
     sol = solve_network(network_from_state_double(psi))
-    double = bipartite_double(g)
-    omega = resistance_distance(double.graph, 0, int(double.in_vertex[1]))
+    omega = resistance_distance(bipartite_double(g), 0, g.n + 1)
     print(f"  {g.name}: omega(a_out, b_in) = {omega:.9f}, "
           f"parallel formula gives {parallel_resistance_identity(sol.power):.9f}")
 

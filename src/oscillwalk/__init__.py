@@ -6,7 +6,6 @@ from .graphs import (
     Graph,
     GraphError,
     Bipartition,
-    BipartiteDouble,
     PathFamily,
     build_graph,
     complete_graph,

@@ -38,7 +38,7 @@ from .graphs import (
     GRAPH_FAMILIES,
     Graph,
     GraphError,
-    bipartite_double,
+    bipartite_double,  # noqa: F401 - unused here; perfbench's tracer wraps it in this namespace
     build_graph,
     edge_disjoint_paths,
 )
@@ -213,10 +213,7 @@ def _cmd_resistance(args) -> int:
     g = _parse_graph(args.graph, args.seed)
     u, v = _parse_pair(args.pair)
     omega = resistance_distance(g, u, v)
-    double = bipartite_double(g)
-    omega_double = resistance_distance(
-        double.graph, int(double.out_vertex[u]), int(double.in_vertex[v])
-    )
+    omega_double = resistance_distance(g, u, v, double=True)
     family = edge_disjoint_paths(g, u, v)
     bound = paths_resistance_bound(family.lengths)
     record = {

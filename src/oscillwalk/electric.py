@@ -224,27 +224,26 @@ def _grounded_potentials(
     tails: np.ndarray,
     heads: np.ndarray,
     rhs: np.ndarray,
-    labels: np.ndarray,
+    roots: np.ndarray,
     ground: int | None = None,
 ) -> np.ndarray:
     """Solve L x = rhs with one node per component pinned to potential 0.
 
     `rhs` is one right-hand side of shape (node_count,) or a block of them,
     (node_count, k), real or complex; the potentials have its shape and
-    dtype.  Each component is grounded at its smallest node (or at `ground`
-    in its own component).  The Laplacian of the free nodes is assembled once
-    from the edge arrays; the real and imaginary parts of every column are
-    solved together as real columns (L is real), densely when the free nodes
-    number at most _DENSE_MAX_NODES or at most the real columns (the dense
-    Laplacian is then no bigger than the right-hand sides), otherwise by
-    diagonally preconditioned conjugate gradients column by column.
+    dtype.  Each component is grounded at its root, its smallest node (see
+    label_components), or at `ground` in its own component.  The Laplacian
+    of the free nodes is assembled once from the edge arrays; the real and
+    imaginary parts of every column are solved together as real columns (L
+    is real), densely when the free nodes number at most _DENSE_MAX_NODES or
+    at most the real columns (the dense Laplacian is then no bigger than the
+    right-hand sides), otherwise by diagonally preconditioned conjugate
+    gradients column by column.
     """
-    grounds = np.full(int(labels.max()) + 1, node_count)
-    np.minimum.at(grounds, labels, np.arange(node_count))
+    is_free = roots != np.arange(node_count)
     if ground is not None:
-        grounds[labels[ground]] = ground
-    is_free = np.ones(node_count, dtype=bool)
-    is_free[grounds] = False
+        is_free[roots[ground]] = True
+        is_free[ground] = False
     free = np.flatnonzero(is_free)
     block = rhs.reshape(node_count, -1)
     potentials = np.zeros(block.shape, dtype=block.dtype)
@@ -320,28 +319,28 @@ def solve_network(net: ElectricNetwork, *, ground: int | None = None) -> FlowSol
     useful for testing exactly that).
     """
     tails, heads = net.resistor_edges.T
-    labels = label_components(net.node_count, tails, heads)[0]
-    component_sums = np.zeros(int(labels.max()) + 1, dtype=np.complex128)
-    np.add.at(component_sums, labels, net.injections)
+    roots = label_components(net.node_count, tails, heads)
+    component_sums = np.zeros(net.node_count, dtype=np.complex128)
+    np.add.at(component_sums, roots, net.injections)
     if np.any(np.abs(component_sums) > FEASIBILITY_TOL):
         return FlowSolution(feasible=False, currents=None, potentials=None, power=math.inf)
 
-    potentials = _grounded_potentials(
-        net.node_count, tails, heads, net.injections, labels, ground
-    )
+    potentials = _grounded_potentials(net.node_count, tails, heads, net.injections, roots, ground)
     currents = potentials[tails] - potentials[heads]
     power = float(np.vdot(currents, currents).real)
     return FlowSolution(feasible=True, currents=currents, potentials=potentials, power=power)
 
 
 def circulation_projection(
-    node_count: int, tails: np.ndarray, heads: np.ndarray, flow: np.ndarray
+    node_count: int, tails: np.ndarray, heads: np.ndarray, flow: np.ndarray,
+    roots: np.ndarray | None = None,
 ) -> np.ndarray:
     """Orthogonal projection of a flow on unit resistors onto the circulations.
 
     Resistor i runs from tails[i] to heads[i]; `flow` is one flow of shape
     (len(tails),) or a block of k flows, (len(tails), k), projected with one
-    labeling and one Laplacian; a real flow gives a real projection.
+    labeling and one Laplacian; a real flow gives a real projection.  `roots`
+    is the resistors' label_components when already known.
     Injecting the flow's divergence (+flow at each tail, -flow at each head)
     drives potentials x with L x = B flow; the drops x[tail] - x[head] are
     the gradient part B^T L^+ B flow, and what remains conserves flow at
@@ -351,24 +350,32 @@ def circulation_projection(
     divergence = np.zeros((node_count,) + flow.shape[1:], dtype=flow.dtype)
     np.add.at(divergence, tails, flow)
     np.add.at(divergence, heads, -flow)
-    labels = label_components(node_count, tails, heads)[0]
-    potentials = _grounded_potentials(node_count, tails, heads, divergence, labels)
+    if roots is None:
+        roots = label_components(node_count, tails, heads)
+    potentials = _grounded_potentials(node_count, tails, heads, divergence, roots)
     return flow - (potentials[tails] - potentials[heads])
 
 
-def resistance_distance(g: Graph, a: int, b: int) -> float:
-    """Effective resistance between a and b with every edge a unit resistor."""
-    if a == b:
+def resistance_distance(g: Graph, a: int, b: int, *, double: bool = False) -> float:
+    """Effective resistance between a and b with every edge a unit resistor;
+    with `double`, between a_out = a and b_in = n + b on the bipartite double
+    of g (one resistor u_out -- v_in per arc (u, v)), which is never built."""
+    if a == b and not double:
         raise ValueError(f"resistance distance needs distinct vertices, got a = b = {a}")
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError(f"vertex out of range: a={a}, b={b}, n={g.n}")
-    if g.component_labels[a] != g.component_labels[b]:
+    if double:
+        nodes, tails, heads, roots = 2 * g.n, g.arc_tails, g.n + g.arc_heads, g.double_roots
+        b += g.n
+    else:
+        nodes, tails, heads, roots = g.n, g.edges[:, 0], g.edges[:, 1], g.component_roots
+    if roots[a] != roots[b]:
         raise ValueError(f"vertices {a} and {b} lie in different components")
-    injections = np.zeros(g.n, dtype=np.complex128)
+    injections = np.zeros(nodes, dtype=np.complex128)
     injections[a] += 1.0
     injections[b] -= 1.0
-    sol = solve_network(ElectricNetwork(g.n, g.edges, injections))
-    return float((sol.potentials[a] - sol.potentials[b]).real)
+    potentials = _grounded_potentials(nodes, tails, heads, injections, roots)
+    return float((potentials[a] - potentials[b]).real)
 
 
 # ======================================================================================
@@ -398,7 +405,7 @@ def _check_matching_double(g: Graph, circulation: Circulation) -> None:
 def _double_circulation(g: Graph, values: np.ndarray) -> Circulation:
     """Circulation on the double with f(u_out, v_in) = values[(u, v)],
     extended skew-symmetrically."""
-    double = bipartite_double(g).graph
+    double = bipartite_double(g)
     ids = _double_arc_ids(g)
     flow = np.zeros(double.arc_count, dtype=np.complex128)
     flow[ids] = values

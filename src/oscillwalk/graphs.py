@@ -9,9 +9,9 @@ reverse of arc ``a`` is always ``a ^ 1``.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "Bipartition",
-    "BipartiteDouble",
     "PathFamily",
     "build_graph",
     "complete_graph",
@@ -47,36 +46,28 @@ class GraphError(ValueError):
 # ======================================================================================
 
 
-def label_components(
-    node_count: int, tails: np.ndarray, heads: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Connected-component label and BFS-depth parity of every node of the
-    undirected graph with edges {tails[i], heads[i]}.
+def label_components(node_count: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Smallest node of the component of every node of the undirected graph
+    with edges {tails[i], heads[i]}.
 
-    Components are numbered in order of their smallest node, which is the
-    BFS root and has parity 0.  The parity is a proper 2-coloring exactly
-    when the graph is bipartite.
+    Hook-and-jump (Shiloach & Vishkin 1982): every edge between two trees
+    hooks the larger root under the smaller one, then pointer jumping flattens
+    the trees; edges inside one tree are dropped for good.  A root only ever
+    hooks under a smaller node, so the final root of each tree is its
+    component's smallest node.
     """
-    ends = np.concatenate([tails, heads])
-    neighbors = np.concatenate([heads, tails])[np.argsort(ends, kind="stable")].tolist()
-    offsets = [0] + np.cumsum(np.bincount(ends, minlength=node_count)).tolist()
-    labels = [-1] * node_count
-    parity = [0] * node_count
-    label = 0
-    for start in range(node_count):
-        if labels[start] != -1:
-            continue
-        labels[start] = label
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[offsets[u] : offsets[u + 1]]:
-                if labels[v] == -1:
-                    labels[v] = label
-                    parity[v] = parity[u] ^ 1
-                    queue.append(v)
-        label += 1
-    return np.array(labels, dtype=np.int64), np.array(parity, dtype=np.int64)
+    parent = np.arange(node_count)
+    while tails.size:
+        root_t, root_h = parent[tails], parent[heads]
+        np.minimum.at(parent, np.maximum(root_t, root_h), np.minimum(root_t, root_h))
+        crossing = root_t != root_h
+        tails, heads = tails[crossing], heads[crossing]
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+    return parent
 
 
 class Graph:
@@ -101,6 +92,9 @@ class Graph:
         vertex u are ``out_arcs[u] ^ 1``.
     component_labels : np.ndarray, shape (n,), int64
         Connected-component label per vertex (0-based, by smallest vertex).
+    component_roots, double_roots : np.ndarray, int64
+        Smallest node of each node's component in g (shape (n,)) and in its
+        bipartite double (shape (2n,); v_out = v, v_in = n + v; on first use).
 
     `edges` accepts any iterable of vertex pairs.  The arrays are read-only,
     so instances are immutable after construction and safe to share across
@@ -157,13 +151,26 @@ class Graph:
         self.arc_heads = self.edges[:, ::-1].ravel()
         self.out_arcs = np.lexsort((self.arc_heads, self.arc_tails)).reshape(n, self.degree)
         self.adjacency = self.arc_heads[self.out_arcs]
-        self.component_labels, self._bfs_parity = label_components(n, *self.edges.T)
+        self.component_roots = label_components(n, *self.edges.T)
+        is_root = self.component_roots == np.arange(n)
+        self.component_labels = (np.cumsum(is_root) - 1)[self.component_roots]
         for array in (self.edges, self._edge_keys, self.arc_tails, self.arc_heads,
-                      self.out_arcs, self.adjacency, self.component_labels):
+                      self.out_arcs, self.adjacency, self.component_roots, self.component_labels):
             array.flags.writeable = False
-        self.num_components = int(self.component_labels.max()) + 1
+        self.num_components = int(np.count_nonzero(is_root))
         if require_connected and self.num_components > 1:
             raise GraphError(f"{name}: graph is disconnected ({self.num_components} components)")
+
+    @cached_property
+    def double_roots(self) -> np.ndarray:
+        # u_out and w_out share a component of the double exactly when a chain
+        # of common in-neighbors links them: label the out-nodes (all smaller
+        # than the in-nodes) by linking consecutive neighbors; v_in joins adj[v, 0].
+        adj = self.adjacency
+        out_roots = label_components(self.n, adj[:, :-1].ravel(), adj[:, 1:].ravel())
+        roots = np.concatenate([out_roots, out_roots[adj[:, 0]]])
+        roots.flags.writeable = False
+        return roots
 
     # ---- arc helpers ---------------------------------------------------------------
 
@@ -207,20 +214,6 @@ class Bipartition:
 
     partite_x: frozenset[int]
     partite_y: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BipartiteDouble:
-    """Bipartite double of a graph plus the vertex maps into it.
-
-    Vertex v of the base graph becomes ``out_vertex[v]`` (= v) and
-    ``in_vertex[v]`` (= n + v) in the double; each base edge {u, v} becomes
-    the pair of edges {u_out, v_in}, {v_out, u_in}.
-    """
-
-    graph: Graph
-    out_vertex: np.ndarray
-    in_vertex: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -334,35 +327,35 @@ def random_regular_graph(n: int, d: int, seed: int | None = None) -> Graph:
     )
 
 
-def _pair_stubs(rng: np.random.Generator, n: int, d: int) -> set[tuple[int, int]] | None:
-    """One pairing attempt; returns None on a dead end."""
-    edges: set[tuple[int, int]] = set()
+def _pair_stubs(rng: np.random.Generator, n: int, d: int) -> np.ndarray | None:
+    """One pairing attempt; returns None on a dead end.
+
+    Each pass shuffles the open stubs into consecutive pairs.  A pair becomes
+    an edge unless it is a self-loop, an earlier pass's edge or a repeat within
+    this pass; the rejected pairs stay open in pass order.
+    """
+    # Sorted edge keys u * n + v (u < v), closed by a sentinel above every key.
+    keys = np.array([n * n])
     stubs = np.repeat(np.arange(n), d)
     while stubs.size:
-        stubs = rng.permutation(stubs)
-        leftover = []
-        progress = False
-        for i in range(0, stubs.size, 2):
-            u, v = int(stubs[i]), int(stubs[i + 1])
-            e = (u, v) if u < v else (v, u)
-            if u == v or e in edges:
-                leftover.extend((u, v))
-            else:
-                edges.add(e)
-                progress = True
-        stubs = np.asarray(leftover, dtype=np.int64)
-        if not progress and not _has_suitable_pair(stubs, edges):
-            return None
-    return edges
+        pairs = rng.permutation(stubs).reshape(-1, 2)
+        low, high = pairs.min(axis=1), pairs.max(axis=1)
+        pass_keys = low * n + high
+        fresh = np.flatnonzero((low != high) & ~_has_key(keys, pass_keys))
+        firsts = fresh[np.unique(pass_keys[fresh], return_index=True)[1]]
+        keys = np.sort(np.concatenate([keys, pass_keys[firsts]]))
+        stubs = np.delete(pairs, firsts, axis=0).ravel()
+        if not firsts.size:
+            # A dead end unless two distinct open vertices are not yet adjacent.
+            uniq = np.unique(stubs)
+            i, j = np.triu_indices(uniq.size, 1)
+            if _has_key(keys, uniq[i] * n + uniq[j]).all():
+                return None
+    return np.column_stack(np.divmod(keys[:-1], n))
 
 
-def _has_suitable_pair(stubs: np.ndarray, edges: set[tuple[int, int]]) -> bool:
-    uniq = np.unique(stubs)
-    for i, u in enumerate(uniq):
-        for v in uniq[i + 1 :]:
-            if (int(u), int(v)) not in edges:
-                return True
-    return False
+def _has_key(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    return keys[np.searchsorted(keys, query)] == query
 
 
 def graph_from_edge_list(path: str) -> Graph:
@@ -450,35 +443,33 @@ def build_graph(family: str, params: Sequence[int | str] = (), seed: int | None 
 
 
 def bipartite_partition(g: Graph) -> Bipartition | None:
-    """2-color `g` by BFS depth parity; returns None when an odd cycle exists.
+    """2-color `g` from the components of its bipartite double; returns None
+    when an odd cycle exists.
 
-    The smallest vertex of every component lands in partite_x, so vertex 0
-    is always in partite_x.
+    u_out and u_in share a component of the double exactly when u lies on an
+    odd closed walk.  Otherwise one of the two holds the smallest vertex r of
+    u's component as r_out, and u gets r's color exactly when u_out is in it:
+    when u_out's root is the smaller one.  So the smallest vertex of every
+    component lands in partite_x, and vertex 0 always does.
     """
-    color = g._bfs_parity
-    if np.any(color[g.arc_tails] == color[g.arc_heads]):
+    out_roots, in_roots = g.double_roots[: g.n], g.double_roots[g.n :]
+    if np.any(out_roots == in_roots):
         return None
     return Bipartition(
-        partite_x=frozenset(np.flatnonzero(color == 0).tolist()),
-        partite_y=frozenset(np.flatnonzero(color == 1).tolist()),
+        partite_x=frozenset(np.flatnonzero(out_roots < in_roots).tolist()),
+        partite_y=frozenset(np.flatnonzero(out_roots > in_roots).tolist()),
     )
 
 
-def bipartite_double(g: Graph) -> BipartiteDouble:
+def bipartite_double(g: Graph) -> Graph:
     """Bipartite double graph: vertices v_out = v and v_in = n + v.
 
     Each base edge {u, v} becomes {u_out, v_in} and {v_out, u_in}.  The double
     of a bipartite graph is two disjoint copies of it; the disconnected graph
     is returned as-is (its component labels distinguish the copies).
     """
-    n = g.n
-    edges = np.column_stack([g.arc_tails, n + g.arc_heads])
-    double = Graph(2 * n, edges, require_connected=False, name=f"double({g.name})")
-    return BipartiteDouble(
-        graph=double,
-        out_vertex=np.arange(n, dtype=np.int64),
-        in_vertex=np.arange(n, 2 * n, dtype=np.int64),
-    )
+    edges = np.column_stack([g.arc_tails, g.n + g.arc_heads])
+    return Graph(2 * g.n, edges, require_connected=False, name=f"double({g.name})")
 
 
 # ======================================================================================
@@ -501,22 +492,19 @@ def edge_disjoint_paths(g: Graph, s: int, t: int) -> PathFamily:
     # Net flow per arc, flow[a] == -flow[a ^ 1]; |flow| <= 1 keeps each
     # undirected edge on at most one path.
     flow = np.zeros(g.arc_count, dtype=np.int64)
-    while True:
-        parent_arc = _bfs_augment(g, flow, s, t)
-        if parent_arc is None:
-            break
+    while (parent_arc := _bfs_augment(g, flow, s, t)) is not None:
         v = t
         while v != s:
-            a = parent_arc[v]
+            a = int(parent_arc[v])
             flow[a] += 1
             flow[a ^ 1] -= 1
             v = int(g.arc_tails[a])
 
     k = int(flow[g.out_arcs[s]].sum())
     # Descending arc ids per tail, so pop() yields ascending-head order.
-    pos_out: list[list[int]] = [[] for _ in range(g.n)]
-    for a in np.flatnonzero(flow == 1)[::-1]:
-        pos_out[g.arc_tails[a]].append(int(a))
+    pos_out: dict[int, list[int]] = {}
+    for a in np.flatnonzero(flow == 1)[::-1].tolist():
+        pos_out.setdefault(int(g.arc_tails[a]), []).append(a)
 
     paths = []
     for _ in range(k):
@@ -537,23 +525,27 @@ def edge_disjoint_paths(g: Graph, s: int, t: int) -> PathFamily:
     return PathFamily(source=s, target=t, paths=tuple(paths))
 
 
-def _bfs_augment(g: Graph, flow: np.ndarray, s: int, t: int) -> dict[int, int] | None:
-    """Shortest residual path from s to t; returns {vertex: incoming arc}."""
-    parent_arc: dict[int, int] = {}
-    visited = np.zeros(g.n, dtype=bool)
-    visited[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for a in g.out_arcs[u]:
-            if flow[a] >= 1:
-                continue
-            v = int(g.arc_heads[a])
-            if visited[v]:
-                continue
-            visited[v] = True
-            parent_arc[v] = int(a)
-            if v == t:
-                return parent_arc
-            queue.append(v)
+def _bfs_augment(g: Graph, flow: np.ndarray, s: int, t: int) -> np.ndarray | None:
+    """Shortest residual path from s to t as the incoming arc of every vertex
+    reached (-1 elsewhere), or None.  Each level expands the whole frontier,
+    arcs in (frontier, slot) order, and a new vertex keeps the first arc that
+    reaches it: the parents a FIFO breadth-first search finds."""
+    parent_arc = np.full(g.n, -1)
+    parent_arc[s] = g.arc_count  # reached, with no incoming arc
+    first = np.empty(g.n, dtype=np.int64)
+    frontier = np.array([s])
+    while frontier.size:
+        arcs = g.out_arcs[frontier].ravel()
+        heads = g.arc_heads[arcs]
+        keep = (flow[arcs] < 1) & (parent_arc[heads] < 0)
+        arcs, heads = arcs[keep], heads[keep]
+        # Position of the first arc reaching each head.
+        order = np.arange(heads.size)
+        first[heads] = heads.size
+        np.minimum.at(first, heads, order)
+        is_first = first[heads] == order
+        frontier = heads[is_first]
+        parent_arc[frontier] = arcs[is_first]
+        if parent_arc[t] >= 0:
+            return parent_arc
     return None

@@ -122,7 +122,9 @@ def flip_projection(state: ArcState) -> tuple[float, ArcState]:
     """
     psi = ensure_normalized(state)
     g = psi.graph
-    flip_amps = circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, psi.amplitudes)
+    flip_amps = circulation_projection(
+        2 * g.n, g.arc_tails, g.n + g.arc_heads, psi.amplitudes, g.double_roots
+    )
     alpha_sq = float(np.vdot(flip_amps, flip_amps).real)
     return alpha_sq, ArcState(g, flip_amps)
 

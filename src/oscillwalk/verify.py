@@ -96,7 +96,7 @@ def flip_projector(g: Graph) -> np.ndarray:
     """Dense (arcs x arcs) flip projector: every basis arc state projected
     by flip_projection's route, as one block of flows on the double."""
     identity = np.eye(g.arc_count)
-    return circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, identity)
+    return circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, identity, g.double_roots)
 
 
 def _uniform_states(g: Graph) -> list[ArcState]:
@@ -136,7 +136,7 @@ def assert_family_counts(g: Graph, n: int, edges: int, degree: int) -> None:
 def assert_double_graph_structure(g: Graph) -> None:
     """The double is bipartite, d-regular on 2n vertices, and splits into two
     copies exactly when g is bipartite."""
-    double = bipartite_double(g).graph
+    double = bipartite_double(g)
     assert bipartite_partition(double) is not None
     bipartite = bipartite_partition(g) is not None
     assert double.num_components == (2 if bipartite else 1)
@@ -291,8 +291,7 @@ def assert_parallel_combination(g: Graph) -> None:
     between u_out and v_in is a unit resistor in parallel with the power."""
     u, v = g.edges[0]
     sol = solve_network(network_from_state_double(basis_arc_state(g, u, v)))
-    double = bipartite_double(g)
-    omega = resistance_distance(double.graph, int(double.out_vertex[u]), int(double.in_vertex[v]))
+    omega = resistance_distance(g, int(u), int(v), double=True)
     assert abs(omega - parallel_resistance_identity(sol.power)) <= 1e-9
 
 

@@ -66,7 +66,7 @@ class ArcState:
             raise ValueError(
                 f"state needs {self.graph.arc_count} amplitudes, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.isfinite(amps).all():
             raise ValueError("state amplitudes must be finite")
         self.amplitudes = amps
 

@@ -260,8 +260,7 @@ def test_accept_6_electric_identities():
         lower, _ = bounds_from_power(sol.power, "double")
         assert abs(lower - 1 / 6) <= 1e-9
 
-        double = bipartite_double(g3)
-        omega_double = resistance_distance(double.graph, 0, int(double.in_vertex[1]))
+        omega_double = resistance_distance(bipartite_double(g3), 0, g3.n + 1)
         assert abs(omega_double - 5 / 6) <= 1e-9  # (2n-1)/(d n) at n=3, d=2
 
         families = (

@@ -195,6 +195,31 @@ def test_resistance_on_hypercube(capsys):
     assert record["path_lengths"] == [1, 3, 3]
 
 
+@pytest.mark.parametrize("spec,pair", [("torus:2:10", "0:1"), ("complete:7", "2:5"), ("torus:2:9", "0:12")])
+def test_resistance_labels_twice_and_builds_no_double(spec, pair, capsys, monkeypatch):
+    from oscillwalk import cli, electric, graphs
+
+    expected = run_cli(["resistance", "--graph", spec, "--pair", pair], capsys)
+    labelings = []
+
+    def counting(*args):
+        labelings.append(args[0])
+        return label_components(*args)
+
+    def no_double(g):
+        raise AssertionError("resistance built a bipartite double")
+
+    label_components = graphs.label_components
+    for module in (graphs, electric):
+        monkeypatch.setattr(module, "label_components", counting)
+    for module in (graphs, electric, cli):
+        monkeypatch.setattr(module, "bipartite_double", no_double)
+    assert run_cli(["resistance", "--graph", spec, "--pair", pair], capsys) == expected
+    assert expected[0] == 0
+    # The graph when it is built, and its double on first use.
+    assert len(labelings) <= 2
+
+
 def test_unconverged_solve_exits_four(capsys, monkeypatch):
     from oscillwalk import electric
 

@@ -232,7 +232,7 @@ def test_grounding_choice_does_not_change_currents():
 )
 def test_currents_match_laplacian_pseudoinverse(g, dense):
     net = network_from_state_double(basis_arc_state(g, 0, 1))
-    unknowns = net.node_count - bipartite_double(g).graph.num_components
+    unknowns = net.node_count - bipartite_double(g).num_components
     assert (unknowns <= electric._DENSE_MAX_NODES) == dense
     pairs = np.array(net.resistor_edges)
     laplacian = np.zeros((net.node_count, net.node_count))
@@ -289,7 +289,7 @@ def test_conjugate_gradients_raise_when_not_converged():
     ids=lambda g: g.name,
 )
 def test_double_arc_ids_closed_form(g):
-    double = bipartite_double(g).graph
+    double = bipartite_double(g)
     expected = [double.arc_index(u, g.n + v) for u, v in zip(g.arc_tails, g.arc_heads)]
     assert electric._double_arc_ids(g).tolist() == expected
 
@@ -336,7 +336,7 @@ def test_resistance_rejects_bad_pairs():
     g = complete_graph(4)
     with pytest.raises(ValueError, match="distinct"):
         resistance_distance(g, 2, 2)
-    double = bipartite_double(cycle_graph(4)).graph
+    double = bipartite_double(cycle_graph(4))
     with pytest.raises(ValueError, match="components"):
         resistance_distance(double, 0, int(double.n / 2))
 
@@ -346,7 +346,7 @@ def test_resistance_rejects_bad_pairs():
 
 def test_unit_cycle_circulation_maps_to_alternating_state():
     g = cycle_graph(4)
-    double = bipartite_double(g).graph
+    double = bipartite_double(g)
     flow = np.zeros(double.arc_count, dtype=complex)
     for a in range(g.arc_count):
         u, v = g.arc_endpoints(a)
@@ -367,14 +367,14 @@ def test_circulation_round_trip():
 
 def test_zero_circulation_maps_to_zero_state():
     g = complete_graph(3)
-    double = bipartite_double(g).graph
+    double = bipartite_double(g)
     state = circulation_to_flip(g, Circulation(double, np.zeros(double.arc_count)))
     assert state.norm() == 0.0
 
 
 def test_circulation_invariant_errors_name_the_culprit():
     g = cycle_graph(4)
-    double = bipartite_double(g).graph
+    double = bipartite_double(g)
     flow = np.zeros(double.arc_count, dtype=complex)
     flow[0] = 1.0  # breaks skew symmetry
     with pytest.raises(ValueError, match="skew"):
@@ -483,9 +483,30 @@ def test_parallel_identity_against_double_graph_resistance(g):
 
 
 def test_triangle_double_resistance_closed_form():
-    double = bipartite_double(complete_graph(3))
-    omega = resistance_distance(double.graph, 0, int(double.in_vertex[1]))
+    omega = resistance_distance(bipartite_double(complete_graph(3)), 0, 3 + 1)
     assert omega == pytest.approx(5 / 6, abs=1e-12)  # (2n-1)/(d n) at n=3, d=2
+
+
+@pytest.mark.parametrize(
+    "g,pairs",
+    [
+        (complete_graph(5), [(0, 1), (2, 2), (4, 0)]),
+        (hypercube_graph(3), [(0, 1), (0, 7), (6, 1)]),
+        (torus_graph(2, 9), [(0, 1), (0, 40), (5, 5)]),  # odd side: not bipartite
+        (torus_graph(2, 12), [(0, 1), (3, 21)]),  # 144 nodes: solved by CG
+    ],
+    ids=lambda x: getattr(x, "name", ""),
+)
+def test_double_resistance_without_the_double_matches_the_built_double(g, pairs):
+    double = bipartite_double(g)
+    for u, v in pairs:
+        assert resistance_distance(g, u, v, double=True) == resistance_distance(double, u, g.n + v)
+
+
+def test_double_resistance_rejects_terminals_in_different_components():
+    # 0 and 3 share a color of Q_3, so 0_out and 3_in = 11 lie in different copies.
+    with pytest.raises(ValueError, match="vertices 0 and 11 lie in different components"):
+        resistance_distance(hypercube_graph(3), 0, 3, double=True)
 
 
 def test_paths_resistance_bound_values():

@@ -1,6 +1,9 @@
-"""Graph construction, arc indexing, doubles, and edge-disjoint paths."""
+"""Graph construction, arc indexing, component labels, doubles, and
+edge-disjoint paths."""
 
+import hashlib
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from oscillwalk import (
     random_regular_graph,
     torus_graph,
 )
+from oscillwalk import graphs
+from oscillwalk.graphs import label_components
 from oscillwalk.verify import (
     assert_arc_indexing,
     assert_double_graph_structure,
@@ -159,6 +164,77 @@ def test_out_arcs_cover_every_arc():
         assert all(g.arc_tails[a] == u for a in g.out_arcs[u])
 
 
+# ---- component labels -------------------------------------------------------------------
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                             max_size=60))
+))
+@settings(max_examples=200, deadline=None)
+def test_labels_are_smallest_nodes_of_networkx_components(graph):
+    # Isolated nodes, repeated edges and loops included.
+    nx = pytest.importorskip("networkx")
+    n, pairs = graph
+    tails, heads = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(pairs)
+    expected = np.empty(n, dtype=np.int64)
+    for component in nx.connected_components(reference):
+        expected[list(component)] = min(component)
+    assert np.array_equal(label_components(n, tails, heads), expected)
+
+
+def test_labels_of_a_random_order_path():
+    # The most hook-and-jump rounds seen: a path whose nodes are shuffled.
+    order = np.random.default_rng(5).permutation(100_000)
+    assert not label_components(order.size, order[:-1], order[1:]).any()
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_labels_and_coloring_of_cycle_unions_match_networkx(data):
+    nx = pytest.importorskip("networkx")
+    lengths = data.draw(st.lists(st.integers(3, 9), min_size=1, max_size=5))
+    order = np.array(data.draw(st.permutations(range(sum(lengths)))))
+    cycles = np.split(order, np.cumsum(lengths)[:-1])
+    edges = np.concatenate([np.column_stack([c, np.roll(c, -1)]) for c in cycles])
+    g = Graph(order.size, edges, require_connected=False)
+    assert np.array_equal(g.double_roots, bipartite_double(g).component_roots)
+    reference = nx.Graph(edges.tolist())
+    components = sorted(nx.connected_components(reference), key=min)
+    assert g.num_components == len(components)
+    for label, component in enumerate(components):
+        assert set(np.flatnonzero(g.component_labels == label).tolist()) == component
+    part = bipartite_partition(g)
+    if not nx.is_bipartite(reference):
+        assert part is None
+        return
+    color = nx.bipartite.color(reference)
+    for component in components:
+        root = min(component)
+        for u in component:
+            assert (u in part.partite_x) == (color[u] == color[root]) != (u in part.partite_y)
+
+
+@pytest.mark.parametrize(
+    "spec,double_components", [("torus:2:301", 1), ("torus:2:300", 2), ("hypercube:14", 2)]
+)
+def test_double_components_come_without_a_double_graph(spec, double_components, monkeypatch):
+    family, *params = spec.split(":")
+    g = build_graph(family, params)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    roots = g.double_roots
+    assert np.array_equal(roots, label_components(2 * g.n, g.arc_tails, g.n + g.arc_heads))
+    assert np.count_nonzero(roots == np.arange(2 * g.n)) == double_components
+    assert (bipartite_partition(g) is not None) == (double_components == 2)
+
+
 # ---- bipartite structure ---------------------------------------------------------------
 
 
@@ -184,7 +260,7 @@ def test_double_of_triangle_is_six_cycle():
 
 def test_double_of_bipartite_graph_is_two_copies():
     g = cycle_graph(4)
-    double = bipartite_double(g).graph
+    double = bipartite_double(g)
     assert double.num_components == 2
     # each component is a copy of C_4: 4 vertices, 2-regular
     labels = double.component_labels
@@ -195,7 +271,7 @@ def test_double_of_bipartite_graph_is_two_copies():
 
 
 def test_double_of_single_edge_is_two_edges():
-    double = bipartite_double(complete_graph(2)).graph
+    double = bipartite_double(complete_graph(2))
     assert double.n == 4 and len(double.edges) == 2
     assert double.num_components == 2
 
@@ -215,6 +291,24 @@ def test_double_component_count_tracks_bipartiteness(g):
 @pytest.mark.parametrize("n,d", [(10, 3), (12, 4), (20, 5), (50, 16)])
 def test_random_regular_is_simple_regular_connected(n, d):
     assert_random_regular_reproducible(n, d, 42)
+
+
+# SHA-256 of the seeded edge sets: a faster pairing must make the same rng
+# calls and accept the same pairs.
+RANDOM_REGULAR_EDGE_SHA256 = {
+    (12, 4, 0): "efa7a57f09b7d8c060169db303f4c4378e79cddc3be2c66ec6badc8355d33a14",
+    (12, 4, 7): "b1e3979f3cbee1386f3edcd92e93c3bc29f145f1f55a6793dba2d4002a50eada",
+    (50, 3, 1): "0c363db7dc1c8d0b10b5a14b847bd99ea3d96c9590f44b0eaae1842a1a73cc99",
+    (512, 4, 2): "f233ede31d5c8521b94f5a226da23d39b31c7bb836441dc43fd31183c112a6eb",
+    (2000, 5, 3): "daa31f7fd0f91f3495719c3b0d2f84682f2f6470cf6d59e15730bbab679b4b22",
+    (10000, 4, 12345): "530da61bbca81952ef28db4def597ede75d8cbf7ee999894edb7b634d2355c1b",
+}
+
+
+@pytest.mark.parametrize("n,d,seed", list(RANDOM_REGULAR_EDGE_SHA256))
+def test_random_regular_edges_are_pinned(n, d, seed):
+    g = random_regular_graph(n, d, seed=seed)
+    assert hashlib.sha256(g.edges.tobytes()).hexdigest() == RANDOM_REGULAR_EDGE_SHA256[n, d, seed]
 
 
 def test_random_regular_seed_reproducible():
@@ -310,3 +404,39 @@ def test_hypercube_families_auditable(u, v):
 def test_paths_require_distinct_endpoints():
     with pytest.raises(GraphError):
         edge_disjoint_paths(complete_graph(4), 1, 1)
+
+
+def _fifo_augment(g, flow, s, t):
+    """Reference for graphs._bfs_augment: a FIFO breadth-first search that
+    scans each vertex's arcs in slot order and stops on reaching t."""
+    parent_arc = {}
+    visited = {s}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for a in g.out_arcs[u].tolist():
+            v = int(g.arc_heads[a])
+            if flow[a] >= 1 or v in visited:
+                continue
+            visited.add(v)
+            parent_arc[v] = a
+            if v == t:
+                return parent_arc
+            queue.append(v)
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["complete:12", "cycle:9", "hypercube:6", "complete_bipartite_balanced:4", "torus:2:20",
+     "torus:3:6", "random_regular:300:4:7", "random_regular:12:4:3"],
+)
+def test_level_search_paths_match_fifo_search(spec, monkeypatch):
+    family, *params = spec.split(":")
+    g = build_graph(family, params)
+    rng = np.random.default_rng(17)
+    pairs = [tuple(g.edges[0].tolist())] + [tuple(rng.choice(g.n, 2, replace=False).tolist())
+                                            for _ in range(4)]
+    level = [edge_disjoint_paths(g, s, t).paths for s, t in pairs]
+    monkeypatch.setattr(graphs, "_bfs_augment", _fifo_augment)
+    assert [edge_disjoint_paths(g, s, t).paths for s, t in pairs] == level

@@ -142,7 +142,7 @@ def test_indicator_basis_dimension():
         (cycle_graph(6), 2 * 6 - 2),
         (hypercube_graph(3), 2 * 8 - 2),
     ]:
-        assert expected == 2 * g.n - bipartite_double(g).graph.num_components
+        assert expected == 2 * g.n - bipartite_double(g).num_components
         # complement dimension matches the independent nullspace basis
         assert flip_basis_nullspace(g).shape[1] == g.arc_count - expected
 

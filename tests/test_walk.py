@@ -56,6 +56,16 @@ def test_basis_state_is_unit_vector():
     assert psi.amplitude(0, 1) == 1.0 + 0j
 
 
+def test_state_accepts_strided_amplitudes_and_rejects_nan_in_them():
+    g = complete_graph(4)
+    assert ArcState(g, np.zeros(24, dtype=complex)[::2]).norm() == 0.0
+    assert ArcState(g, np.arange(12, dtype=complex)[::-1]).amplitudes[0] == 11
+    amps = np.zeros(24, dtype=complex)
+    amps[6] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        ArcState(g, amps[::2])
+
+
 def test_basis_state_rejects_non_edges():
     g = complete_graph(4)
     with pytest.raises(GraphError):
