@@ -59,6 +59,7 @@ from .electric import (
     network_from_selfflip_state,
     solve_network,
     resistance_distance,
+    resistance_distances,
     flip_to_circulation,
     circulation_to_flip,
     completed_circulation,

@@ -31,7 +31,8 @@ from .electric import (
     network_from_selfflip_state,
     network_from_state_double,
     paths_resistance_bound,
-    resistance_distance,
+    resistance_distance,  # noqa: F401 - unused here; perfbench's tracer wraps it in this namespace
+    resistance_distances,
     solve_network,
 )
 from .graphs import (
@@ -212,8 +213,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_resistance(args) -> int:
     g = _parse_graph(args.graph, args.seed)
     u, v = _parse_pair(args.pair)
-    omega = resistance_distance(g, u, v)
-    omega_double = resistance_distance(g, u, v, double=True)
+    omega, omega_double = resistance_distances(g, u, v)
     family = edge_disjoint_paths(g, u, v)
     bound = paths_resistance_bound(family.lengths)
     record = {

@@ -35,6 +35,7 @@ __all__ = [
     "solve_network",
     "circulation_projection",
     "resistance_distance",
+    "resistance_distances",
     "flip_to_circulation",
     "circulation_to_flip",
     "completed_circulation",
@@ -50,9 +51,19 @@ __all__ = [
     "CIRCULATION_SCALE",
 ]
 
-# Amplitudes at or below this are treated as the zero (resistor) case.
+# Amplitudes at or below this are treated as the zero (resistor) case.  It
+# can be absolute because the network builders normalize the state first
+# (ensure_normalized): amplitudes are measured against a unit norm whatever
+# the graph, and a unit state spread evenly over m arcs has amplitudes
+# 1/sqrt(m), above this bound for any m below 1e24.
 ZERO_AMPLITUDE_TOL = 1e-12
 # A component whose net injection exceeds this cannot carry a steady current.
+# Absolute for the same reason: the injections are sums of +-amplitudes of a
+# unit state, so a balanced component's computed net injection is rounding
+# noise on terms of modulus at most 1, far below this bound (3e-15 to 2e-14
+# on the 65,536- and 90,000-node components of the Q_16 and torus 2:300
+# doubles under random unit states), while an unbalanced one is judged
+# against the same unit norm.
 FEASIBILITY_TOL = 1e-9
 # Norm of the random circulations that perturb Kirchhoff currents in the
 # Thomson-minimality checks.
@@ -235,10 +246,7 @@ def _grounded_potentials(
     label_components), or at `ground` in its own component.  The Laplacian
     of the free nodes is assembled once from the edge arrays; the real and
     imaginary parts of every column are solved together as real columns (L
-    is real), densely when the free nodes number at most _DENSE_MAX_NODES or
-    at most the real columns (the dense Laplacian is then no bigger than the
-    right-hand sides), otherwise by diagonally preconditioned conjugate
-    gradients column by column.
+    is real).
     """
     is_free = roots != np.arange(node_count)
     if ground is not None:
@@ -250,23 +258,10 @@ def _grounded_potentials(
     if free.size == 0:
         return potentials.reshape(rhs.shape)
 
-    position = np.full(node_count, -1, dtype=np.int64)
-    position[free] = np.arange(free.size)
-    pu, pv = position[tails], position[heads]
-    pu_free, pv_free = pu[pu >= 0], pv[pv >= 0]
-    both = (pu >= 0) & (pv >= 0)
-    rows = np.concatenate([pu_free, pv_free, pu[both], pv[both]])
-    cols = np.concatenate([pu_free, pv_free, pv[both], pu[both]])
-    vals = np.concatenate([np.ones(pu_free.size + pv_free.size), -np.ones(2 * int(both.sum()))])
-    lap = sp.csr_matrix((vals, (rows, cols)), shape=(free.size, free.size))
+    lap = _laplacian(node_count, tails, heads, free)
     is_complex = np.iscomplexobj(block)
     parts = [block.real[free], block.imag[free]] if is_complex else [block[free]]
-    rhs_parts = np.concatenate(parts, axis=1)
-
-    if free.size <= max(_DENSE_MAX_NODES, rhs_parts.shape[1]):
-        solution = np.linalg.solve(lap.toarray(), rhs_parts)
-    else:
-        solution = np.column_stack([_pcg(lap, column) for column in rhs_parts.T])
+    solution = _solve(lap, np.concatenate(parts, axis=1))
     if is_complex:
         k = block.shape[1]
         solution = solution[:, :k] + 1j * solution[:, k:]
@@ -274,10 +269,42 @@ def _grounded_potentials(
     return potentials.reshape(rhs.shape)
 
 
+def _laplacian(
+    node_count: int, tails: np.ndarray, heads: np.ndarray, free: np.ndarray,
+    off_diagonal: float = -1.0,
+) -> sp.csr_matrix:
+    """Laplacian of the edges {tails[i], heads[i]} on the rows and columns of
+    the sorted `free` nodes: a free node's diagonal counts all of its edges,
+    and an edge between two free nodes puts `off_diagonal` at both of their
+    entries (-1 gives the Laplacian, +1 the signless Laplacian)."""
+    position = np.full(node_count, -1, dtype=np.int64)
+    position[free] = np.arange(free.size)
+    pu, pv = position[tails], position[heads]
+    pu_free, pv_free = pu[pu >= 0], pv[pv >= 0]
+    both = (pu >= 0) & (pv >= 0)
+    rows = np.concatenate([pu_free, pv_free, pu[both], pv[both]])
+    cols = np.concatenate([pu_free, pv_free, pv[both], pu[both]])
+    vals = np.concatenate(
+        [np.ones(pu_free.size + pv_free.size), np.full(2 * int(both.sum()), off_diagonal)]
+    )
+    return sp.csr_matrix((vals, (rows, cols)), shape=(free.size, free.size))
+
+
+def _solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve the positive definite `matrix` for a real (size, k) block:
+    densely when the size is at most _DENSE_MAX_NODES or at most k (the dense
+    matrix is then no bigger than the right-hand sides), otherwise by
+    diagonally preconditioned conjugate gradients column by column."""
+    if matrix.shape[0] <= max(_DENSE_MAX_NODES, rhs.shape[1]):
+        return np.linalg.solve(matrix.toarray(), rhs)
+    return np.column_stack([_pcg(matrix, column) for column in rhs.T])
+
+
 def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | None = None) -> np.ndarray:
     """Conjugate gradients with Jacobi preconditioning for SPD `a`; raises
     ConvergenceError if the residual stays above tol * max(1, |b|) after
-    `max_iter` iterations (default 20 n)."""
+    `max_iter` iterations (default 20 n).  The updates run in place; only
+    the product a @ p allocates."""
     n = b.size
     if max_iter is None:
         max_iter = 20 * n
@@ -287,6 +314,7 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
     r = b - a @ x
     z = inv_diag * r
     p = z.copy()
+    step = np.empty(n)
     rz = float(r @ z)
     stop = tol * max(1.0, float(np.linalg.norm(b)))
     for _ in range(max_iter):
@@ -294,11 +322,12 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
             return x
         ap = a @ p
         alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        z = inv_diag * r
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(ap, alpha, out=ap)
+        np.multiply(inv_diag, r, out=z)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     residual = float(np.linalg.norm(r))
     if residual > stop:
@@ -359,23 +388,70 @@ def circulation_projection(
 def resistance_distance(g: Graph, a: int, b: int, *, double: bool = False) -> float:
     """Effective resistance between a and b with every edge a unit resistor;
     with `double`, between a_out = a and b_in = n + b on the bipartite double
-    of g (one resistor u_out -- v_in per arc (u, v)), which is never built."""
+    of g (one resistor u_out -- v_in per arc (u, v)), where a = b is allowed.
+
+    The double is never built.  In the node order (out, in) its Laplacian is
+    [[D, -A], [-A, D]], with D the degree and A the adjacency matrix of g.
+    The orthogonal change of variables (x, y) -> (x + y, x - y) / sqrt(2)
+    turns it into L (+) Q, the Laplacian L = D - A of g next to its signless
+    Laplacian Q = D + A, and turns the injection (e_a, -e_b) into
+    (e_a - e_b, e_a + e_b) / sqrt(2).  Hence
+
+        omega_double(a, b) = omega(a, b) / 2 + (e_a + e_b)^T Q^+ (e_a + e_b) / 2.
+
+    Q is positive definite on a component of g that is not bipartite, so the
+    second term is one solve of Q on a's component, ungrounded.  On a
+    bipartite component Q = S L S, with S the diagonal +-1 coloring; b_in is
+    reachable from a_out only when b has the other color, where
+    S (e_a + e_b) = +-(e_a - e_b), so the two halves agree and
+    omega_double = omega without a second solve.  (Doyle & Snell, "Random
+    Walks and Electric Networks", section 1.3, for the resistance; Cvetkovic,
+    Rowlinson & Simic, "Signless Laplacians of finite graphs", 2007, for Q.)
+    """
+    _check_terminals(g, a, b, double)
+    omega = _resistance(g, a, b) if a != b else 0.0
+    return _double_from_omega(g, a, b, omega) if double else omega
+
+
+def resistance_distances(g: Graph, a: int, b: int) -> tuple[float, float]:
+    """(omega, omega_double): resistance_distance(g, a, b) and
+    resistance_distance(g, a, b, double=True) from one Laplacian solve, plus
+    one signless-Laplacian solve when a's component is not bipartite."""
+    _check_terminals(g, a, b, double=False)
+    _check_terminals(g, a, b, double=True)
+    omega = _resistance(g, a, b)
+    return omega, _double_from_omega(g, a, b, omega)
+
+
+def _check_terminals(g: Graph, a: int, b: int, double: bool) -> None:
     if a == b and not double:
         raise ValueError(f"resistance distance needs distinct vertices, got a = b = {a}")
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError(f"vertex out of range: a={a}, b={b}, n={g.n}")
-    if double:
-        nodes, tails, heads, roots = 2 * g.n, g.arc_tails, g.n + g.arc_heads, g.double_roots
-        b += g.n
-    else:
-        nodes, tails, heads, roots = g.n, g.edges[:, 0], g.edges[:, 1], g.component_roots
-    if roots[a] != roots[b]:
-        raise ValueError(f"vertices {a} and {b} lie in different components")
-    injections = np.zeros(nodes, dtype=np.complex128)
+    roots, b_node = (g.double_roots, g.n + b) if double else (g.component_roots, b)
+    if roots[a] != roots[b_node]:
+        raise ValueError(f"vertices {a} and {b_node} lie in different components")
+
+
+def _resistance(g: Graph, a: int, b: int) -> float:
+    injections = np.zeros(g.n)
     injections[a] += 1.0
     injections[b] -= 1.0
-    potentials = _grounded_potentials(nodes, tails, heads, injections, roots)
-    return float((potentials[a] - potentials[b]).real)
+    potentials = _grounded_potentials(g.n, g.edges[:, 0], g.edges[:, 1], injections, g.component_roots)
+    return float(potentials[a] - potentials[b])
+
+
+def _double_from_omega(g: Graph, a: int, b: int, omega: float) -> float:
+    """omega_double(a, b) from omega(a, b); see resistance_distance."""
+    if g.double_roots[a] != g.double_roots[g.n + a]:  # a's component is bipartite
+        return omega
+    component = np.flatnonzero(g.component_roots == g.component_roots[a])
+    signless = _laplacian(g.n, g.edges[:, 0], g.edges[:, 1], component, off_diagonal=1.0)
+    ends = np.searchsorted(component, [a, b])
+    rhs = np.zeros((component.size, 1))
+    np.add.at(rhs, (ends, 0), 1.0)
+    x = _solve(signless, rhs)[:, 0]
+    return 0.5 * omega + 0.5 * float(x[ends].sum())
 
 
 # ======================================================================================

@@ -220,6 +220,35 @@ def test_resistance_labels_twice_and_builds_no_double(spec, pair, capsys, monkey
     assert len(labelings) <= 2
 
 
+@pytest.mark.parametrize(
+    "spec,pair,n,odd",
+    [("hypercube:8", "0:1", 256, False), ("torus:2:12", "5:17", 144, False),
+     ("torus:2:13", "0:14", 169, True), ("complete:7", "2:5", 7, True)],
+)
+def test_resistance_assembles_one_laplacian_and_a_signless_one_if_odd(spec, pair, n, odd, capsys,
+                                                                      monkeypatch):
+    from oscillwalk import electric
+
+    expected = run_cli(["resistance", "--graph", spec, "--pair", pair], capsys)
+    assembled = []
+
+    def recording(node_count, tails, heads, free, off_diagonal=-1.0):
+        assembled.append((node_count, free.size, off_diagonal))
+        return laplacian(node_count, tails, heads, free, off_diagonal)
+
+    laplacian = electric._laplacian
+    monkeypatch.setattr(electric, "_laplacian", recording)
+    assert run_cli(["resistance", "--graph", spec, "--pair", pair], capsys) == expected
+    # L grounded at one node, then Q on a's whole component when it has an odd cycle.
+    assert assembled == [(n, n - 1, -1.0)] + ([(n, n, 1.0)] if odd else [])
+
+
+def test_resistance_pair_in_different_copies_of_the_double_exits_one(capsys):
+    # 0 and 3 share a color of Q_3: omega is defined, omega_double is not.
+    code, out, err = run_cli(["resistance", "--graph", "hypercube:3", "--pair", "0:3"], capsys)
+    assert (code, out, err) == (1, "", "error: vertices 0 and 11 lie in different components\n")
+
+
 def test_unconverged_solve_exits_four(capsys, monkeypatch):
     from oscillwalk import electric
 

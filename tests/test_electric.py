@@ -12,8 +12,10 @@ from oscillwalk import (
     ArcState,
     Circulation,
     ElectricNetwork,
+    Graph,
     basis_arc_state,
     bipartite_double,
+    bipartite_partition,
     bounds_from_power,
     circulation_to_flip,
     complete_bipartite_graph,
@@ -32,6 +34,7 @@ from oscillwalk import (
     random_regular_graph,
     random_resistor_circulation,
     resistance_distance,
+    resistance_distances,
     solve_network,
     torus_graph,
     uniform_state,
@@ -235,12 +238,7 @@ def test_currents_match_laplacian_pseudoinverse(g, dense):
     unknowns = net.node_count - bipartite_double(g).num_components
     assert (unknowns <= electric._DENSE_MAX_NODES) == dense
     pairs = np.array(net.resistor_edges)
-    laplacian = np.zeros((net.node_count, net.node_count))
-    np.add.at(laplacian, (pairs[:, 0], pairs[:, 0]), 1.0)
-    np.add.at(laplacian, (pairs[:, 1], pairs[:, 1]), 1.0)
-    np.add.at(laplacian, (pairs[:, 0], pairs[:, 1]), -1.0)
-    np.add.at(laplacian, (pairs[:, 1], pairs[:, 0]), -1.0)
-    potentials = np.linalg.pinv(laplacian) @ net.injections
+    potentials = np.linalg.pinv(dense_laplacian(net.node_count, *pairs.T)) @ net.injections
     expected = potentials[pairs[:, 0]] - potentials[pairs[:, 1]]
     sol = solve_network(net)
     assert np.max(np.abs(sol.currents - expected)) <= 1e-9
@@ -280,6 +278,43 @@ def test_conjugate_gradients_raise_when_not_converged():
         electric._pcg(lap, b, max_iter=1)
     x = electric._pcg(lap, b)
     assert np.max(np.abs(lap @ x - b)) <= 1e-10
+
+
+def _allocating_pcg(a, b, tol=1e-13):
+    """The conjugate-gradient loop written with a new array per update."""
+    diag = a.diagonal()
+    inv_diag = np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0)
+    x = np.zeros(b.size)
+    r = b - a @ x
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    stop = tol * max(1.0, float(np.linalg.norm(b)))
+    while np.linalg.norm(r) > stop:
+        ap = a @ p
+        alpha = rz / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        z = inv_diag * r
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return x
+
+
+def test_in_place_conjugate_gradients_match_the_allocating_loop_bitwise():
+    # Grounded Laplacian of torus 3:10 (999 unknowns, a CG-sized system; its
+    # diagonal 6 has no exact reciprocal); each tolerance stops the loop at a
+    # different iterate.
+    g = torus_graph(3, 10)
+    lap = electric._laplacian(g.n, *g.edges.T, np.arange(1, g.n))
+    assert lap.shape[0] > electric._DENSE_MAX_NODES
+    rng = np.random.default_rng(37)
+    b = np.zeros(g.n - 1)
+    b[[10, 555]] = 1.0, -1.0
+    for rhs in (b, rng.standard_normal(g.n - 1)):
+        for tol in (1e-3, 1e-8, 1e-13):
+            assert np.array_equal(electric._pcg(lap, rhs, tol), _allocating_pcg(lap, rhs, tol))
 
 
 @pytest.mark.parametrize(
@@ -487,6 +522,22 @@ def test_triangle_double_resistance_closed_form():
     assert omega == pytest.approx(5 / 6, abs=1e-12)  # (2n-1)/(d n) at n=3, d=2
 
 
+def disjoint_union(*graphs):
+    offsets = np.cumsum([0] + [h.n for h in graphs])
+    edges = np.concatenate([h.edges + offset for h, offset in zip(graphs, offsets)])
+    name = "+".join(h.name for h in graphs)
+    return Graph(int(offsets[-1]), edges, require_connected=False, name=name)
+
+
+def dense_laplacian(nodes, tails, heads):
+    laplacian = np.zeros((nodes, nodes))
+    np.add.at(laplacian, (tails, tails), 1.0)
+    np.add.at(laplacian, (heads, heads), 1.0)
+    np.add.at(laplacian, (tails, heads), -1.0)
+    np.add.at(laplacian, (heads, tails), -1.0)
+    return laplacian
+
+
 @pytest.mark.parametrize(
     "g,pairs",
     [
@@ -494,19 +545,103 @@ def test_triangle_double_resistance_closed_form():
         (hypercube_graph(3), [(0, 1), (0, 7), (6, 1)]),
         (torus_graph(2, 9), [(0, 1), (0, 40), (5, 5)]),  # odd side: not bipartite
         (torus_graph(2, 12), [(0, 1), (3, 21)]),  # 144 nodes: solved by CG
+        # K_4 (odd) on 0-3, Q_3 on 4-11, K_{3,3} on 12-17: a bipartite part
+        # of the double is two copies, an odd one a single component.
+        (disjoint_union(complete_graph(4), hypercube_graph(3), complete_bipartite_graph(3)),
+         [(0, 1), (2, 2), (3, 0), (4, 5), (4, 11), (10, 8), (12, 15), (17, 14)]),
+        # C_3 on 0-2, C_4 on 3-6, C_5 on 7-11.
+        (disjoint_union(cycle_graph(3), cycle_graph(4), cycle_graph(5)),
+         [(0, 0), (0, 2), (3, 4), (6, 3), (7, 9), (8, 8), (11, 7)]),
     ],
     ids=lambda x: getattr(x, "name", ""),
 )
 def test_double_resistance_without_the_double_matches_the_built_double(g, pairs):
+    # The double is solved as L (+) Q on g's own nodes, so it agrees with the
+    # built double and with the pseudoinverse of its Laplacian to rounding;
+    # on a bipartite component (u_out and u_in apart) Q = S L S and the
+    # double's resistance is the base resistance, the same float.
     double = bipartite_double(g)
+    pinv = np.linalg.pinv(dense_laplacian(double.n, *double.edges.T))
     for u, v in pairs:
-        assert resistance_distance(g, u, v, double=True) == resistance_distance(double, u, g.n + v)
+        omega = resistance_distance(g, u, v, double=True)
+        built = resistance_distance(double, u, g.n + v)
+        oracle = pinv[u, u] + pinv[g.n + v, g.n + v] - 2 * pinv[u, g.n + v]
+        assert abs(omega - built) <= 1e-12 * built
+        assert abs(omega - oracle) <= 1e-12 * oracle
+        if u != v:
+            base = resistance_distance(g, u, v)
+            assert resistance_distances(g, u, v) == (base, omega)
+            if double.component_roots[u] != double.component_roots[g.n + u]:
+                assert omega == base
 
 
 def test_double_resistance_rejects_terminals_in_different_components():
     # 0 and 3 share a color of Q_3, so 0_out and 3_in = 11 lie in different copies.
     with pytest.raises(ValueError, match="vertices 0 and 11 lie in different components"):
         resistance_distance(hypercube_graph(3), 0, 3, double=True)
+
+
+def spsolve_resistances(nodes, tails, heads, pairs):
+    """Effective resistances of unit resistors tails[i] -- heads[i] by a
+    sparse LU solve of the Laplacian, grounded at one node per component of
+    scipy's own labeling."""
+    import scipy.sparse.linalg as spla
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = sp.coo_matrix((np.ones(tails.size), (tails, heads)), shape=(nodes, nodes)).tocsr()
+    adjacency = adjacency + adjacency.T
+    laplacian = (sp.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency).tocsr()
+    labels = connected_components(adjacency, directed=False)[1]
+    free = np.setdiff1d(np.arange(nodes), np.unique(labels, return_index=True)[1])
+    rhs = np.zeros((nodes, len(pairs)))
+    for k, (a, b) in enumerate(pairs):
+        rhs[a, k] += 1.0
+        rhs[b, k] -= 1.0
+    potentials = np.zeros_like(rhs)
+    system = laplacian[free][:, free].tocsc()
+    potentials[free] = spla.spsolve(system, rhs[free], permc_spec="MMD_AT_PLUS_A")
+    return np.array([potentials[a, k] - potentials[b, k] for k, (a, b) in enumerate(pairs)])
+
+
+# Random regular graphs are connected and not bipartite (for these seeds), so
+# the double is one component and omega_double takes the signless solve; the
+# union puts a bipartite torus beside an odd component (three double
+# components).  All are above _DENSE_MAX_NODES: both solves run CG.
+SCALE_GRAPHS = [
+    random_regular_graph(4000, 3, seed=41),
+    random_regular_graph(3000, 4, seed=42),
+    random_regular_graph(2000, 5, seed=43),
+    disjoint_union(random_regular_graph(2000, 4, seed=44), torus_graph(2, 40)),
+]
+
+
+@pytest.mark.parametrize("g", SCALE_GRAPHS, ids=lambda g: g.name)
+def test_resistances_at_scale_match_sparse_lu_on_the_built_double(g):
+    rng = np.random.default_rng(g.n)
+    first = 2000 if g.num_components > 1 else g.n  # the random regular part
+    pairs = [tuple(int(x) for x in rng.choice(first, 2, replace=False)) for _ in range(3)]
+    if g.num_components > 1:
+        torus_edges = np.flatnonzero(g.edges[:, 0] >= first)
+        pairs += [tuple(int(x) for x in g.edges[k]) for k in rng.choice(torus_edges, 3)]
+    omegas = np.array([resistance_distances(g, a, b) for a, b in pairs])
+    base = spsolve_resistances(g.n, *g.edges.T, pairs)
+    loops = [(a, a) for a, _ in pairs[:2]]
+    double = spsolve_resistances(2 * g.n, g.arc_tails, g.n + g.arc_heads,
+                                 [(a, g.n + b) for a, b in pairs + loops])
+    assert_allclose(omegas[:, 0], base, rtol=1e-12, atol=0)
+    assert_allclose(omegas[:, 1], double[: len(pairs)], rtol=1e-12, atol=0)
+    loop_omegas = [resistance_distance(g, a, a, double=True) for a, _ in loops]
+    assert_allclose(loop_omegas, double[len(pairs):], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("g", SCALE_GRAPHS, ids=lambda g: g.name)
+def test_component_counts_at_scale_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    base = nx.Graph(g.edges.tolist())
+    double = nx.Graph(zip(g.arc_tails.tolist(), (g.n + g.arc_heads).tolist()))
+    assert g.num_components == nx.number_connected_components(base)
+    assert np.unique(g.double_roots).size == nx.number_connected_components(double)
+    assert (bipartite_partition(g) is not None) == nx.is_bipartite(base)
 
 
 def test_paths_resistance_bound_values():
