@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, bipartite_double, label_components
+from .graphs import Graph, label_components
 from .walk import ArcState, check_tolerance, ensure_normalized, is_flip_state, is_selfflip_state
 
 __all__ = [
@@ -139,7 +139,10 @@ class FlowSolution:
 
 @dataclass
 class Circulation:
-    """Skew-symmetric, flow-conserving function on the arcs of a graph."""
+    """Flow-conserving current on the bipartite double of `graph`, one value
+    per arc of `graph`: flow[a] runs from u_out = u to v_in = n + v along arc
+    a = (u, v), the double's edge u_out -- v_in, and -flow[a] back, so skew
+    symmetry holds by construction."""
 
     graph: Graph
     flow: np.ndarray
@@ -153,17 +156,12 @@ class Circulation:
         self.flow = flow
 
     def check(self, tol: float = 1e-9) -> None:
-        """Raise ValueError naming the first vertex where an invariant fails."""
+        """Raise ValueError naming the first node of the double (u_out = u,
+        then v_in = n + v) whose net outflow exceeds `tol`."""
         g = self.graph
-        skew = self.flow + self.flow[np.arange(g.arc_count) ^ 1]
-        bad = np.flatnonzero(np.abs(skew) > tol)
-        if bad.size:
-            u, v = g.arc_endpoints(int(bad[0]))
-            raise ValueError(
-                f"skew symmetry fails on edge ({u},{v}): "
-                f"f(u,v) + f(v,u) = {skew[bad[0]]:.3e}"
-            )
-        net = self.flow[g.out_arcs].sum(axis=1)
+        net = np.concatenate(
+            [self.flow[g.out_arcs].sum(axis=1), -self.flow[g.out_arcs ^ 1].sum(axis=1)]
+        )
         bad = np.flatnonzero(np.abs(net) > tol)
         if bad.size:
             raise ValueError(
@@ -459,52 +457,25 @@ def _double_from_omega(g: Graph, a: int, b: int, omega: float) -> float:
 # ======================================================================================
 
 
-def _double_arc_ids(g: Graph) -> np.ndarray:
-    """Arc id of u_out -> v_in in bipartite_double(g) for every base arc (u, v).
-
-    The double's edges {u, n + v} sort like the base arcs (u, v), which
-    out_arcs lists in that order; u < n <= n + v makes the orientation bit 0.
-    """
-    position = np.empty(g.arc_count, dtype=np.int64)
-    position[g.out_arcs.ravel()] = np.arange(g.arc_count)
-    return 2 * position
-
-
-def _check_matching_double(g: Graph, circulation: Circulation) -> None:
-    # The double's sorted edges are the base arcs (u, n + v) in out_arcs order.
-    expected = np.column_stack([g.arc_tails, g.n + g.arc_heads])[g.out_arcs.ravel()]
-    double = circulation.graph
-    if double.n != 2 * g.n or not np.array_equal(double.edges, expected):
-        raise ValueError("circulation is not defined on the bipartite double of this graph")
-
-
-def _double_circulation(g: Graph, values: np.ndarray) -> Circulation:
-    """Circulation on the double with f(u_out, v_in) = values[(u, v)],
-    extended skew-symmetrically."""
-    double = bipartite_double(g)
-    ids = _double_arc_ids(g)
-    flow = np.zeros(double.arc_count, dtype=np.complex128)
-    flow[ids] = values
-    flow[ids ^ 1] = -values
-    return Circulation(double, flow)
-
-
 def flip_to_circulation(g: Graph, state: ArcState, tol: float = 1e-9) -> Circulation:
     """Image of a flip state on g as a circulation on its bipartite double:
-    f(u_out, v_in) = <uv|state>, extended skew-symmetrically."""
+    f(u_out, v_in) = <uv|state>, so the flow is the amplitude array itself."""
     if state.graph is not g:
         raise ValueError("state is not bound to the given graph")
     if not is_flip_state(state, tol):
         raise ValueError("state is not a flip state (nonzero vertex average)")
-    return _double_circulation(g, state.amplitudes)
+    return Circulation(g, state.amplitudes)
 
 
 def circulation_to_flip(g: Graph, circulation: Circulation, tol: float = 1e-9) -> ArcState:
     """Inverse of flip_to_circulation; the result is an unnormalized flip
-    state.  The circulation invariants are checked first."""
-    _check_matching_double(g, circulation)
+    state.  The circulation must be on g or on an equal graph, and its
+    conservation is checked first."""
+    other = circulation.graph
+    if other.n != g.n or not np.array_equal(other.edges, g.edges):
+        raise ValueError("circulation is not defined on the bipartite double of this graph")
     circulation.check(tol)
-    return ArcState(g, circulation.flow[_double_arc_ids(g)])
+    return ArcState(g, circulation.flow)
 
 
 def completed_circulation(
@@ -524,7 +495,7 @@ def completed_circulation(
         raise ValueError("cannot complete a circulation from an infeasible flow")
     amps = ensure_normalized(state).amplitudes
     drops = solution.potentials[g.arc_tails] - solution.potentials[g.n + g.arc_heads]
-    return _double_circulation(g, np.where(np.abs(amps) <= check_tolerance(zero_tol), drops, amps))
+    return Circulation(g, np.where(np.abs(amps) <= check_tolerance(zero_tol), drops, amps))
 
 
 # ======================================================================================

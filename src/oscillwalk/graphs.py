@@ -90,11 +90,13 @@ class Graph:
     out_arcs : np.ndarray, shape (n, degree), int64
         Arc ids leaving each vertex, in sorted-neighbor order.  Arcs entering
         vertex u are ``out_arcs[u] ^ 1``.
-    component_labels : np.ndarray, shape (n,), int64
-        Connected-component label per vertex (0-based, by smallest vertex).
     component_roots, double_roots : np.ndarray, int64
         Smallest node of each node's component in g (shape (n,)) and in its
-        bipartite double (shape (2n,); v_out = v, v_in = n + v; on first use).
+        bipartite double (shape (2n,), on first use).
+
+    The bipartite double needs no second graph: its nodes are v_out = v and
+    v_in = n + v, and its edge u_out -- v_in is g's arc a = (u, v), so
+    ``(arc_tails, n + arc_heads)`` lists its edges by arc id.
 
     `edges` accepts any iterable of vertex pairs.  The arrays are read-only,
     so instances are immutable after construction and safe to share across
@@ -152,12 +154,10 @@ class Graph:
         self.out_arcs = np.lexsort((self.arc_heads, self.arc_tails)).reshape(n, self.degree)
         self.adjacency = self.arc_heads[self.out_arcs]
         self.component_roots = label_components(n, *self.edges.T)
-        is_root = self.component_roots == np.arange(n)
-        self.component_labels = (np.cumsum(is_root) - 1)[self.component_roots]
         for array in (self.edges, self._edge_keys, self.arc_tails, self.arc_heads,
-                      self.out_arcs, self.adjacency, self.component_roots, self.component_labels):
+                      self.out_arcs, self.adjacency, self.component_roots):
             array.flags.writeable = False
-        self.num_components = int(np.count_nonzero(is_root))
+        self.num_components = int(np.count_nonzero(self.component_roots == np.arange(n)))
         if require_connected and self.num_components > 1:
             raise GraphError(f"{name}: graph is disconnected ({self.num_components} components)")
 
@@ -208,12 +208,13 @@ class Graph:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bipartition:
-    """Partite sets of a 2-colorable graph; partite_x holds vertex 0."""
+    """Partite sets of a 2-colorable graph as sorted, read-only int64 vertex
+    arrays; partite_x holds vertex 0."""
 
-    partite_x: frozenset[int]
-    partite_y: frozenset[int]
+    partite_x: np.ndarray
+    partite_y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -455,10 +456,10 @@ def bipartite_partition(g: Graph) -> Bipartition | None:
     out_roots, in_roots = g.double_roots[: g.n], g.double_roots[g.n :]
     if np.any(out_roots == in_roots):
         return None
-    return Bipartition(
-        partite_x=frozenset(np.flatnonzero(out_roots < in_roots).tolist()),
-        partite_y=frozenset(np.flatnonzero(out_roots > in_roots).tolist()),
-    )
+    partite_x = np.flatnonzero(out_roots < in_roots)
+    partite_y = np.flatnonzero(out_roots > in_roots)
+    partite_x.flags.writeable = partite_y.flags.writeable = False
+    return Bipartition(partite_x, partite_y)
 
 
 def bipartite_double(g: Graph) -> Graph:
@@ -466,7 +467,9 @@ def bipartite_double(g: Graph) -> Graph:
 
     Each base edge {u, v} becomes {u_out, v_in} and {v_out, u_in}.  The double
     of a bipartite graph is two disjoint copies of it; the disconnected graph
-    is returned as-is (its component labels distinguish the copies).
+    is returned as-is (its component roots distinguish the copies).  The
+    library reaches the double through g's arc arrays and `g.double_roots`;
+    this builder is the reference that checks them.
     """
     edges = np.column_stack([g.arc_tails, g.n + g.arc_heads])
     return Graph(2 * g.n, edges, require_connected=False, name=f"double({g.name})")

@@ -16,6 +16,7 @@ Negative bounds are vacuous but reported as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -121,12 +122,24 @@ def flip_projection(state: ArcState) -> tuple[float, ArcState]:
     |<state|phi>|^2, attained by the normalized flip component.
     """
     psi = ensure_normalized(state)
-    g = psi.graph
-    flip_amps = circulation_projection(
-        2 * g.n, g.arc_tails, g.n + g.arc_heads, psi.amplitudes, g.double_roots
-    )
+    flip_amps = _flip_part(psi.graph, psi.amplitudes)
     alpha_sq = float(np.vdot(flip_amps, flip_amps).real)
-    return alpha_sq, ArcState(g, flip_amps)
+    return alpha_sq, ArcState(psi.graph, flip_amps)
+
+
+def _flip_part(g: Graph, flows: np.ndarray) -> np.ndarray:
+    """Flip part of one arc vector, or of each column of an (arc_count, k)
+    block: the circulation projection on the double's edges (u, n + v)."""
+    return circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, flows, g.double_roots)
+
+
+def _uniform_states(g: Graph) -> list[ArcState]:
+    """Orthonormal basis of the uniform states: sigma_V on a non-bipartite
+    graph, sigma_X and sigma_Y (one per partite set) on a bipartite one."""
+    partition = bipartite_partition(g)
+    if partition is None:
+        return [uniform_state(g)]
+    return [uniform_state(g, partition.partite_x), uniform_state(g, partition.partite_y)]
 
 
 def uniform_coefficients(state: ArcState) -> tuple[float, ArcState]:
@@ -136,18 +149,13 @@ def uniform_coefficients(state: ArcState) -> tuple[float, ArcState]:
     graphs have the two-dimensional span of sigma_X and sigma_Y.
     """
     psi = ensure_normalized(state)
-    g = psi.graph
-    partition = bipartite_partition(g)
-    if partition is None:
-        sigma = uniform_state(g)
-        beta = overlap(sigma, psi)
-        return float(abs(beta) ** 2), ArcState(g, beta * sigma.amplitudes)
-    sigma_x = uniform_state(g, partition.partite_x)
-    sigma_y = uniform_state(g, partition.partite_y)
-    beta_x = overlap(sigma_x, psi)
-    beta_y = overlap(sigma_y, psi)
-    component = beta_x * sigma_x.amplitudes + beta_y * sigma_y.amplitudes
-    return float(abs(beta_x) ** 2 + abs(beta_y) ** 2), ArcState(g, component)
+    sigmas = _uniform_states(psi.graph)
+    betas = [overlap(sigma, psi) for sigma in sigmas]
+    beta_sq = float(sum(abs(beta) ** 2 for beta in betas))
+    # reduce starts from the first term, not from 0: 0 + (-0.0) would turn
+    # the component's negative zeros positive.
+    component = reduce(np.add, [beta * sigma.amplitudes for beta, sigma in zip(betas, sigmas)])
+    return beta_sq, ArcState(psi.graph, component)
 
 
 def decompose(state: ArcState) -> Decomposition:

@@ -21,7 +21,6 @@ from .electric import (
     ElectricNetwork,
     FlowSolution,
     bounds_from_power,
-    circulation_projection,
     circulation_to_flip,
     completed_circulation,
     flip_to_circulation,
@@ -46,6 +45,8 @@ from .graphs import (
 )
 from .oscillation import (
     CapacityError,
+    _flip_part,
+    _uniform_states,
     decompose,
     flip_projection,
     measured_overlaps,
@@ -61,7 +62,6 @@ from .walk import (
     flip_transform,
     is_flip_state,
     overlap,
-    uniform_state,
     walk_step,
 )
 
@@ -95,15 +95,7 @@ def random_flip_state(g: Graph, rng: np.random.Generator) -> ArcState:
 def flip_projector(g: Graph) -> np.ndarray:
     """Dense (arcs x arcs) flip projector: every basis arc state projected
     by flip_projection's route, as one block of flows on the double."""
-    identity = np.eye(g.arc_count)
-    return circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, identity, g.double_roots)
-
-
-def _uniform_states(g: Graph) -> list[ArcState]:
-    part = bipartite_partition(g)
-    if part is None:
-        return [uniform_state(g)]
-    return [uniform_state(g, part.partite_x), uniform_state(g, part.partite_y)]
+    return _flip_part(g, np.eye(g.arc_count))
 
 
 def _zoo() -> list[Graph]:

@@ -212,7 +212,7 @@ def test_resistance_labels_twice_and_builds_no_double(spec, pair, capsys, monkey
     label_components = graphs.label_components
     for module in (graphs, electric):
         monkeypatch.setattr(module, "label_components", counting)
-    for module in (graphs, electric, cli):
+    for module in (graphs, cli):
         monkeypatch.setattr(module, "bipartite_double", no_double)
     assert run_cli(["resistance", "--graph", spec, "--pair", pair], capsys) == expected
     assert expected[0] == 0

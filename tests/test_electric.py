@@ -317,18 +317,6 @@ def test_in_place_conjugate_gradients_match_the_allocating_loop_bitwise():
             assert np.array_equal(electric._pcg(lap, rhs, tol), _allocating_pcg(lap, rhs, tol))
 
 
-@pytest.mark.parametrize(
-    "g",
-    [complete_graph(6), hypercube_graph(4), torus_graph(2, 5), cycle_graph(7),
-     random_regular_graph(30, 5, seed=2)],
-    ids=lambda g: g.name,
-)
-def test_double_arc_ids_closed_form(g):
-    double = bipartite_double(g)
-    expected = [double.arc_index(u, g.n + v) for u, v in zip(g.arc_tails, g.arc_heads)]
-    assert electric._double_arc_ids(g).tolist() == expected
-
-
 def test_complex_injections_solved_componentwise():
     g = complete_graph(4)
     rng = np.random.default_rng(31)
@@ -381,15 +369,9 @@ def test_resistance_rejects_bad_pairs():
 
 def test_unit_cycle_circulation_maps_to_alternating_state():
     g = cycle_graph(4)
-    double = bipartite_double(g)
-    flow = np.zeros(double.arc_count, dtype=complex)
-    for a in range(g.arc_count):
-        u, v = g.arc_endpoints(a)
-        b_arc = double.arc_index(u, g.n + v)
-        value = 1.0 if (v - u) % g.n == 1 else -1.0  # unit flow along the cycle
-        flow[b_arc] = value
-        flow[b_arc ^ 1] = -value
-    circ = Circulation(double, flow)
+    # unit flow along the cycle: u_out -> (u + 1)_in carries 1, u_out -> (u - 1)_in carries -1
+    flow = np.where((g.arc_heads - g.arc_tails) % g.n == 1, 1.0, -1.0)
+    circ = Circulation(g, flow)
     circ.check(1e-12)
     state = circulation_to_flip(g, circ)
     expected = alternating_cycle_state(g).amplitudes * np.sqrt(g.arc_count)
@@ -402,25 +384,57 @@ def test_circulation_round_trip():
 
 def test_zero_circulation_maps_to_zero_state():
     g = complete_graph(3)
-    double = bipartite_double(g)
-    state = circulation_to_flip(g, Circulation(double, np.zeros(double.arc_count)))
+    state = circulation_to_flip(g, Circulation(g, np.zeros(g.arc_count)))
     assert state.norm() == 0.0
 
 
 def test_circulation_invariant_errors_name_the_culprit():
     g = cycle_graph(4)
-    double = bipartite_double(g)
-    flow = np.zeros(double.arc_count, dtype=complex)
-    flow[0] = 1.0  # breaks skew symmetry
-    with pytest.raises(ValueError, match="skew"):
-        Circulation(double, flow).check()
-    phi = random_flip_state(g, np.random.default_rng(33))
-    circ = flip_to_circulation(g, phi)
+    circ = flip_to_circulation(g, random_flip_state(g, np.random.default_rng(33)))
     bad = circ.flow.copy()
-    bad[0] += 0.5
-    bad[1] -= 0.5  # keeps skew, breaks conservation at the tail vertex
-    with pytest.raises(ValueError, match="vertex"):
-        Circulation(double, bad).check()
+    bad[0] += 0.5  # arc (0, 1): breaks conservation at 0_out and 1_in
+    with pytest.raises(ValueError, match="conservation fails at vertex 0:"):
+        Circulation(g, bad).check()
+
+
+@pytest.mark.parametrize(
+    "g", [hypercube_graph(3), complete_graph(5), cycle_graph(7)], ids=lambda g: g.name
+)
+def test_circulation_broken_only_at_in_nodes_names_the_first(g):
+    a, b = g.adjacency[0, :2].tolist()
+    flow = np.zeros(g.arc_count, dtype=complex)
+    # 0_out sends 1 to a_in and takes 1 from b_in: every out-node balances.
+    flow[g.arc_index(0, a)], flow[g.arc_index(0, b)] = 1.0, -1.0
+    with pytest.raises(ValueError, match=f"conservation fails at vertex {g.n + a}: net outflow -1"):
+        Circulation(g, flow).check()
+
+
+def test_circulations_build_no_graph(monkeypatch):
+    g = hypercube_graph(10)
+    psi = basis_arc_state(g, 0, 1)
+    sol = solve_network(network_from_state_double(psi))
+    phi = random_flip_state(g, np.random.default_rng(34))
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    completed = circulation_to_flip(g, completed_circulation(g, psi, sol))
+    assert completed.norm() ** 2 == pytest.approx(1.0 + sol.power, abs=1e-9)
+    back = circulation_to_flip(g, flip_to_circulation(g, phi))
+    assert np.array_equal(back.amplitudes, phi.amplitudes)
+
+
+def test_circulation_to_flip_accepts_equal_graphs_only():
+    g = cycle_graph(6)
+    phi = random_flip_state(g, np.random.default_rng(35))
+    back = circulation_to_flip(g, Circulation(cycle_graph(6), phi.amplitudes))
+    assert back.graph is g and np.array_equal(back.amplitudes, phi.amplitudes)
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                          require_connected=False)
+    for other in (two_triangles, bipartite_double(g)):
+        with pytest.raises(ValueError, match="not defined on the bipartite double"):
+            circulation_to_flip(g, Circulation(other, np.zeros(other.arc_count)))
 
 
 def test_flip_to_circulation_rejects_non_flip_states():
