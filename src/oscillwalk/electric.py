@@ -162,7 +162,7 @@ class Circulation:
         net = np.concatenate(
             [self.flow[g.out_arcs].sum(axis=1), -self.flow[g.out_arcs ^ 1].sum(axis=1)]
         )
-        bad = np.flatnonzero(np.abs(net) > tol)
+        bad = np.flatnonzero(np.abs(net) > check_tolerance(tol))
         if bad.size:
             raise ValueError(
                 f"flow conservation fails at vertex {int(bad[0])}: "

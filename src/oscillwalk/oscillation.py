@@ -25,6 +25,7 @@ from .graphs import Graph, bipartite_partition
 from .walk import (
     ArcState,
     _slot_order,
+    _slot_start,
     _slot_steps,
     dense_walk_matrix,
     ensure_normalized,
@@ -187,20 +188,18 @@ def measured_overlaps(state: ArcState, t_max: int) -> OverlapSeries:
     """Return overlaps from a single evolution sweep up to step t_max.
 
     even_overlaps covers steps 0, 2, ..., odd_overlaps steps 1, 3, ...;
-    odd steps are measured against the flipped starting state, as
-    |<psi0|C x_(t-1)>| on the coined vector (see the `walk` module).
+    odd steps are measured against the flipped starting state.  The sweep
+    runs in float64 when the start is real and takes one dot over the arcs
+    per two steps: the odd overlap comes from the even one and the coin's
+    vertex means (see the `walk` module).
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     psi0 = ensure_normalized(state)
     g = psi0.graph
     order = _slot_order(g)
-    start = psi0.amplitudes[order]
-    current = start.copy()
-    overlaps = np.empty(t_max + 1)
-    overlaps[0] = abs(np.vdot(psi0.amplitudes, psi0.amplitudes))
-    for t, coined in enumerate(_slot_steps(g, order, current, t_max), start=1):
-        overlaps[t] = abs(np.vdot(start, coined if t % 2 else current))
+    start = _slot_start(psi0, order)
+    _, overlaps = _slot_steps(g, order, start.copy(), t_max, start)
     return OverlapSeries(even_overlaps=overlaps[0::2], odd_overlaps=overlaps[1::2])
 
 

@@ -170,7 +170,16 @@ def assert_flip_state_single_step(phi: ArcState) -> None:
 
 
 def assert_realness_preserved(psi: ArcState, steps: int) -> None:
-    assert np.max(np.abs(evolve(psi, steps).amplitudes.imag)) < 1e-14
+    """A real state stays real.  evolve walks a real start in real
+    arithmetic, so the same start turned by a phase e^(i theta) runs the
+    complex arithmetic too: turned back, it must be real and match."""
+    real = evolve(psi, steps).amplitudes
+    assert np.max(np.abs(real.imag)) < 1e-14
+    theta = 0.7
+    turned = evolve(ArcState(psi.graph, np.exp(1j * theta) * psi.amplitudes), steps)
+    turned = np.exp(-1j * theta) * turned.amplitudes
+    assert np.max(np.abs(turned.imag)) < 1e-14
+    assert np.max(np.abs(turned - real)) < 1e-14
 
 
 def assert_bipartite_alternation(g: Graph) -> None:

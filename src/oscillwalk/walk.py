@@ -11,17 +11,27 @@ and are the single-step reference.  Many steps (`evolve`, and
 instead: slot j*n + u holds the amplitude of vertex u's j-th out-arc, so the
 slot order is `out_arcs.T.ravel()`.  Viewed as d rows of n slots, the vertex
 sums of the coin are one contiguous column sum over the rows, and the shift is
-one gather with the slot of each slot's reverse arc.  The flip of a state is
-its shift negated, <uv|~psi> = -<vu|psi>, so for any y the odd overlap
-<~psi0|S y> equals -<psi0|y>: the overlap with the flipped start is read off
-the coined vector before the shift, and no flipped copy is kept.
+one gather with the slot of each slot's reverse arc.  A step coins one buffer
+in place and gathers it into the other, and the two buffers swap roles, so a
+step reads and writes each slot twice and keeps no third vector.  Both maps
+are real, so a start whose imaginary part is zero walks in float64 on its
+real part, half the bytes of complex128; `evolve` still returns complex
+amplitudes.
+
+The flip of a state is its shift negated, <uv|~psi> = -<vu|psi>, so for any y
+the odd overlap <~psi0|S y> equals -<psi0|y>, and |<~psi0|U^(2k+1) psi0>| is
+|<psi0|C x>| with x = U^(2k) psi0.  As (C x)_s = 2 m_u - x_s on the slots s
+of vertex u, where m_u is u's mean of x, that is |sum_u conj(s_u) 2 m_u -
+<psi0|x>| with s_u the sum of psi0 over u's slots: the even overlap <psi0|x>
+and the coin's vertex means give the odd overlap with an n-length dot, so
+the full dot over the arcs runs every other step and no flipped copy is
+kept.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -195,27 +205,59 @@ def _slot_order(g: Graph) -> np.ndarray:
     return g.out_arcs.T.ravel()
 
 
-def _slot_steps(g: Graph, order: np.ndarray, x: np.ndarray, steps: int):
-    """Advance the slot-major state `x` (slot order `order`) by `steps` walk
-    steps in place; after each step yield the coined vector C x_(t-1), whose
-    shift x now holds.  The yielded buffer is overwritten by the next step."""
+def _slot_start(psi: ArcState, order: np.ndarray) -> np.ndarray:
+    """The slot-major amplitudes of `psi`: float64 when its imaginary part is
+    zero (the walk is real, so it stays real), else complex128."""
+    amps = psi.amplitudes
+    if not amps.imag.any():
+        amps = amps.real
+    return amps[order]
+
+
+def _slot_steps(
+    g: Graph, order: np.ndarray, x: np.ndarray, steps: int, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Walk the slot-major state `x` (slot order `order`) `steps` steps.
+
+    `x` is one of the two buffers and is overwritten; returns the buffer that
+    holds U^steps x and, when the slot-major start `start` (left unchanged) is
+    given, the overlaps |<start|U^t x>| at even t and |<~start|U^t x>| at odd
+    t for t = 0..steps (x must equal start then).  The loop body takes two
+    steps, so no step tests its parity.
+    """
     d, n = g.degree, g.n
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size)
     rev = pos[order ^ 1]  # the slot of each slot's reverse arc
-    del pos  # the generator would keep it alive for the whole sweep
-    rows = x.reshape(d, n)
-    coined = np.empty_like(x)
-    coined_rows = coined.reshape(d, n)
-    twice_mean = np.empty(n, dtype=np.complex128)
+    del pos  # free it before the second buffer
+    y = np.empty_like(x)
+    rows_x, rows_y = x.reshape(d, n), y.reshape(d, n)
+    twice_mean = np.empty(n, dtype=x.dtype)
     scale = 2.0 / d
-    for _ in range(steps):
-        np.add.reduce(rows, axis=0, out=twice_mean)
+    overlaps = None
+    if start is not None:
+        sums = np.add.reduce(start.reshape(d, n), axis=0)
+        overlaps = np.empty(steps + 1)
+    # mode="clip" lets take write straight into its out; "raise" would buffer it
+    for t in range(0, steps, 2):
+        if start is not None:
+            even = np.vdot(start, x)
+            overlaps[t] = abs(even)
+        np.add.reduce(rows_x, axis=0, out=twice_mean)
         twice_mean *= scale
-        np.subtract(twice_mean, rows, out=coined_rows)
-        # mode="clip" lets take write straight into x; "raise" would buffer it
-        np.take(coined, rev, out=x, mode="clip")
-        yield coined
+        np.subtract(twice_mean, rows_x, out=rows_x)
+        np.take(x, rev, out=y, mode="clip")
+        if start is not None:
+            overlaps[t + 1] = abs(np.vdot(sums, twice_mean) - even)
+        if t + 1 == steps:
+            return y, overlaps
+        np.add.reduce(rows_y, axis=0, out=twice_mean)
+        twice_mean *= scale
+        np.subtract(twice_mean, rows_y, out=rows_y)
+        np.take(y, rev, out=x, mode="clip")
+    if start is not None:
+        overlaps[steps] = abs(np.vdot(start, x))
+    return x, overlaps
 
 
 def evolve(state: ArcState, t: int) -> ArcState:
@@ -225,9 +267,8 @@ def evolve(state: ArcState, t: int) -> ArcState:
     psi = ensure_normalized(state)
     g = psi.graph
     order = _slot_order(g)
-    x = psi.amplitudes[order]
-    deque(_slot_steps(g, order, x, t), maxlen=0)  # run the steps
-    amps = np.empty_like(x)
+    x, _ = _slot_steps(g, order, _slot_start(psi, order), t)
+    amps = np.empty(g.arc_count, dtype=np.complex128)
     amps[order] = x
     return ArcState(g, amps)
 

@@ -437,6 +437,25 @@ def test_circulation_to_flip_accepts_equal_graphs_only():
             circulation_to_flip(g, Circulation(other, np.zeros(other.arc_count)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_circulation_check_rejects_bad_tolerances(bad):
+    g = cycle_graph(4)
+    unconserved = Circulation(g, np.ones(g.arc_count))  # net outflow +-2 at every node
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        circulation_to_flip(g, unconserved, tol=bad)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        Circulation(g, np.zeros(g.arc_count)).check(bad)
+
+
+def test_circulation_check_takes_a_zero_tolerance():
+    g = cycle_graph(4)
+    unit_cycle = np.where((g.arc_heads - g.arc_tails) % g.n == 1, 1.0, -1.0)
+    state = circulation_to_flip(g, Circulation(g, unit_cycle), tol=0.0)
+    assert np.array_equal(state.amplitudes, unit_cycle)
+    with pytest.raises(ValueError, match="conservation fails at vertex 0:"):
+        circulation_to_flip(g, Circulation(g, np.ones(g.arc_count)), tol=0.0)
+
+
 def test_flip_to_circulation_rejects_non_flip_states():
     g = complete_graph(4)
     with pytest.raises(ValueError, match="flip"):

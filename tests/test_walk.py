@@ -1,5 +1,7 @@
 """Walk operators: coin, shift, evolution, flip transform, averages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,62 @@ def test_stepper_over_a_thousand_steps(g):
     states = stepper_states(g, np.random.default_rng(14))
     for kind in ("edge", "random"):
         assert_stepper_matches(states[kind], 1000, 250)
+
+
+STEPPER_GRAPHS = ZOO + [complete_graph(2), cycle_graph(7)]
+
+
+@pytest.mark.parametrize("g", STEPPER_GRAPHS, ids=lambda g: g.name)
+def test_real_starts_overlap_like_their_complex_turns(g):
+    """A real start walks in float64; turned by a phase it walks in complex128
+    and must give the same overlaps."""
+    states = stepper_states(g, np.random.default_rng(15))
+    for kind in ("edge", "selfflip", "uniform"):
+        psi = states[kind]
+        turned = ArcState(g, np.exp(0.9j) * psi.amplitudes)
+        real, complex_ = measured_overlaps(psi, 40), measured_overlaps(turned, 40)
+        assert np.max(np.abs(real.even_overlaps - complex_.even_overlaps)) <= 1e-12
+        assert np.max(np.abs(real.odd_overlaps - complex_.odd_overlaps)) <= 1e-12
+
+
+@pytest.mark.parametrize("t_max", [1, 2, 3])
+@pytest.mark.parametrize("g", STEPPER_GRAPHS, ids=lambda g: g.name)
+def test_short_sweeps_end_on_either_parity(g, t_max):
+    for psi in stepper_states(g, np.random.default_rng(16)).values():
+        assert_stepper_matches(psi, t_max, 1)
+
+
+@pytest.mark.parametrize("g", STEPPER_GRAPHS, ids=lambda g: g.name)
+def test_evolve_returns_complex_states_and_keeps_its_input(g):
+    rng = np.random.default_rng(17)
+    for psi in [*stepper_states(g, rng).values(), random_state(g, rng, real=True)]:
+        before = psi.amplitudes.copy()
+        for t in (0, 1, 4, 9):
+            evolved = evolve(psi, t)
+            assert isinstance(evolved, ArcState) and evolved.graph is g
+            assert evolved.amplitudes.dtype == np.complex128
+            assert not np.shares_memory(evolved.amplitudes, psi.amplitudes)
+            assert np.array_equal(psi.amplitudes, before)
+    # The float64 walk of a real start is the complex walk's arithmetic on
+    # one component: i psi carries it bit for bit in its imaginary part.
+    real = random_state(g, rng, real=True)
+    for t in (1, 2, 9):
+        turned = evolve(ArcState(g, 1j * real.amplitudes), t).amplitudes
+        assert np.array_equal(turned.imag, evolve(real, t).amplitudes.real)
+
+
+def test_measured_overlaps_keep_to_a_few_state_vectors():
+    """The normalization copy, the start, two walk buffers and the slot maps:
+    below six complex state vectors at the peak (5.5 measured)."""
+    g = torus_graph(2, 100)
+    psi = random_state(g, np.random.default_rng(18))
+    tracemalloc.start()
+    try:
+        measured_overlaps(psi, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * g.arc_count
 
 
 # ---- flip transform and averages -----------------------------------------------------------
