@@ -18,12 +18,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import Graph, label_components
 from .walk import ArcState, check_tolerance, ensure_normalized, is_flip_state, is_selfflip_state
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ConvergenceError",
@@ -75,7 +78,10 @@ CIRCULATION_SCALE = 1e-3
 # 1.7 vs 0.48 at 256 (Q_7), 54 vs 5.0 at 1250 (torus 2:25).  A block with at
 # least as many real right-hand sides as unknowns is solved densely too: the
 # flip projector of torus 2:22 (966 unknowns, 1936 columns) takes 0.40-0.48 s
-# that way against 5.1 s by CG column by column.
+# that way against 5.1 s by CG column by column.  A dense system is assembled
+# straight into a numpy array; only the CG branch builds a scipy CSR matrix and
+# imports scipy.sparse, so a process whose solves are all dense never loads
+# scipy (its import is about half of `import oscillwalk.cli`).
 _DENSE_MAX_NODES = 128
 
 CERTIFIED = "oscillatory localization certified"
@@ -256,10 +262,9 @@ def _grounded_potentials(
     if free.size == 0:
         return potentials.reshape(rhs.shape)
 
-    lap = _laplacian(node_count, tails, heads, free)
     is_complex = np.iscomplexobj(block)
     parts = [block.real[free], block.imag[free]] if is_complex else [block[free]]
-    solution = _solve(lap, np.concatenate(parts, axis=1))
+    solution = _solve_laplacian(node_count, tails, heads, free, np.concatenate(parts, axis=1))
     if is_complex:
         k = block.shape[1]
         solution = solution[:, :k] + 1j * solution[:, k:]
@@ -269,12 +274,14 @@ def _grounded_potentials(
 
 def _laplacian(
     node_count: int, tails: np.ndarray, heads: np.ndarray, free: np.ndarray,
-    off_diagonal: float = -1.0,
-) -> sp.csr_matrix:
+    off_diagonal: float = -1.0, *, dense: bool = False,
+) -> np.ndarray | sp.csr_matrix:
     """Laplacian of the edges {tails[i], heads[i]} on the rows and columns of
     the sorted `free` nodes: a free node's diagonal counts all of its edges,
     and an edge between two free nodes puts `off_diagonal` at both of their
-    entries (-1 gives the Laplacian, +1 the signless Laplacian)."""
+    entries (-1 gives the Laplacian, +1 the signless Laplacian).  A numpy
+    array when `dense`, else a scipy CSR matrix; both hold the same small
+    integers, summed exactly, so they are equal entry for entry."""
     position = np.full(node_count, -1, dtype=np.int64)
     position[free] = np.arange(free.size)
     pu, pv = position[tails], position[heads]
@@ -285,16 +292,29 @@ def _laplacian(
     vals = np.concatenate(
         [np.ones(pu_free.size + pv_free.size), np.full(2 * int(both.sum()), off_diagonal)]
     )
+    if dense:
+        matrix = np.zeros((free.size, free.size))
+        np.add.at(matrix.reshape(-1), rows * free.size + cols, vals)
+        return matrix
+    import scipy.sparse as sp  # only CG-sized systems pay for this import
+
     return sp.csr_matrix((vals, (rows, cols)), shape=(free.size, free.size))
 
 
-def _solve(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve the positive definite `matrix` for a real (size, k) block:
-    densely when the size is at most _DENSE_MAX_NODES or at most k (the dense
-    matrix is then no bigger than the right-hand sides), otherwise by
-    diagonally preconditioned conjugate gradients column by column."""
-    if matrix.shape[0] <= max(_DENSE_MAX_NODES, rhs.shape[1]):
-        return np.linalg.solve(matrix.toarray(), rhs)
+def _solve_laplacian(
+    node_count: int, tails: np.ndarray, heads: np.ndarray, free: np.ndarray,
+    rhs: np.ndarray, off_diagonal: float = -1.0,
+) -> np.ndarray:
+    """Solve the positive definite _laplacian(node_count, tails, heads, free,
+    off_diagonal) for a real (free.size, k) block: densely when there are at
+    most _DENSE_MAX_NODES or at most k unknowns (the dense matrix is then no
+    bigger than the right-hand sides), otherwise by diagonally
+    preconditioned conjugate gradients column by column."""
+    if free.size <= max(_DENSE_MAX_NODES, rhs.shape[1]):
+        return np.linalg.solve(
+            _laplacian(node_count, tails, heads, free, off_diagonal, dense=True), rhs
+        )
+    matrix = _laplacian(node_count, tails, heads, free, off_diagonal)
     return np.column_stack([_pcg(matrix, column) for column in rhs.T])
 
 
@@ -444,11 +464,10 @@ def _double_from_omega(g: Graph, a: int, b: int, omega: float) -> float:
     if g.double_roots[a] != g.double_roots[g.n + a]:  # a's component is bipartite
         return omega
     component = np.flatnonzero(g.component_roots == g.component_roots[a])
-    signless = _laplacian(g.n, g.edges[:, 0], g.edges[:, 1], component, off_diagonal=1.0)
     ends = np.searchsorted(component, [a, b])
     rhs = np.zeros((component.size, 1))
     np.add.at(rhs, (ends, 0), 1.0)
-    x = _solve(signless, rhs)[:, 0]
+    x = _solve_laplacian(g.n, g.edges[:, 0], g.edges[:, 1], component, rhs, off_diagonal=1.0)[:, 0]
     return 0.5 * omega + 0.5 * float(x[ends].sum())
 
 

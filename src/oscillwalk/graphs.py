@@ -118,14 +118,14 @@ class Graph:
             raise GraphError(f"{name}: graph has no edges")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise GraphError(f"{name}: edges must be vertex pairs, got shape {pairs.shape}")
-        outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+        low, high = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        outside = np.flatnonzero((low < 0) | (high >= n))
         if outside.size:
             u, v = pairs[outside[0]].tolist()
             raise GraphError(f"{name}: edge ({u},{v}) out of range for n={n}")
-        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        loops = np.flatnonzero(low == high)
         if loops.size:
-            raise GraphError(f"{name}: self-loop at vertex {pairs[loops[0], 0]} is not allowed")
-        low, high = pairs.min(axis=1), pairs.max(axis=1)
+            raise GraphError(f"{name}: self-loop at vertex {low[loops[0]]} is not allowed")
         keys = low * n + high
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -151,7 +151,10 @@ class Graph:
         self.arc_count = 2 * len(self.edges)
         self.arc_tails = self.edges.ravel()
         self.arc_heads = self.edges[:, ::-1].ravel()
-        self.out_arcs = np.lexsort((self.arc_heads, self.arc_tails)).reshape(n, self.degree)
+        # Sorted by tail, then head: a tail u's arcs to smaller heads are the odd
+        # arcs of earlier edges (v, u), those to larger heads the even arcs of
+        # later edges (u, w), each group in increasing head order.
+        self.out_arcs = np.argsort(self.arc_tails, kind="stable").reshape(n, self.degree)
         self.adjacency = self.arc_heads[self.out_arcs]
         self.component_roots = label_components(n, *self.edges.T)
         for array in (self.edges, self._edge_keys, self.arc_tails, self.arc_heads,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscillwalk import basis_arc_state, hypercube_graph, write_state_csv
+from oscillwalk import basis_arc_state, hypercube_graph, torus_graph, write_state_csv
 from oscillwalk.cli import main
 from oscillwalk.electric import CERTIFIED
 
@@ -232,9 +232,9 @@ def test_resistance_assembles_one_laplacian_and_a_signless_one_if_odd(spec, pair
     expected = run_cli(["resistance", "--graph", spec, "--pair", pair], capsys)
     assembled = []
 
-    def recording(node_count, tails, heads, free, off_diagonal=-1.0):
+    def recording(node_count, tails, heads, free, off_diagonal=-1.0, *, dense=False):
         assembled.append((node_count, free.size, off_diagonal))
-        return laplacian(node_count, tails, heads, free, off_diagonal)
+        return laplacian(node_count, tails, heads, free, off_diagonal, dense=dense)
 
     laplacian = electric._laplacian
     monkeypatch.setattr(electric, "_laplacian", recording)
@@ -365,6 +365,60 @@ def test_cli_import_leaves_csgraph_and_sparse_linalg_unloaded():
     result = run_python(["-c", code])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Runs cli.main on each argument list of argv[1] (JSON) with stdout captured,
+# then prints the exit codes and every loaded scipy module.
+RUN_MAINS = (
+    "import contextlib, io, json, sys\n"
+    "from oscillwalk.cli import main\n"
+    "codes = []\n"
+    "for args in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        codes.append(main(args))\n"
+    "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+)
+
+
+def test_package_and_cli_import_load_no_scipy():
+    result = run_python(["-c", RUN_MAINS, "[]"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[] []\n"
+
+
+def test_dense_only_commands_load_no_scipy(tmp_path):
+    # Every Laplacian system below has at most 128 unknowns.
+    path = tmp_path / "state.csv"
+    write_state_csv(basis_arc_state(torus_graph(2, 5), 0, 1), str(path))
+    commands = [["resistance", "--graph", "torus:2:5", "--pair", "0:1"],
+                ["bounds", "--graph", "torus:2:5", "--state", f"csv:{path}"],
+                ["decompose", "--graph", "torus:2:5", "--state", f"csv:{path}"]]
+    for spec in ("hypercube:3", "complete:5"):
+        commands += [["bounds", "--graph", spec, "--state", "selfflip:0:1"],
+                     ["decompose", "--graph", spec, "--state", "edge:0:1"],
+                     ["simulate", "--graph", spec, "--state", "edge:0:1", "--t-max", "6"],
+                     ["resistance", "--graph", spec, "--pair", "0:1"]]
+    result = run_python(["-c", RUN_MAINS, json.dumps(commands)])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{[0] * len(commands)} []\n"
+
+
+def test_cg_sized_resistance_imports_scipy_sparse_and_keeps_its_output():
+    # torus 2:12 grounded at one node leaves 143 unknowns: solved by CG.
+    script = (
+        "import sys\n"
+        "from oscillwalk.cli import main\n"
+        "code = main(['resistance', '--graph', 'torus:2:12', '--pair', '0:1', '--format', 'csv'])\n"
+        "print(code, 'scipy.sparse' in sys.modules)\n"
+    )
+    result = run_python(["-c", script])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "omega,omega_double,k,path_lengths,paths_bound,verdict_single_edge,verdict_selfflip\n"
+        "0.496527778,0.496527778,4,1;3;5;7,0.596590909,"
+        "oscillatory localization certified,oscillatory localization certified\n"
+        "0 True\n"
+    )
 
 
 def test_verify_rejects_format(capsys):

@@ -41,6 +41,7 @@ from oscillwalk import (
 )
 from oscillwalk import electric
 from oscillwalk.electric import CERTIFIED, NOT_CERTIFIED
+from oscillwalk.graphs import label_components
 from oscillwalk.verify import (
     assert_circulation_roundtrip,
     assert_completed_flow_norm_identity,
@@ -315,6 +316,60 @@ def test_in_place_conjugate_gradients_match_the_allocating_loop_bitwise():
     for rhs in (b, rng.standard_normal(g.n - 1)):
         for tol in (1e-3, 1e-8, 1e-13):
             assert np.array_equal(electric._pcg(lap, rhs, tol), _allocating_pcg(lap, rhs, tol))
+
+
+def _assembly_cases():
+    # Three components with parallel resistors (0-1 twice, 5-6 three times);
+    # grounding each at its smallest node leaves edges with one grounded end.
+    edges = np.array([(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (0, 2),
+                      (4, 5), (5, 6), (6, 5), (5, 6), (6, 7), (7, 4),
+                      (8, 9), (9, 10), (10, 8), (9, 11)])
+    tails, heads = edges.T
+    roots = label_components(12, tails, heads)
+    yield "grounded", 12, tails, heads, np.flatnonzero(roots != np.arange(12))
+    yield "one-component", 12, tails, heads, np.flatnonzero(roots == roots[5])
+    g = torus_graph(2, 5)  # the double: 50 nodes, one root per component
+    double = (2 * g.n, g.arc_tails, g.n + g.arc_heads)
+    yield "double", *double, np.flatnonzero(g.double_roots != np.arange(2 * g.n))
+    g = complete_graph(7)
+    yield "complete", g.n, *g.edges.T, np.arange(g.n)
+
+
+@pytest.mark.parametrize("case", list(_assembly_cases()), ids=lambda case: case[0])
+@pytest.mark.parametrize("off_diagonal", [-1.0, 1.0])
+def test_dense_laplacian_is_the_sparse_one_bit_for_bit(case, off_diagonal):
+    _, node_count, tails, heads, free = case
+    dense = electric._laplacian(node_count, tails, heads, free, off_diagonal, dense=True)
+    sparse = electric._laplacian(node_count, tails, heads, free, off_diagonal).toarray()
+    assert isinstance(dense, np.ndarray)
+    assert dense.dtype == sparse.dtype and dense.shape == sparse.shape == (free.size, free.size)
+    assert dense.tobytes() == sparse.tobytes()
+
+
+@pytest.mark.parametrize("unknowns", [128, 129])
+def test_dense_and_cg_currents_agree_at_the_threshold(unknowns, monkeypatch):
+    # A random 4-regular resistor graph on unknowns + 1 nodes, grounded at
+    # node 0, solved once on each side of _DENSE_MAX_NODES.
+    g = random_regular_graph(unknowns + 1, 4, seed=unknowns)
+    rng = np.random.default_rng(unknowns)
+    injections = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    net = ElectricNetwork(g.n, g.edges, injections - injections.mean())
+    solved_densely = []
+    laplacian = electric._laplacian
+
+    def recording(*args, dense=False):
+        solved_densely.append(dense)
+        return laplacian(*args, dense=dense)
+
+    monkeypatch.setattr(electric, "_laplacian", recording)
+    default = solve_network(net).currents
+    currents = []
+    for threshold in (unknowns, unknowns - 1):  # dense, then CG
+        monkeypatch.setattr(electric, "_DENSE_MAX_NODES", threshold)
+        currents.append(solve_network(net).currents)
+    assert solved_densely == [unknowns <= 128, True, False]
+    assert np.array_equal(default, currents[0 if unknowns <= 128 else 1])
+    assert np.max(np.abs(currents[0] - currents[1])) <= 1e-12
 
 
 def test_complex_injections_solved_componentwise():

@@ -164,6 +164,51 @@ def test_out_arcs_cover_every_arc():
         assert all(g.arc_tails[a] == u for a in g.out_arcs[u])
 
 
+def _lexsort_arrays(n, pairs):
+    """Graph's arrays by the row-wise min/max and (tail, head) lexsort formula."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    low, high = pairs.min(axis=1), pairs.max(axis=1)
+    order = np.argsort(low * n + high, kind="stable")
+    edges = np.column_stack([low[order], high[order]])
+    tails, heads = edges.ravel(), edges[:, ::-1].ravel()
+    out_arcs = np.lexsort((heads, tails)).reshape(n, -1)
+    return edges, tails, heads, out_arcs, heads[out_arcs]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(6), cycle_graph(7), hypercube_graph(5), torus_graph(2, 5), torus_graph(3, 4),
+     complete_bipartite_graph(4), random_regular_graph(200, 5, seed=3)],
+    ids=lambda g: g.name,
+)
+def test_graph_arrays_match_the_lexsort_formula_on_any_edge_order(g):
+    rng = np.random.default_rng(g.n)
+    shuffled = g.edges[rng.permutation(len(g.edges))]
+    flip = rng.random(len(shuffled)) < 0.5
+    shuffled[flip] = shuffled[flip, ::-1]
+    for pairs in (g.edges, shuffled):
+        built = Graph(g.n, pairs, name=g.name)
+        arrays = (built.edges, built.arc_tails, built.arc_heads, built.out_arcs, built.adjacency)
+        for array, expected in zip(arrays, _lexsort_arrays(g.n, pairs)):
+            assert array.dtype == expected.dtype and np.array_equal(array, expected)
+
+
+@pytest.mark.parametrize(
+    "n,pairs,message",
+    [
+        (4, [(0, 1), (3, 4)], r"edge \(3,4\) out of range for n=4"),
+        (4, [(0, 1), (-1, 2)], r"edge \(-1,2\) out of range for n=4"),
+        (4, [(0, 1), (2, 2), (9, 9)], r"edge \(9,9\) out of range for n=4"),
+        (4, [(0, 1), (3, 3), (2, 2)], r"self-loop at vertex 3 is not allowed"),
+        (4, [(3, 2), (0, 1), (2, 3), (1, 0)], r"parallel edge \(2, 3\) is not allowed"),
+    ],
+    ids=["high", "negative", "range-before-loop", "first-loop", "first-repeat"],
+)
+def test_edge_faults_name_the_first_offending_pair(n, pairs, message):
+    with pytest.raises(GraphError, match=f"^g: {message}$"):
+        Graph(n, pairs, name="g")
+
+
 # ---- component labels -------------------------------------------------------------------
 
 
