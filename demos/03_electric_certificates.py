@@ -10,9 +10,10 @@ state into a circulation (equivalently, a flip state) whose squared norm is
 
     alpha_sq >= 1 / (1 + P),
 
-with equality when the injections sit on a single edge of an edge-transitive
-graph.  Low power - and thus low effective resistance - certifies
-oscillation without ever diagonalizing anything.
+with equality when the injection sits on a single arc, on every graph:
+then 1 / (1 + P) = 1 - omega_double(a_out, b_in).  Low power - and thus low
+effective resistance - certifies oscillation without ever diagonalizing
+anything.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from oscillwalk import (
     network_from_state_double,
     overlap,
     parallel_resistance_identity,
+    random_regular_graph,
     resistance_distance,
     solve_network,
 )
@@ -52,9 +54,9 @@ phi = circulation_to_flip(g, circ)
 print(f"  completed flip state: ||phi'||^2 = {phi.norm()**2:.6f} = 1 + P")
 print(f"  <psi|phi'> = {overlap(psi, phi).real:.6f}")
 
-print("\nequality on edge-transitive graphs (current = closest flip state):")
-for g in (complete_graph(4), complete_graph(8), hypercube_graph(3)):
-    psi = basis_arc_state(g, 0, 1)
+print("\nequality for a single arc on any graph (current = closest flip state):")
+for g in (complete_graph(4), hypercube_graph(3), random_regular_graph(12, 3, seed=5)):
+    psi = basis_arc_state(g, *g.edges[0])
     sol = solve_network(network_from_state_double(psi))
     lower, _ = bounds_from_power(sol.power, "double")
     exact, _ = flip_projection(psi)

@@ -42,10 +42,12 @@ from .oscillation import (
     CapacityError,
     Decomposition,
     BoundReport,
+    Certificate,
     OverlapSeries,
     flip_projection,
     uniform_coefficients,
     decompose,
+    certify,
     oscillation_bounds,
     measured_overlaps,
     one_eigenspace_u2,
@@ -66,7 +68,6 @@ from .electric import (
     bounds_from_power,
     parallel_resistance_identity,
     paths_resistance_bound,
-    random_resistor_circulation,
     localization_verdict,
 )
 from .complete import (

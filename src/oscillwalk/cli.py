@@ -28,12 +28,12 @@ from .electric import (
     ElectricNetwork,
     bounds_from_power,
     localization_verdict,
-    network_from_selfflip_state,
+    network_from_selfflip_state,  # noqa: F401 - unused here; perfbench's tracer wraps it in this namespace
     network_from_state_double,
     paths_resistance_bound,
     resistance_distance,  # noqa: F401 - unused here; perfbench's tracer wraps it in this namespace
     resistance_distances,
-    solve_network,
+    solve_network,  # noqa: F401 - unused here; perfbench's tracer wraps it in this namespace
 )
 from .graphs import (
     GRAPH_FAMILIES,
@@ -43,13 +43,12 @@ from .graphs import (
     build_graph,
     edge_disjoint_paths,
 )
-from .oscillation import CapacityError, decompose, measured_overlaps, oscillation_bounds
+from .oscillation import CapacityError, certify, decompose, measured_overlaps, oscillation_bounds
 from .verify import run_checks
 from .walk import (
     ArcState,
     basis_arc_state,
     check_tolerance,
-    is_selfflip_state,
     read_state_csv,
     uniform_state,
 )
@@ -250,12 +249,10 @@ def _cmd_resistance(args) -> int:
 def _cmd_bounds(args) -> int:
     g = _parse_graph(args.graph, args.seed)
     psi0 = _parse_state(g, args.state)
-    net_double = network_from_state_double(psi0, args.zero_tol)
     if args.dump_network:
-        _dump_network(net_double, args.dump_network)
-    sol_double = solve_network(net_double)
-    alpha_double, overlap_double = bounds_from_power(sol_double.power, "double")
-    dec = decompose(psi0)
+        _dump_network(network_from_state_double(psi0, args.zero_tol), args.dump_network)
+    cert = certify(psi0, args.zero_tol, args.flip_tol)
+    dec = cert.decomposition
     report = oscillation_bounds(dec)
     record = {
         "alpha_sq": dec.alpha_sq,
@@ -263,25 +260,11 @@ def _cmd_bounds(args) -> int:
         "gamma_sq": dec.gamma_sq,
         "even_bound": report.even_bound,
         "odd_bound": report.odd_bound,
-        "double": {
-            "feasible": sol_double.feasible,
-            "power": sol_double.power if sol_double.feasible else None,
-            "alpha_lower": alpha_double,
-            "overlap_lower": overlap_double,
-        },
+        "double": _network_record(cert.power_double, "double"),
         "selfflip": None,
     }
-    if is_selfflip_state(psi0, args.flip_tol):
-        sol_self = solve_network(
-            network_from_selfflip_state(psi0, args.zero_tol, args.flip_tol)
-        )
-        alpha_self, overlap_self = bounds_from_power(sol_self.power, "selfflip")
-        record["selfflip"] = {
-            "feasible": sol_self.feasible,
-            "power": sol_self.power if sol_self.feasible else None,
-            "alpha_lower": alpha_self,
-            "overlap_lower": overlap_self,
-        }
+    if cert.power_selfflip is not None:
+        record["selfflip"] = _network_record(cert.power_selfflip, "selfflip")
     if args.format == "csv":
         head = [
             "alpha_sq",
@@ -299,15 +282,14 @@ def _cmd_bounds(args) -> int:
             _fmt(dec.gamma_sq),
             _fmt(report.even_bound),
             _fmt(report.odd_bound),
-            _fmt(sol_double.power),
-            _fmt(alpha_double),
-            _fmt(overlap_double),
+            _fmt(cert.power_double),
+            _fmt(record["double"]["alpha_lower"]),
+            _fmt(record["double"]["overlap_lower"]),
         ]
         if record["selfflip"] is not None:
             head += ["power_selfflip", "alpha_lower_selfflip", "overlap_lower_selfflip"]
-            sol_self_power = record["selfflip"]["power"]
             row += [
-                _fmt(sol_self_power if sol_self_power is not None else math.inf),
+                _fmt(cert.power_selfflip),
                 _fmt(record["selfflip"]["alpha_lower"]),
                 _fmt(record["selfflip"]["overlap_lower"]),
             ]
@@ -315,6 +297,17 @@ def _cmd_bounds(args) -> int:
         return 0
     _write(json.dumps(record, indent=2, sort_keys=True) + "\n", args.output)
     return 0
+
+
+def _network_record(power: float, mode: str) -> dict:
+    alpha_lower, overlap_lower = bounds_from_power(power, mode)
+    feasible = not math.isinf(power)
+    return {
+        "feasible": feasible,
+        "power": power if feasible else None,
+        "alpha_lower": alpha_lower,
+        "overlap_lower": overlap_lower,
+    }
 
 
 def _cmd_table1(args) -> int:

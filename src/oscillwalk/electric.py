@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,13 +46,11 @@ __all__ = [
     "bounds_from_power",
     "parallel_resistance_identity",
     "paths_resistance_bound",
-    "random_resistor_circulation",
     "localization_verdict",
     "CERTIFIED",
     "NOT_CERTIFIED",
     "ZERO_AMPLITUDE_TOL",
     "FEASIBILITY_TOL",
-    "CIRCULATION_SCALE",
 ]
 
 # Amplitudes at or below this are treated as the zero (resistor) case.  It
@@ -68,20 +67,22 @@ ZERO_AMPLITUDE_TOL = 1e-12
 # doubles under random unit states), while an unbalanced one is judged
 # against the same unit norm.
 FEASIBILITY_TOL = 1e-9
-# Norm of the random circulations that perturb Kirchhoff currents in the
-# Thomson-minimality checks.
-CIRCULATION_SCALE = 1e-3
 # Laplacian systems of at most this many unknowns are solved densely, larger
-# ones by CG.  Measured on edge-state double networks (one BLAS thread, 2-core
-# Xeon VM), dense vs CG per solve: 0.23 vs 0.38 ms at 10 nodes, 0.27 vs 0.73 at
-# 50, 0.50 vs 0.57-0.81 at 128 (Q_6, torus 2:8), 1.1-3.7 vs 1.4-2.9 at 200,
-# 1.7 vs 0.48 at 256 (Q_7), 54 vs 5.0 at 1250 (torus 2:25).  A block with at
+# ones by CG.  Measured per solve with its assembly on g's own systems (one
+# BLAS thread, 2-core Xeon VM), dense vs CG: 0.07 vs 0.19 ms at 47 unknowns
+# (L of K_48), 0.09 vs 0.35-0.98 at 63 (Q_6, torus 2:8, a random 4-regular
+# graph), 0.17-0.25 vs 0.26-1.04 at 95-127 (diag(L, Q) of those), 0.41 vs
+# 0.95 at 143 (L of torus 2:12), 1.26 vs 1.33 at 199, 1.04-1.61 vs 0.46-1.28
+# at 254-286, 7.0 vs 0.73 at 510 (diag(L, Q) of Q_8), 54 vs 2.1 at 1249
+# (torus 2:25).  The crossover lies between about 150 and 250 unknowns; the
+# threshold stays at 128, where the double's irregular networks cross over
+# too (0.50 vs 0.57-0.81 ms at 128, 1.7 vs 0.48 at 256).  A block with at
 # least as many real right-hand sides as unknowns is solved densely too: the
-# flip projector of torus 2:22 (966 unknowns, 1936 columns) takes 0.40-0.48 s
-# that way against 5.1 s by CG column by column.  A dense system is assembled
-# straight into a numpy array; only the CG branch builds a scipy CSR matrix and
-# imports scipy.sparse, so a process whose solves are all dense never loads
-# scipy (its import is about half of `import oscillwalk.cli`).
+# flip projector of torus 2:22 (diag(L, Q) of 966 unknowns, 1936 columns)
+# takes 0.46 s that way against 4.0 s by CG column by column.  A dense system
+# is assembled straight into a numpy array; only the CG branch builds a scipy
+# CSR matrix and imports scipy.sparse, so a process whose solves are all
+# dense never loads scipy (its import is about half of `import oscillwalk.cli`).
 _DENSE_MAX_NODES = 128
 
 CERTIFIED = "oscillatory localization certified"
@@ -264,7 +265,8 @@ def _grounded_potentials(
 
     is_complex = np.iscomplexobj(block)
     parts = [block.real[free], block.imag[free]] if is_complex else [block[free]]
-    solution = _solve_laplacian(node_count, tails, heads, free, np.concatenate(parts, axis=1))
+    assemble = partial(_laplacian, node_count, tails, heads, free)
+    solution = _solve(assemble, np.concatenate(parts, axis=1))
     if is_complex:
         k = block.shape[1]
         solution = solution[:, :k] + 1j * solution[:, k:]
@@ -301,20 +303,15 @@ def _laplacian(
     return sp.csr_matrix((vals, (rows, cols)), shape=(free.size, free.size))
 
 
-def _solve_laplacian(
-    node_count: int, tails: np.ndarray, heads: np.ndarray, free: np.ndarray,
-    rhs: np.ndarray, off_diagonal: float = -1.0,
-) -> np.ndarray:
-    """Solve the positive definite _laplacian(node_count, tails, heads, free,
-    off_diagonal) for a real (free.size, k) block: densely when there are at
-    most _DENSE_MAX_NODES or at most k unknowns (the dense matrix is then no
-    bigger than the right-hand sides), otherwise by diagonally
-    preconditioned conjugate gradients column by column."""
-    if free.size <= max(_DENSE_MAX_NODES, rhs.shape[1]):
-        return np.linalg.solve(
-            _laplacian(node_count, tails, heads, free, off_diagonal, dense=True), rhs
-        )
-    matrix = _laplacian(node_count, tails, heads, free, off_diagonal)
+def _solve(assemble, rhs: np.ndarray) -> np.ndarray:
+    """Solve the positive definite system `assemble(dense=...)` for a real
+    (unknowns, k) block: densely when there are at most _DENSE_MAX_NODES or
+    at most k unknowns (the dense matrix is then no bigger than the
+    right-hand sides), otherwise by diagonally preconditioned conjugate
+    gradients column by column."""
+    if rhs.shape[0] <= max(_DENSE_MAX_NODES, rhs.shape[1]):
+        return np.linalg.solve(assemble(dense=True), rhs)
+    matrix = assemble(dense=False)
     return np.column_stack([_pcg(matrix, column) for column in rhs.T])
 
 
@@ -356,6 +353,115 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
     return x
 
 
+# ======================================================================================
+# The Laplacian and signless Laplacian of g
+# ======================================================================================
+#
+# Every system on the bipartite double is a pair of systems on g: in the node
+# order (out, in) the double's Laplacian is [[D, -A], [-A, D]], and the
+# orthogonal change of variables (x, y) -> (x + y, x - y) / sqrt(2) turns it
+# into L (+) Q, g's Laplacian L = D - A next to its signless Laplacian
+# Q = D + A (see resistance_distance).  L is grounded at one vertex per
+# component.  Q is singular only on a bipartite component, where Q = S L S
+# with S the diagonal +-1 coloring, and is grounded there alone.  A solve
+# that needs both takes them as one block-diagonal system diag(L, Q): its
+# spectrum is the double's, so CG takes the double's iterations rather than
+# the sum of two solves' (and per-iteration Python overhead dominates CG at
+# a few hundred unknowns).
+
+
+def _g_laplacian(
+    g: Graph, blocks: Sequence[tuple[np.ndarray, bool]], *, dense: bool = False
+) -> np.ndarray | sp.csr_matrix:
+    """The block-diagonal matrix with one block per (free, signless) pair: L
+    (signless: Q) of g on the rows and columns of the sorted `free` vertices.
+    A numpy array when `dense`, cut from g's dense adjacency matrix.  Else a
+    scipy CSR matrix read off g.adjacency: row u holds u's sorted neighbors
+    with u itself sorted in, the columns of grounded vertices are dropped,
+    and the kept row lengths give indptr, with no COO step, duplicate sum or
+    index sort.  Both hold the same small integers."""
+    size = sum(free.size for free, _ in blocks)
+    if dense:
+        adjacency = np.zeros((g.n, g.n))
+        adjacency[np.arange(g.n)[:, None], g.adjacency] = 1.0
+        matrix = np.zeros((size, size))
+        start = 0
+        for free, signless in blocks:
+            block = adjacency[np.ix_(free, free)]
+            if not signless:
+                np.subtract(0.0, block, out=block)  # -A without negative zeros
+            np.fill_diagonal(block, g.degree)
+            matrix[start : start + free.size, start : start + free.size] = block
+            start += free.size
+        return matrix
+    import scipy.sparse as sp  # only CG-sized systems pay for this import
+
+    parts = []
+    start = 0
+    for free, signless in blocks:
+        position = np.full(g.n, -1, dtype=np.int64)
+        position[free] = start + np.arange(free.size)
+        columns = np.sort(np.column_stack([g.adjacency[free], free]), axis=1)
+        values = np.where(columns == free[:, None], float(g.degree), 1.0 if signless else -1.0)
+        columns = position[columns]
+        kept = columns >= 0
+        parts.append((values[kept], columns[kept], np.count_nonzero(kept, axis=1)))
+        start += free.size
+    values, columns, counts = (np.concatenate(part) for part in zip(*parts))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((values, columns, indptr), shape=(size, size))
+
+
+def _g_potentials(
+    g: Graph, l_rhs: np.ndarray | None = None, q_rhs: np.ndarray | None = None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(x, y) with L x = l_rhs and Q y = q_rhs on g, from one block-diagonal
+    system diag(L, Q).  Each right-hand side is a real or complex (n, k)
+    block, the same k for both, or None, which leaves out its block and gives
+    None.  The potentials are 0 at the grounded vertices.  The real and
+    imaginary parts are solved as real columns, and a column that is zero on
+    every free vertex is not solved at all."""
+    is_root = g.component_roots == np.arange(g.n)
+    blocks, rows = [], []
+    if l_rhs is not None:
+        blocks.append((np.flatnonzero(~is_root), False))
+        rows.append(l_rhs)
+    if q_rhs is not None:
+        on_odd_cycle = g.double_roots[: g.n] == g.double_roots[g.n :]
+        blocks.append((np.flatnonzero(~is_root | on_odd_cycle), True))
+        rows.append(q_rhs)
+    stacked = np.concatenate([rhs[free] for (free, _), rhs in zip(blocks, rows)])
+    is_complex = np.iscomplexobj(stacked)
+    if is_complex:
+        stacked = np.concatenate([stacked.real, stacked.imag], axis=1)
+    solved = np.flatnonzero(stacked.any(axis=0))
+    solution = np.zeros(stacked.shape)
+    if solved.size:
+        assemble = partial(_g_laplacian, g, blocks)
+        solution[:, solved] = _solve(assemble, stacked[:, solved])
+    if is_complex:
+        k = solution.shape[1] // 2
+        solution = solution[:, :k] + 1j * solution[:, k:]
+    potentials, start = {}, 0
+    for free, signless in blocks:
+        x = np.zeros((g.n, solution.shape[1]), dtype=solution.dtype)
+        x[free] = solution[start : start + free.size]
+        potentials[signless] = x
+        start += free.size
+    return potentials.get(False), potentials.get(True)
+
+
+def _balanced_roots(net: ElectricNetwork) -> np.ndarray | None:
+    """Component roots of the network's resistors, or None when some
+    component's injections do not sum to ~0, so that no steady current
+    exists."""
+    tails, heads = net.resistor_edges.T
+    roots = label_components(net.node_count, tails, heads)
+    component_sums = np.zeros(net.node_count, dtype=np.complex128)
+    np.add.at(component_sums, roots, net.injections)
+    return None if np.any(np.abs(component_sums) > FEASIBILITY_TOL) else roots
+
+
 def solve_network(net: ElectricNetwork, *, ground: int | None = None) -> FlowSolution:
     """Kirchhoff currents, node potentials, and power of a network.
 
@@ -365,13 +471,11 @@ def solve_network(net: ElectricNetwork, *, ground: int | None = None) -> FlowSol
     (`ground` forces a specific node to be its component's ground, which is
     useful for testing exactly that).
     """
-    tails, heads = net.resistor_edges.T
-    roots = label_components(net.node_count, tails, heads)
-    component_sums = np.zeros(net.node_count, dtype=np.complex128)
-    np.add.at(component_sums, roots, net.injections)
-    if np.any(np.abs(component_sums) > FEASIBILITY_TOL):
+    roots = _balanced_roots(net)
+    if roots is None:
         return FlowSolution(feasible=False, currents=None, potentials=None, power=math.inf)
 
+    tails, heads = net.resistor_edges.T
     potentials = _grounded_potentials(net.node_count, tails, heads, net.injections, roots, ground)
     currents = potentials[tails] - potentials[heads]
     power = float(np.vdot(currents, currents).real)
@@ -418,7 +522,7 @@ def resistance_distance(g: Graph, a: int, b: int, *, double: bool = False) -> fl
         omega_double(a, b) = omega(a, b) / 2 + (e_a + e_b)^T Q^+ (e_a + e_b) / 2.
 
     Q is positive definite on a component of g that is not bipartite, so the
-    second term is one solve of Q on a's component, ungrounded.  On a
+    second term is one solve of Q, ungrounded on a's component.  On a
     bipartite component Q = S L S, with S the diagonal +-1 coloring; b_in is
     reachable from a_out only when b has the other color, where
     S (e_a + e_b) = +-(e_a - e_b), so the two halves agree and
@@ -452,23 +556,106 @@ def _check_terminals(g: Graph, a: int, b: int, double: bool) -> None:
 
 
 def _resistance(g: Graph, a: int, b: int) -> float:
-    injections = np.zeros(g.n)
+    injections = np.zeros((g.n, 1))
     injections[a] += 1.0
     injections[b] -= 1.0
-    potentials = _grounded_potentials(g.n, g.edges[:, 0], g.edges[:, 1], injections, g.component_roots)
-    return float(potentials[a] - potentials[b])
+    potentials, _ = _g_potentials(g, injections)
+    return float(potentials[a, 0] - potentials[b, 0])
 
 
 def _double_from_omega(g: Graph, a: int, b: int, omega: float) -> float:
     """omega_double(a, b) from omega(a, b); see resistance_distance."""
     if g.double_roots[a] != g.double_roots[g.n + a]:  # a's component is bipartite
         return omega
-    component = np.flatnonzero(g.component_roots == g.component_roots[a])
-    ends = np.searchsorted(component, [a, b])
-    rhs = np.zeros((component.size, 1))
-    np.add.at(rhs, (ends, 0), 1.0)
-    x = _solve_laplacian(g.n, g.edges[:, 0], g.edges[:, 1], component, rhs, off_diagonal=1.0)[:, 0]
-    return 0.5 * omega + 0.5 * float(x[ends].sum())
+    rhs = np.zeros((g.n, 1))
+    np.add.at(rhs, ([a, b], 0), 1.0)
+    _, x = _g_potentials(g, q_rhs=rhs)
+    return 0.5 * omega + 0.5 * float(x[a, 0] + x[b, 0])
+
+
+# ======================================================================================
+# States on one edge: the transfer-current block
+# ======================================================================================
+#
+# Let a state's nonzero amplitudes delta sit on a set S of arcs, and let
+# K = B_S^T L_D^+ B_S be the transfer-current matrix of the double on S
+# (Burton & Pemantle, Ann. Probab. 21, 1993), B_S the double's incidence
+# columns of S.  The flip part is psi - B_D^T L_D^+ B_S delta, so
+# alpha_sq = 1 - delta* K delta.  The network takes the arcs of S out of the
+# resistors, which lowers L_D by B_S B_S^T, so by Woodbury (Hager, SIAM
+# Review 31, 1989) a feasible network dissipates P = delta* K (I - K)^-1 delta.
+# For the two arcs (u, v) and (v, u) of one edge, K has the eigenvectors
+# (1, -1) and (1, 1) with the eigenvalues omega(u, v) and
+# rho = (e_u + e_v)^T Q^+ (e_u + e_v); one arc alone has
+# K = omega_double(u, v) = (omega + rho) / 2, so 1 / (1 + P) = 1 - K =
+# alpha_sq: an edge state's bound is tight on every graph, and so is a
+# self-flip state's on one edge (alpha_sq = 1 - omega in both networks).
+# I - K is singular exactly when the arcs hold a cut of the double, so
+# feasibility is decided by labeling the network, as solve_network does, and
+# K is used only on a feasible one.  Near a cut P keeps a relative accuracy
+# of about eps / lambda_min(I - K): 2n eps on the cycle C_n.
+
+
+@dataclass(frozen=True)
+class _EdgePotentials:
+    """x = L^+ (e_u - e_v) and y = Q^+ (e_u + e_v) for the edge {u, v} of g,
+    grounded as in _g_potentials; y is None when it was not asked for."""
+
+    u: int
+    v: int
+    x: np.ndarray
+    y: np.ndarray | None
+
+    @property
+    def omega(self) -> float:
+        return float(self.x[self.u] - self.x[self.v])
+
+    @property
+    def rho(self) -> float:
+        return float(self.y[self.u] + self.y[self.v])
+
+
+def _edge_potentials(g: Graph, u: int, v: int, signless: bool) -> _EdgePotentials:
+    """x alone, or with `signless` x and y, from one solve.  On a bipartite
+    component S (e_u + e_v) = S_u (e_u - e_v), so y = S_u S x and only L is
+    solved; otherwise L and Q are solved as one block-diagonal system."""
+    rhs = np.zeros((g.n, 1))
+    rhs[u], rhs[v] = 1.0, -1.0
+    roots = g.double_roots
+    if not signless or roots[u] != roots[g.n + u]:
+        x = _g_potentials(g, rhs)[0][:, 0]
+        y = np.where(roots[: g.n] == roots[u], x, -x) if signless else None
+        return _EdgePotentials(u, v, x, y)
+    x, y = _g_potentials(g, rhs, np.abs(rhs))
+    return _EdgePotentials(u, v, x[:, 0], y[:, 0])
+
+
+def _series(weight: float, k: float) -> float:
+    """weight * k / (1 - k), the term of one eigenvalue k of K; a zero weight
+    gives 0 (then 1 - k may be 0)."""
+    return weight * k / (1.0 - k) if weight else 0.0
+
+
+def _edge_double_power(pot: _EdgePotentials, delta: np.ndarray, zero_tol: float) -> float:
+    """P of the feasible double network of a state whose nonzero amplitudes
+    are delta = (<uv|psi>, <vu|psi>) on the edge {u, v}; an amplitude at or
+    below zero_tol stays a resistor."""
+    kept = np.abs(delta) > check_tolerance(zero_tol)
+    if kept.all():
+        minus, plus = delta[0] - delta[1], delta[0] + delta[1]
+        power = _series(abs(minus) ** 2 / 2, pot.omega)
+        return power + _series(abs(plus) ** 2 / 2, pot.rho) if plus else power
+    if kept.any():
+        return _series(abs(delta[kept][0]) ** 2, (pot.omega + pot.rho) / 2)
+    return 0.0
+
+
+def _edge_selfflip_power(pot: _EdgePotentials, delta: np.ndarray, zero_tol: float) -> float:
+    """P of the feasible self-flip network of the same state: delta[0] enters
+    at v and leaves at u of g without the edge, whose resistance between u
+    and v is omega / (1 - omega) (a unit resistor in parallel gives omega)."""
+    weight = abs(delta[0]) ** 2 if abs(delta[0]) > check_tolerance(zero_tol) else 0.0
+    return _series(weight, pot.omega)
 
 
 # ======================================================================================
@@ -561,30 +748,3 @@ def localization_verdict(omega: float) -> str:
     """Verdict string for a resistance distance between the relevant
     terminals: below 1/2 certifies (oscillatory) localization."""
     return CERTIFIED if omega < 0.5 else NOT_CERTIFIED
-
-
-# ======================================================================================
-# Thomson-principle test support
-# ======================================================================================
-
-
-def random_resistor_circulation(
-    net: ElectricNetwork, rng: np.random.Generator
-) -> np.ndarray | None:
-    """Random circulation supported on the resistor edges, of norm
-    CIRCULATION_SCALE.
-
-    Projects a random per-edge vector onto the kernel of the incidence map
-    (conservation at every node); returns None when the resistor graph is a
-    forest and therefore carries no circulation at all.
-    """
-    count = len(net.resistor_edges)
-    if count == 0:
-        return None
-    raw = rng.standard_normal(count)
-    tails, heads = net.resistor_edges.T
-    projected = circulation_projection(net.node_count, tails, heads, raw)
-    nrm = float(np.linalg.norm(projected))
-    if nrm <= 1e-9:
-        return None
-    return projected * (CIRCULATION_SCALE / nrm)

@@ -15,12 +15,24 @@ Negative bounds are vacuous but reported as-is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .electric import circulation_projection
+from .electric import (
+    ZERO_AMPLITUDE_TOL,
+    _balanced_roots,
+    _edge_double_power,
+    _edge_potentials,
+    _edge_selfflip_power,
+    _EdgePotentials,
+    _g_potentials,
+    network_from_selfflip_state,
+    network_from_state_double,
+    solve_network,
+)
 from .graphs import Graph, bipartite_partition
 from .walk import (
     ArcState,
@@ -30,6 +42,7 @@ from .walk import (
     dense_walk_matrix,
     ensure_normalized,
     is_flip_state,
+    is_selfflip_state,
     overlap,
     uniform_state,
 )
@@ -38,11 +51,13 @@ __all__ = [
     "CapacityError",
     "Decomposition",
     "BoundReport",
+    "Certificate",
     "OverlapSeries",
     "is_flip_state",
     "flip_projection",
     "uniform_coefficients",
     "decompose",
+    "certify",
     "oscillation_bounds",
     "measured_overlaps",
     "one_eigenspace_u2",
@@ -70,6 +85,18 @@ class Decomposition:
     flip_component: ArcState
     uniform_component: ArcState
     remainder_component: ArcState
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A decomposition with the powers of the state's electric networks:
+    `power_double` on the bipartite double and, for a self-flip state,
+    `power_selfflip` on g itself (else None); +inf marks a network that
+    carries no steady current."""
+
+    decomposition: Decomposition
+    power_double: float
+    power_selfflip: float | None
 
 
 @dataclass(frozen=True)
@@ -105,14 +132,26 @@ class OverlapSeries:
 # sums become the net outflows at u_out and v_in, so the flip states are
 # exactly the circulations of the double (the paper's flip-state <->
 # circulation bijection).  Their orthogonal complement is the cut space, the
-# potential drops x[u] - x[n + v].  Inject psi's own net outflows (+psi at
-# u_out, -psi at v_in) into the network: the Kirchhoff currents are the
-# potential-drop flow with that divergence, the least-energy one by Thomson's
-# principle, and hence the orthogonal projection of psi onto the cut space.
-# The flip component is psi minus those currents, from one grounded Laplacian
-# solve on the double.  Equivalently, the Gram matrix I + A_D/d of the 2n
-# normalized out/in indicators is sign-similar to L_D/d, the double's
-# Laplacian, because the double is bipartite.
+# potential drops x[u_out] - x[v_in].  By Thomson's principle the Kirchhoff
+# current of psi's own divergence is the orthogonal projection of psi onto
+# the cut space, and the flip part is psi minus that current.
+#
+# The double's Laplacian is never assembled.  Let o be psi's divergence at
+# the out-nodes (psi summed over the arcs leaving each vertex) and i the one
+# at the in-nodes (minus psi summed over the arcs entering it).  The change
+# of variables that splits the double's Laplacian into L (+) Q (see
+# electric.resistance_distance) turns the double's solve into L p = o + i
+# and Q q = o - i on g's own vertices, one block-diagonal system, and the
+# current on arc (u, v) is (p_u - p_v + q_u + q_v) / 2.
+#
+# A state on the two arcs of one edge {u, v}, with delta_0 on (u, v) and
+# delta_1 on (v, u), has o + i = (delta_0 - delta_1)(e_u - e_v) and
+# o - i = (delta_0 + delta_1)(e_u + e_v).  So the potentials of e_u - e_v
+# under L and of e_u + e_v under Q give its flip part and, in `certify`, the
+# powers of its networks (electric's transfer-current block).  A self-flip
+# state has delta_1 = -delta_0 and needs no Q solve, and on a bipartite g the
+# Q potentials are the L ones turned by the coloring: either way the state
+# costs one L solve on g's n vertices.
 
 
 def flip_projection(state: ArcState) -> tuple[float, ArcState]:
@@ -123,15 +162,55 @@ def flip_projection(state: ArcState) -> tuple[float, ArcState]:
     |<state|phi>|^2, attained by the normalized flip component.
     """
     psi = ensure_normalized(state)
-    flip_amps = _flip_part(psi.graph, psi.amplitudes)
+    flip_amps = _flip_amplitudes(psi)
     alpha_sq = float(np.vdot(flip_amps, flip_amps).real)
     return alpha_sq, ArcState(psi.graph, flip_amps)
 
 
+def _flip_amplitudes(psi: ArcState) -> np.ndarray:
+    edge = _support_edge(psi.amplitudes)
+    if edge is None:
+        return _flip_part(psi.graph, psi.amplitudes)
+    return _edge_flip(psi.graph, edge, psi.amplitudes, _solve_edge(psi.graph, edge, psi.amplitudes))
+
+
 def _flip_part(g: Graph, flows: np.ndarray) -> np.ndarray:
     """Flip part of one arc vector, or of each column of an (arc_count, k)
-    block: the circulation projection on the double's edges (u, n + v)."""
-    return circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, flows, g.double_roots)
+    block, from one block-diagonal L and Q solve on g; a real flow gives a
+    real flip part."""
+    block = flows.reshape(g.arc_count, -1)
+    outs = block[g.out_arcs].sum(axis=1)
+    ins = block[g.out_arcs ^ 1].sum(axis=1)
+    p, q = _g_potentials(g, outs - ins, outs + ins)
+    return (block - _currents(g, p, q)).reshape(flows.shape)
+
+
+def _currents(g: Graph, p: np.ndarray, q: np.ndarray | None) -> np.ndarray:
+    """(p_u - p_v + q_u + q_v) / 2 on every arc (u, v); q = None counts as 0."""
+    tails, heads = g.arc_tails, g.arc_heads
+    drops = p[tails] - p[heads]
+    if q is not None:
+        drops += q[tails] + q[heads]
+    return drops / 2
+
+
+def _support_edge(amps: np.ndarray) -> int | None:
+    """The edge whose two arcs hold every nonzero amplitude, or None."""
+    nonzero = np.flatnonzero(amps)
+    if nonzero.size and nonzero[0] // 2 == nonzero[-1] // 2:
+        return int(nonzero[0] // 2)
+    return None
+
+
+def _solve_edge(g: Graph, edge: int, amps: np.ndarray) -> _EdgePotentials:
+    u, v = g.edges[edge].tolist()
+    return _edge_potentials(g, u, v, signless=bool(amps[2 * edge] + amps[2 * edge + 1] != 0))
+
+
+def _edge_flip(g: Graph, edge: int, amps: np.ndarray, pot: _EdgePotentials) -> np.ndarray:
+    delta_0, delta_1 = amps[2 * edge], amps[2 * edge + 1]
+    q = None if pot.y is None else (delta_0 + delta_1) * pot.y
+    return amps - _currents(g, (delta_0 - delta_1) * pot.x, q)
 
 
 def _uniform_states(g: Graph) -> list[ArcState]:
@@ -162,18 +241,56 @@ def uniform_coefficients(state: ArcState) -> tuple[float, ArcState]:
 def decompose(state: ArcState) -> Decomposition:
     """Split a normalized state into flip + uniform + remainder parts."""
     psi = ensure_normalized(state)
-    alpha_sq, flip_component = flip_projection(psi)
+    return _decomposition(psi, _flip_amplitudes(psi))
+
+
+def _decomposition(psi: ArcState, flip_amps: np.ndarray) -> Decomposition:
+    alpha_sq = float(np.vdot(flip_amps, flip_amps).real)
     beta_sq, uniform_component = uniform_coefficients(psi)
-    remainder = psi.amplitudes - flip_component.amplitudes - uniform_component.amplitudes
+    remainder = psi.amplitudes - flip_amps - uniform_component.amplitudes
     gamma_sq = float(np.vdot(remainder, remainder).real)
     return Decomposition(
         alpha_sq=alpha_sq,
         beta_sq=beta_sq,
         gamma_sq=gamma_sq,
-        flip_component=flip_component,
+        flip_component=ArcState(psi.graph, flip_amps),
         uniform_component=uniform_component,
         remainder_component=ArcState(psi.graph, remainder),
     )
+
+
+def certify(
+    state: ArcState, zero_tol: float = ZERO_AMPLITUDE_TOL, flip_tol: float = 1e-9
+) -> Certificate:
+    """decompose(state) with the power of
+    solve_network(network_from_state_double(state, zero_tol)) and, when the
+    state is a self-flip state within flip_tol, of
+    solve_network(network_from_selfflip_state(state, zero_tol, flip_tol)).
+
+    A state on the two arcs of one edge takes all three from the same L
+    solve and at most one Q solve on g: each network is still labeled for
+    feasibility, but none is solved.  Any other state solves its networks.
+    """
+    psi = ensure_normalized(state)
+    g, amps = psi.graph, psi.amplitudes
+    edge = _support_edge(amps)
+    pot = None if edge is None else _solve_edge(g, edge, amps)
+
+    def power(net, edge_power) -> float:
+        if pot is None:
+            return solve_network(net).power
+        if _balanced_roots(net) is None:
+            return math.inf
+        return edge_power(pot, amps[2 * edge : 2 * edge + 2], zero_tol)
+
+    power_double = power(network_from_state_double(psi, zero_tol), _edge_double_power)
+    flip_amps = _flip_part(g, amps) if pot is None else _edge_flip(g, edge, amps, pot)
+    power_selfflip = None
+    if is_selfflip_state(state, flip_tol):
+        power_selfflip = power(
+            network_from_selfflip_state(psi, zero_tol, flip_tol), _edge_selfflip_power
+        )
+    return Certificate(_decomposition(psi, flip_amps), power_double, power_selfflip)
 
 
 def oscillation_bounds(dec: Decomposition) -> BoundReport:

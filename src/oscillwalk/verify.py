@@ -21,13 +21,13 @@ from .electric import (
     ElectricNetwork,
     FlowSolution,
     bounds_from_power,
+    circulation_projection,
     circulation_to_flip,
     completed_circulation,
     flip_to_circulation,
     network_from_state_double,
     parallel_resistance_identity,
     paths_resistance_bound,
-    random_resistor_circulation,
     resistance_distance,
     solve_network,
 )
@@ -86,6 +86,33 @@ def random_state(g: Graph, rng: np.random.Generator, real: bool = False) -> ArcS
     return ArcState(g, amps / np.linalg.norm(amps))
 
 
+# Norm of the random circulations that perturb Kirchhoff currents in the
+# Thomson-minimality checks.
+CIRCULATION_SCALE = 1e-3
+
+
+def random_resistor_circulation(
+    net: ElectricNetwork, rng: np.random.Generator
+) -> np.ndarray | None:
+    """Random circulation supported on the resistor edges, of norm
+    CIRCULATION_SCALE.
+
+    Projects a random per-edge vector onto the kernel of the incidence map
+    (conservation at every node); returns None when the resistor graph is a
+    forest and therefore carries no circulation at all.
+    """
+    count = len(net.resistor_edges)
+    if count == 0:
+        return None
+    raw = rng.standard_normal(count)
+    tails, heads = net.resistor_edges.T
+    projected = circulation_projection(net.node_count, tails, heads, raw)
+    nrm = float(np.linalg.norm(projected))
+    if nrm <= 1e-9:
+        return None
+    return projected * (CIRCULATION_SCALE / nrm)
+
+
 def random_flip_state(g: Graph, rng: np.random.Generator) -> ArcState:
     """Normalized flip component of a random state."""
     _, component = flip_projection(random_state(g, rng))
@@ -94,7 +121,7 @@ def random_flip_state(g: Graph, rng: np.random.Generator) -> ArcState:
 
 def flip_projector(g: Graph) -> np.ndarray:
     """Dense (arcs x arcs) flip projector: every basis arc state projected
-    by flip_projection's route, as one block of flows on the double."""
+    as one block of flows by one block-diagonal L and Q solve on g."""
     return _flip_part(g, np.eye(g.arc_count))
 
 
@@ -281,6 +308,18 @@ def assert_completed_flow_norm_identity(psi: ArcState) -> None:
     assert lower <= alpha_sq + 1e-9
 
 
+def assert_single_arc_equality(g: Graph) -> None:
+    """An edge state's electric bound is tight on every graph: for |uv> on
+    every arc, 1/(1 + P) from the double network, solved on the 2n-node
+    double, equals the exact alpha_sq."""
+    for a in range(g.arc_count):
+        u, v = g.arc_endpoints(a)
+        psi = basis_arc_state(g, u, v)
+        lower, _ = bounds_from_power(solve_network(network_from_state_double(psi)).power, "double")
+        alpha_sq, _ = flip_projection(psi)
+        assert abs(lower - alpha_sq) <= 1e-9, (u, v, lower, alpha_sq)
+
+
 def assert_circulation_roundtrip(phi: ArcState) -> None:
     g = phi.graph
     back = circulation_to_flip(g, flip_to_circulation(g, phi))
@@ -422,6 +461,7 @@ CHECKS = {
     ),
     "reference_table_reproduction": assert_reference_table,
     "shift_involution": lambda: _each(assert_shift_involution, _zoo_states(13)),
+    "single_arc_equality": lambda: _each(assert_single_arc_equality, _zoo()),
     "thomson_minimality": lambda: assert_thomson(
         _edge_network(complete_graph(5)), np.random.default_rng(19), 20
     ),

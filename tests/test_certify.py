@@ -1,0 +1,256 @@
+"""Bounds and flip projections on g's own L and Q, against the 2n-node oracle.
+
+`certify` and `decompose` solve a state's systems on the base graph: one
+block-diagonal solve of L and Q for any state and, for a state on the two
+arcs of one edge, the transfer-current block (one L solve, plus a Q solve
+only on a component with an odd cycle).  The oracle is the path that builds
+the double's networks and flows: `solve_network` on
+`network_from_state_double` and `network_from_selfflip_state`, and
+`circulation_projection` on the double's edges.
+"""
+
+import functools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from oscillwalk import (
+    ArcState,
+    basis_arc_state,
+    bounds_from_power,
+    certify,
+    complete_graph,
+    cycle_graph,
+    decompose,
+    graph_from_edge_list,
+    hypercube_graph,
+    is_selfflip_state,
+    network_from_selfflip_state,
+    network_from_state_double,
+    random_regular_graph,
+    solve_network,
+    torus_graph,
+    write_state_csv,
+)
+from oscillwalk import electric
+from oscillwalk.cli import main
+from oscillwalk.verify import random_state
+
+RTOL = 1e-10
+
+
+def selfflip_state(g, u, v):
+    amps = basis_arc_state(g, u, v).amplitudes - basis_arc_state(g, v, u).amplitudes
+    return ArcState(g, amps / np.sqrt(2))
+
+
+def pair_state(g, edge, rng):
+    """Complex amplitudes on both arcs of one edge."""
+    amps = np.zeros(g.arc_count, dtype=complex)
+    amps[2 * edge : 2 * edge + 2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return ArcState(g, amps / np.linalg.norm(amps))
+
+
+def assert_matches_oracle(psi):
+    """certify(psi) and decompose(psi) against the 2n-node networks and the
+    circulation projection on the double's edges, within RTOL relative (the
+    flip part relative to the unit state)."""
+    g = psi.graph
+    flip = electric.circulation_projection(
+        2 * g.n, g.arc_tails, g.n + g.arc_heads, psi.amplitudes, g.double_roots
+    )
+    double = solve_network(network_from_state_double(psi)).power
+    selfflip = None
+    if is_selfflip_state(psi):
+        selfflip = solve_network(network_from_selfflip_state(psi)).power
+
+    cert = certify(psi)
+    dec = cert.decomposition
+    assert np.linalg.norm(dec.flip_component.amplitudes - flip) <= RTOL
+    assert dec.alpha_sq == pytest.approx(float(np.vdot(flip, flip).real), rel=RTOL, abs=1e-14)
+    assert cert.power_double == pytest.approx(double, rel=RTOL, abs=1e-14)
+    if selfflip is None:
+        assert cert.power_selfflip is None
+    else:
+        assert cert.power_selfflip == pytest.approx(selfflip, rel=RTOL, abs=1e-14)
+    assert np.array_equal(decompose(psi).flip_component.amplitudes, dec.flip_component.amplitudes)
+    return cert
+
+
+@pytest.mark.parametrize("n", [101, 201])
+def test_long_cycles_where_the_block_is_nearly_singular(n):
+    # On C_n, omega(u, v) = (n - 1)/n and omega_double = (2n - 1)/(2n) for odd
+    # n: lambda_min(I - K) is 1/(2n), so P carries ~2n eps relative error.
+    g = cycle_graph(n)
+    for u, v in [(0, 1), (n // 2, n // 2 + 1), (n - 1, 0)]:
+        for psi in (basis_arc_state(g, u, v), basis_arc_state(g, v, u)):
+            cert = assert_matches_oracle(psi)
+            assert cert.power_double == pytest.approx(2 * n - 1, rel=RTOL)
+        cert = assert_matches_oracle(selfflip_state(g, u, v))
+        assert cert.power_double == pytest.approx(n - 1, rel=RTOL)
+        assert cert.power_selfflip == pytest.approx((n - 1) / 2, rel=RTOL)
+
+
+BRIDGE_EDGES = """\
+# 3-regular, two K_4 minus an edge, each closed by a vertex (4, 9) that
+# also holds the bridge 4 - 9
+0 1
+0 2
+0 3
+1 2
+1 3
+2 4
+3 4
+5 6
+5 7
+5 8
+6 7
+6 8
+7 9
+8 9
+4 9
+"""
+
+
+def test_states_on_a_bridge_keep_their_verdicts(tmp_path):
+    path = tmp_path / "bridge.txt"
+    path.write_text(BRIDGE_EDGES)
+    g = graph_from_edge_list(str(path))
+    assert g.degree == 3 and g.num_components == 1
+    # An edge state leaves the reverse arc in the double, so its network is
+    # feasible; a self-flip state takes both arcs out and cuts the double
+    # (and g) in two, so both of its networks are infeasible.
+    for u, v in [(4, 9), (9, 4)]:
+        cert = assert_matches_oracle(basis_arc_state(g, u, v))
+        assert cert.power_double == pytest.approx(5.0, rel=RTOL)
+        cert = assert_matches_oracle(selfflip_state(g, u, v))
+        assert cert.power_double == cert.power_selfflip == float("inf")
+        assert cert.decomposition.alpha_sq <= 1e-14
+
+
+def test_selfflip_states_on_a_cg_sized_torus(monkeypatch):
+    g = torus_graph(2, 12)
+    assert g.n - 1 > electric._DENSE_MAX_NODES
+    solved = []
+    pcg = electric._pcg
+    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    for u, v in [(0, 1), (5, 17), (143, 131)]:
+        psi = selfflip_state(g, u, v)
+        solved.clear()
+        certify(psi)
+        assert solved == [g.n - 1]
+        assert_matches_oracle(psi)
+
+
+ZOO = [
+    complete_graph(6),
+    cycle_graph(9),
+    hypercube_graph(3),
+    torus_graph(2, 5),
+    torus_graph(2, 12),
+    random_regular_graph(30, 3, seed=2),
+    random_regular_graph(200, 5, seed=3),
+]
+
+
+@pytest.mark.parametrize("g", ZOO, ids=lambda g: g.name)
+def test_random_complex_states_match_the_oracle(g):
+    rng = np.random.default_rng(g.n)
+    for _ in range(3):
+        assert_matches_oracle(random_state(g, rng))
+        assert_matches_oracle(random_state(g, rng, real=True))
+        assert_matches_oracle(pair_state(g, int(rng.integers(len(g.edges))), rng))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(4, 2000), d=st.integers(3, 5), seed=st.integers(0, 2**16))
+@example(n=2000, d=5, seed=11)
+@example(n=1999, d=4, seed=12)
+def test_random_regular_single_edge_states_match_the_oracle(n, d, seed):
+    assume(d < n and n * d % 2 == 0)
+    g = random_regular_graph(n, d, seed=seed)
+    u, v = g.arc_endpoints(seed % g.arc_count)
+    cert = assert_matches_oracle(basis_arc_state(g, u, v))
+    lower, _ = bounds_from_power(cert.power_double, "double")
+    assert lower == pytest.approx(cert.decomposition.alpha_sq, rel=1e-9)
+    assert_matches_oracle(selfflip_state(g, u, v))
+    assert_matches_oracle(pair_state(g, g.edge_id(u, v), np.random.default_rng(seed)))
+
+
+def run_recording(argv, monkeypatch, capsys):
+    """Run the CLI, recording the unknowns of every CG solve and every
+    assembly of a network's (irregular) Laplacian."""
+    solved, networks = [], []
+    pcg, laplacian = electric._pcg, electric._laplacian
+    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    monkeypatch.setattr(
+        electric, "_laplacian", lambda *args, **kw: networks.append(args[0]) or laplacian(*args, **kw)
+    )
+    code = main(argv)
+    capsys.readouterr()
+    return code, solved, networks
+
+
+@pytest.mark.parametrize(
+    "spec,state,solves",
+    [
+        ("hypercube:8", "edge:0:1", [255]),  # bipartite: y = S_u S x, one L solve
+        ("hypercube:8", "selfflip:3:7", [255]),
+        ("torus:2:24", "edge:0:1", [575]),
+        ("torus:2:24", "selfflip:0:24", [575]),
+        ("torus:2:13", "selfflip:0:1", [168]),  # odd cycles, but no Q right-hand side
+        ("torus:2:13", "edge:0:1", [168 + 169]),  # one block-diagonal L and Q solve
+    ],
+)
+@pytest.mark.parametrize("command", ["bounds", "decompose"])
+def test_single_edge_states_take_one_cg_solve_on_g(command, spec, state, solves, monkeypatch,
+                                                  capsys):
+    argv = [command, "--graph", spec, "--state", state]
+    code, solved, networks = run_recording(argv, monkeypatch, capsys)
+    assert (code, solved, networks) == (0, solves, [])
+
+
+def test_decompose_of_a_wide_state_assembles_no_double(monkeypatch, capsys, tmp_path):
+    # torus 2:12 is bipartite: L and Q are each grounded at vertex 0, so the
+    # block has 2 * 143 unknowns, one CG solve per real and imaginary part.
+    g = torus_graph(2, 12)
+    path = tmp_path / "state.csv"
+    write_state_csv(random_state(g, np.random.default_rng(42)), str(path))
+    argv = ["decompose", "--graph", "torus:2:12", "--state", f"csv:{path}"]
+    code, solved, networks = run_recording(argv, monkeypatch, capsys)
+    assert (code, solved, networks) == (0, [286, 286], [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--graph", "torus:2:12", "--state", "selfflip:0:1"],
+        ["bounds", "--graph", "torus:2:13", "--state", "edge:0:1", "--format", "csv"],
+        ["decompose", "--graph", "hypercube:8", "--state", "edge:0:1"],
+    ],
+)
+def test_unconverged_solve_on_g_exits_four(argv, monkeypatch, capsys):
+    monkeypatch.setattr(electric, "_pcg", functools.partial(electric._pcg, max_iter=1))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("error: conjugate gradients did not converge in 1 iterations")
+    assert err.count("\n") == 1
+
+
+def test_bounds_json_on_a_bridge_reports_both_networks_infeasible(tmp_path, capsys):
+    path = tmp_path / "bridge.txt"
+    path.write_text(BRIDGE_EDGES)
+    code = main(["bounds", "--graph", f"edge_list:{path}", "--state", "selfflip:4:9"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0
+    for network, mode in (("double", "double"), ("selfflip", "selfflip")):
+        assert record[network] == {
+            "feasible": False,
+            "power": None,
+            "alpha_lower": bounds_from_power(float("inf"), mode)[0],
+            "overlap_lower": -1.0,
+        }

@@ -232,15 +232,15 @@ def test_resistance_assembles_one_laplacian_and_a_signless_one_if_odd(spec, pair
     expected = run_cli(["resistance", "--graph", spec, "--pair", pair], capsys)
     assembled = []
 
-    def recording(node_count, tails, heads, free, off_diagonal=-1.0, *, dense=False):
-        assembled.append((node_count, free.size, off_diagonal))
-        return laplacian(node_count, tails, heads, free, off_diagonal, dense=dense)
+    def recording(g, blocks, *, dense=False):
+        assembled.extend((g.n, free.size, signless) for free, signless in blocks)
+        return laplacian(g, blocks, dense=dense)
 
-    laplacian = electric._laplacian
-    monkeypatch.setattr(electric, "_laplacian", recording)
+    laplacian = electric._g_laplacian
+    monkeypatch.setattr(electric, "_g_laplacian", recording)
     assert run_cli(["resistance", "--graph", spec, "--pair", pair], capsys) == expected
     # L grounded at one node, then Q on a's whole component when it has an odd cycle.
-    assert assembled == [(n, n - 1, -1.0)] + ([(n, n, 1.0)] if odd else [])
+    assert assembled == [(n, n - 1, False)] + ([(n, n, True)] if odd else [])
 
 
 def test_resistance_pair_in_different_copies_of_the_double_exits_one(capsys):

@@ -32,7 +32,6 @@ from oscillwalk import (
     parallel_resistance_identity,
     paths_resistance_bound,
     random_regular_graph,
-    random_resistor_circulation,
     resistance_distance,
     resistance_distances,
     solve_network,
@@ -51,6 +50,7 @@ from oscillwalk.verify import (
     assert_parallel_combination,
     assert_thomson,
     random_flip_state,
+    random_resistor_circulation,
     random_state,
 )
 
@@ -344,6 +344,28 @@ def test_dense_laplacian_is_the_sparse_one_bit_for_bit(case, off_diagonal):
     assert isinstance(dense, np.ndarray)
     assert dense.dtype == sparse.dtype and dense.shape == sparse.shape == (free.size, free.size)
     assert dense.tobytes() == sparse.tobytes()
+
+
+@pytest.mark.parametrize(
+    "g", [complete_graph(7), hypercube_graph(4), torus_graph(2, 5), cycle_graph(9)],
+    ids=lambda g: g.name,
+)
+def test_laplacians_of_g_match_the_edge_list_assembly_bit_for_bit(g):
+    # L grounded at vertex 0 and Q on every vertex (grounded at 0 too when g
+    # is bipartite), alone and as the blocks of diag(L, Q): the numpy array,
+    # the CSR read off g.adjacency and the COO route from g's edge list agree.
+    free_l = np.arange(1, g.n)
+    free_q = free_l if bipartite_partition(g) is not None else np.arange(g.n)
+    coo = [electric._laplacian(g.n, *g.edges.T, free, sign).toarray()
+           for free, sign in ((free_l, -1.0), (free_q, 1.0))]
+    for blocks, expected in (([(free_l, False)], coo[0]), ([(free_q, True)], coo[1]),
+                             ([(free_l, False), (free_q, True)], np.block(
+                                 [[coo[0], np.zeros((free_l.size, free_q.size))],
+                                  [np.zeros((free_q.size, free_l.size)), coo[1]]]))):
+        sparse = electric._g_laplacian(g, blocks)
+        assert sparse.has_sorted_indices
+        assert electric._g_laplacian(g, blocks, dense=True).tobytes() == expected.tobytes()
+        assert sparse.toarray().tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("unknowns", [128, 129])

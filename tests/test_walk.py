@@ -33,6 +33,7 @@ from oscillwalk import (
     walk_step,
     write_state_csv,
 )
+from oscillwalk.walk import UNIT_NORM_SLACK
 from oscillwalk.verify import (
     assert_bipartite_alternation,
     assert_coin_involution,
@@ -474,6 +475,33 @@ def test_normalization_gate():
         ensure_normalized(far)
     with pytest.raises(ValueError, match="norm"):
         evolve(far, 1)
+
+
+def test_norm_within_a_few_ulp_is_not_copied():
+    g = complete_graph(6)
+    psi = random_state(g, np.random.default_rng(40))
+    assert psi.norm() != 1.0 and abs(psi.norm() - 1.0) <= UNIT_NORM_SLACK
+    assert ensure_normalized(psi) is psi
+    off = ArcState(g, psi.amplitudes * (1 + 1e-12))
+    copied = ensure_normalized(off)
+    assert copied is not off and abs(copied.norm() - 1.0) <= UNIT_NORM_SLACK
+
+
+def test_measured_overlaps_peak_holds_no_renormalized_copy():
+    # On torus 2:100 (40,000 arcs) a complex state normalized to the last
+    # ulp walks without the copy that a norm off by 1e-12 still costs: the
+    # tracemalloc peak of measured_overlaps differs by one state vector.
+    g = torus_graph(2, 100)
+    psi = random_state(g, np.random.default_rng(41))
+    assert psi.norm() != 1.0
+    peaks = []
+    for state in (psi, ArcState(g, psi.amplitudes * (1 + 1e-12))):
+        tracemalloc.start()
+        measured_overlaps(state, 4)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    vector = psi.amplitudes.nbytes
+    assert abs(peaks[1] - peaks[0] - vector) <= 0.05 * vector
 
 
 # ---- serialization ---------------------------------------------------------------------------
