@@ -132,6 +132,109 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)  # repr(np.float64) would be 'np.float64(...)'
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: str, float, bool, None and int keys
+    become strings, any other key type raises its TypeError."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _json_float(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        name = key.__class__.__name__
+        raise TypeError(f"keys must be str, int, float, bool or None, not {name}")
+    return json.encoder.encode_basestring_ascii(key)
+
+
+def _json_chunks(obj, nl: str, out: list[str]) -> None:
+    """Append the JSON text of `obj` to `out`; `nl` is a newline followed by
+    the indentation of the line `obj` starts on.  The type tests run in
+    json's order, so a bool is never written as an int."""
+    if isinstance(obj, str):
+        out.append(json.encoder.encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            sep = "," + inner
+            _json_chunks(item, inner, out)
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _json_key(key) + ": ")
+            sep = "," + inner
+            _json_chunks(value, inner, out)
+        out.append(nl + "}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
+        _complex_pairs(obj, nl, out)
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _complex_pairs(values: np.ndarray, nl: str, out: list[str]) -> None:
+    """A complex vector as the list of its [re, im] pairs, one f-string per pair."""
+    re, im = values.real.tolist(), values.imag.tolist()
+    if not values.size or not np.isfinite(values).all():
+        # empty, or NaN and the infinities, which take json's spellings
+        _json_chunks([[r, i] for r, i in zip(re, im)], nl, out)
+        return
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    out.append("[" + i1)
+    out.append(f",{i1}".join([f"[{i2}{r!r},{i2}{i!r}{i1}]" for r, i in zip(re, im)]))
+    out.append(nl + "]")
+
+
+def _json_document(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` and a newline, byte for byte.
+
+    Python's json module runs its pure-Python encoder whenever `indent` is
+    set; this one appends strings to one list and joins it once.  It also
+    takes a 1-D complex numpy array, written as the list of its [re, im]
+    pairs; any other value json.dumps rejects raises the same TypeError.
+    """
+    out: list[str] = []
+    _json_chunks(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def _dump_network(net: ElectricNetwork, path: str) -> None:
     payload = {
         "node_count": net.node_count,
@@ -142,12 +245,7 @@ def _dump_network(net: ElectricNetwork, path: str) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _component_json(state: ArcState) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+        fh.write(_json_document(payload))
 
 
 # ======================================================================================
@@ -166,21 +264,21 @@ def _cmd_simulate(args) -> int:
     series = measured_overlaps(psi0, args.t_max)
     if args.format == "json":
         payload = {
-            "even_overlaps": [float(x) for x in series.even_overlaps],
-            "odd_overlaps": [float(x) for x in series.odd_overlaps],
+            "even_overlaps": series.even_overlaps.tolist(),
+            "odd_overlaps": series.odd_overlaps.tolist(),
             "even_bound": report.even_bound,
             "odd_bound": report.odd_bound,
         }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        _write(_json_document(payload), args.output)
         return 0
-    lines = ["t,overlap_even,overlap_odd,bound_even,bound_odd"]
-    for t in range(args.t_max + 1):
-        if t % 2 == 0:
-            even, odd = _fmt(series.even_overlaps[t // 2]), ""
-        else:
-            even, odd = "", _fmt(series.odd_overlaps[t // 2])
-        lines.append(f"{t},{even},{odd},{_fmt(report.even_bound)},{_fmt(report.odd_bound)}")
-    _write("\n".join(lines) + "\n", args.output)
+    # overlaps are finite moduli, so .9g prints them as _fmt does
+    bounds = f",{_fmt(report.even_bound)},{_fmt(report.odd_bound)}\n"
+    even = series.even_overlaps.tolist()
+    odd = series.odd_overlaps.tolist()
+    rows = [""] * (args.t_max + 1)
+    rows[0::2] = [f"{2 * k},{x:.9g},{bounds}" for k, x in enumerate(even)]
+    rows[1::2] = [f"{2 * k + 1},,{x:.9g}{bounds}" for k, x in enumerate(odd)]
+    _write("t,overlap_even,overlap_odd,bound_even,bound_odd\n" + "".join(rows), args.output)
     return 0
 
 
@@ -201,11 +299,11 @@ def _cmd_decompose(args) -> int:
         "alpha_sq": dec.alpha_sq,
         "beta_sq": dec.beta_sq,
         "gamma_sq": dec.gamma_sq,
-        "flip_component": _component_json(dec.flip_component),
-        "uniform_component": _component_json(dec.uniform_component),
-        "remainder_component": _component_json(dec.remainder_component),
+        "flip_component": dec.flip_component.amplitudes,
+        "uniform_component": dec.uniform_component.amplitudes,
+        "remainder_component": dec.remainder_component.amplitudes,
     }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    _write(_json_document(payload), args.output)
     return 0
 
 
@@ -242,7 +340,7 @@ def _cmd_resistance(args) -> int:
         ]
         _write("\n".join(lines) + "\n", args.output)
         return 0
-    _write(json.dumps(record, indent=2, sort_keys=True) + "\n", args.output)
+    _write(_json_document(record), args.output)
     return 0
 
 
@@ -295,7 +393,7 @@ def _cmd_bounds(args) -> int:
             ]
         _write(",".join(head) + "\n" + ",".join(row) + "\n", args.output)
         return 0
-    _write(json.dumps(record, indent=2, sort_keys=True) + "\n", args.output)
+    _write(_json_document(record), args.output)
     return 0
 
 
@@ -337,7 +435,7 @@ def _cmd_table1(args) -> int:
                 for r in rows
             ],
         }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        _write(_json_document(payload), args.output)
         return 0
     lines = [
         f"# table1 n={args.n} t_max={args.t_max}",

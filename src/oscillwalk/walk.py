@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-9
+# read_state_csv splits a state file in blocks of about this many characters
+# (some 20k rows), which bounds the memory its field strings take.
+_BLOCK_CHARS = 1 << 20
 # A norm this close to 1 is 1 up to the rounding of the sum that computed
 # it: dividing by it would move the amplitudes by as little and cost a copy.
 UNIT_NORM_SLACK = 4 * np.finfo(np.float64).eps
@@ -324,15 +327,96 @@ def dense_walk_matrix(g: Graph) -> np.ndarray:
 
 
 def write_state_csv(state: ArcState, path: str) -> None:
+    """Write (arc_id, re, im) rows in arc order after an arc_id,re,im header,
+    with repr(float) text and the \\r\\n line ends of the csv module."""
+    re, im = state.amplitudes.real.tolist(), state.amplitudes.imag.tolist()
+    rows = [f"{a},{r!r},{i!r}\r\n" for a, (r, i) in enumerate(zip(re, im))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arc_id", "re", "im"])
-        for a, amp in enumerate(state.amplitudes):
-            writer.writerow([a, repr(float(amp.real)), repr(float(amp.imag))])
+        fh.write("arc_id,re,im\r\n" + "".join(rows))
 
 
 def read_state_csv(g: Graph, path: str) -> ArcState:
-    """Read a state previously written by write_state_csv (header optional)."""
+    """Read a state of (arc_id, re, im) rows, one per arc in any order.
+
+    A row whose first field is arc_id is a header, one whose first field
+    starts with # after leading blanks is a comment; both are skipped, as are
+    blank lines.  Every other row must hold an arc id in range and two floats,
+    and every arc exactly one row.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            amps = _read_state_columns(fh, g.arc_count)
+    except UnicodeDecodeError:
+        amps = None  # the row reader raises it unless a row before it has a fault
+    if amps is None:
+        return _read_state_rows(g, path)
+    return ArcState(g, amps)
+
+
+def _read_state_columns(fh, arc_count: int) -> np.ndarray | None:
+    """The amplitudes a state file holds, or None where it has a fault or
+    needs the csv module's parsing (quotes, NUL, huge fields).
+
+    Without quotes csv.reader splits rows at line ends and fields at commas,
+    so str methods split the text here and int and float convert whole
+    columns.  The file is read in blocks of whole lines, so the strings of
+    one block at a time are alive.
+    """
+    limit = csv.field_size_limit()
+    ids = np.empty(arc_count, dtype=np.int64)
+    values = np.empty(arc_count, dtype=np.complex128)
+    rows = 0
+    while block := fh.read(_BLOCK_CHARS):
+        block += fh.readline()  # the rest of the line the block cut
+        if '"' in block or "\0" in block:
+            return None
+        # csv.reader ends a row at \r\n, \r and \n alike
+        lines = block.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if max(map(len, lines)) > limit:
+            return None
+        if not lines[-1]:
+            lines.pop()  # the end of the block's last line
+        if lines and lines[0].partition(",")[0] == "arc_id":
+            del lines[0]  # a header on top, the one skipped row of most files
+        if "#" in block or block.find("arc_id", 1) >= 0 or "" in lines:
+            lines = [
+                line
+                for line in lines
+                if line
+                and line.partition(",")[0] != "arc_id"
+                and not line.lstrip().startswith("#")
+            ]
+        if not lines:
+            continue
+        stop = rows + len(lines)
+        if stop > arc_count or set(map(str.count, lines, [","] * len(lines))) != {2}:
+            return None
+        fields = ",".join(lines).split(",")
+        try:
+            block_ids = list(map(int, fields[0::3]))
+            re = np.array(list(map(float, fields[1::3])))
+            im = np.array(list(map(float, fields[2::3])))
+        except ValueError:
+            return None
+        if min(block_ids) < 0 or max(block_ids) >= arc_count:
+            return None
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            return None  # ArcState rejects them; 1j * inf would warn first
+        ids[rows:stop] = block_ids
+        values[rows:stop] = re + 1j * im  # the row reader's float(re) + 1j * float(im)
+        rows = stop
+    seen = np.zeros(arc_count, dtype=bool)
+    seen[ids[:rows]] = True
+    if not seen.all():  # with arc_count rows in range, no id repeats
+        return None
+    amps = np.empty(arc_count, dtype=np.complex128)
+    amps[ids] = values
+    return amps
+
+
+def _read_state_rows(g: Graph, path: str) -> ArcState:
+    """The csv.reader row loop: words the first fault of a file in row order,
+    and reads the files the column reader leaves to the csv module."""
     amps = np.zeros(g.arc_count, dtype=np.complex128)
     seen = np.zeros(g.arc_count, dtype=bool)
     with open(path, newline="", encoding="utf-8") as fh:
