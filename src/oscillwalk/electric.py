@@ -249,9 +249,7 @@ def _grounded_potentials(
     (node_count, k), real or complex; the potentials have its shape and
     dtype.  Each component is grounded at its root, its smallest node (see
     label_components), or at `ground` in its own component.  The Laplacian
-    of the free nodes is assembled once from the edge arrays; the real and
-    imaginary parts of every column are solved together as real columns (L
-    is real).
+    of the free nodes is assembled once from the edge arrays.
     """
     is_free = roots != np.arange(node_count)
     if ground is not None:
@@ -260,30 +258,19 @@ def _grounded_potentials(
     free = np.flatnonzero(is_free)
     block = rhs.reshape(node_count, -1)
     potentials = np.zeros(block.shape, dtype=block.dtype)
-    if free.size == 0:
-        return potentials.reshape(rhs.shape)
-
-    is_complex = np.iscomplexobj(block)
-    parts = [block.real[free], block.imag[free]] if is_complex else [block[free]]
-    assemble = partial(_laplacian, node_count, tails, heads, free)
-    solution = _solve(assemble, np.concatenate(parts, axis=1))
-    if is_complex:
-        k = block.shape[1]
-        solution = solution[:, :k] + 1j * solution[:, k:]
-    potentials[free] = solution
+    potentials[free] = _solve(partial(_laplacian, node_count, tails, heads, free), block[free])
     return potentials.reshape(rhs.shape)
 
 
 def _laplacian(
     node_count: int, tails: np.ndarray, heads: np.ndarray, free: np.ndarray,
-    off_diagonal: float = -1.0, *, dense: bool = False,
+    *, dense: bool = False,
 ) -> np.ndarray | sp.csr_matrix:
     """Laplacian of the edges {tails[i], heads[i]} on the rows and columns of
     the sorted `free` nodes: a free node's diagonal counts all of its edges,
-    and an edge between two free nodes puts `off_diagonal` at both of their
-    entries (-1 gives the Laplacian, +1 the signless Laplacian).  A numpy
-    array when `dense`, else a scipy CSR matrix; both hold the same small
-    integers, summed exactly, so they are equal entry for entry."""
+    and an edge between two free nodes puts -1 at both of their entries.  A
+    numpy array when `dense`, else a scipy CSR matrix; both hold the same
+    small integers, summed exactly, so they are equal entry for entry."""
     position = np.full(node_count, -1, dtype=np.int64)
     position[free] = np.arange(free.size)
     pu, pv = position[tails], position[heads]
@@ -292,7 +279,7 @@ def _laplacian(
     rows = np.concatenate([pu_free, pv_free, pu[both], pv[both]])
     cols = np.concatenate([pu_free, pv_free, pv[both], pu[both]])
     vals = np.concatenate(
-        [np.ones(pu_free.size + pv_free.size), np.full(2 * int(both.sum()), off_diagonal)]
+        [np.ones(pu_free.size + pv_free.size), np.full(2 * int(both.sum()), -1.0)]
     )
     if dense:
         matrix = np.zeros((free.size, free.size))
@@ -304,15 +291,29 @@ def _laplacian(
 
 
 def _solve(assemble, rhs: np.ndarray) -> np.ndarray:
-    """Solve the positive definite system `assemble(dense=...)` for a real
-    (unknowns, k) block: densely when there are at most _DENSE_MAX_NODES or
-    at most k unknowns (the dense matrix is then no bigger than the
-    right-hand sides), otherwise by diagonally preconditioned conjugate
-    gradients column by column."""
-    if rhs.shape[0] <= max(_DENSE_MAX_NODES, rhs.shape[1]):
-        return np.linalg.solve(assemble(dense=True), rhs)
-    matrix = assemble(dense=False)
-    return np.column_stack([_pcg(matrix, column) for column in rhs.T])
+    """Solve the real positive definite system `assemble(dense=...)` for an
+    (unknowns, k) block, real or complex; the solution has its dtype.  The
+    real and imaginary parts are solved as real columns, and an all-zero
+    column is not solved at all.  The columns left are solved densely when
+    there are at most _DENSE_MAX_NODES or at most as many unknowns as
+    columns (the dense matrix is then no bigger than the right-hand sides),
+    otherwise by diagonally preconditioned conjugate gradients column by
+    column."""
+    is_complex = np.iscomplexobj(rhs)
+    columns = np.concatenate([rhs.real, rhs.imag], axis=1) if is_complex else rhs
+    solved = np.flatnonzero(columns.any(axis=0))
+    solution = np.zeros(columns.shape)
+    if solved.size:
+        block = columns[:, solved]
+        if block.shape[0] <= max(_DENSE_MAX_NODES, block.shape[1]):
+            solution[:, solved] = np.linalg.solve(assemble(dense=True), block)
+        else:
+            matrix = assemble(dense=False)
+            solution[:, solved] = np.column_stack([_pcg(matrix, column) for column in block.T])
+    if is_complex:
+        k = rhs.shape[1]
+        return solution[:, :k] + 1j * solution[:, k:]
+    return solution
 
 
 def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | None = None) -> np.ndarray:
@@ -357,17 +358,40 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
 # The Laplacian and signless Laplacian of g
 # ======================================================================================
 #
-# Every system on the bipartite double is a pair of systems on g: in the node
-# order (out, in) the double's Laplacian is [[D, -A], [-A, D]], and the
-# orthogonal change of variables (x, y) -> (x + y, x - y) / sqrt(2) turns it
-# into L (+) Q, g's Laplacian L = D - A next to its signless Laplacian
-# Q = D + A (see resistance_distance).  L is grounded at one vertex per
-# component.  Q is singular only on a bipartite component, where Q = S L S
-# with S the diagonal +-1 coloring, and is grounded there alone.  A solve
-# that needs both takes them as one block-diagonal system diag(L, Q): its
-# spectrum is the double's, so CG takes the double's iterations rather than
-# the sum of two solves' (and per-iteration Python overhead dominates CG at
-# a few hundred unknowns).
+# Every system on the bipartite double is a pair of systems on g.  In the
+# node order (out, in) the double's Laplacian is [[D, -A], [-A, D]], with D
+# the degree and A the adjacency matrix of g.  The orthogonal change of
+# variables (x, y) -> (x + y, x - y) / sqrt(2) turns it into L (+) Q, g's
+# Laplacian L = D - A next to its signless Laplacian Q = D + A, and turns
+# an injection (o, i) at the out- and in-nodes into (o + i, o - i) / sqrt(2).
+# So L p = o + i and Q q = o - i on g's own vertices give the double's
+# potentials ((p + q) / 2, (p - q) / 2) and the drop
+# (p_u - p_v + q_u + q_v) / 2 along its edge u_out -- v_in.  A unit current
+# from a_out to b_in is the injection (e_a, -e_b), so
+#
+#     omega_double(a, b) = (omega + rho) / 2,  where
+#     omega = x_a - x_b with L x = e_a - e_b (g's own resistance distance),
+#     rho = y_a + y_b with Q y = e_a + e_b.
+#
+# L is grounded at one vertex per component.  Q is positive definite on a
+# component of g with an odd cycle and is solved there ungrounded.  On a
+# bipartite component Q = S L S, with S the diagonal +-1 coloring, and Q is
+# grounded there alone; b_in is reachable from a_out only when b has the
+# other color, where S (e_a + e_b) = S_a (e_a - e_b), so y = S_a S x and
+# rho = omega with no Q solve.  (Doyle & Snell, "Random Walks and Electric
+# Networks", section 1.3, for the resistance; Cvetkovic, Rowlinson & Simic,
+# "Signless Laplacians of finite graphs", 2007, for Q.)
+#
+# Two vertices take L, then Q, as two solves (_pair_potentials).  A state
+# with a wider support takes both as one block-diagonal system diag(L, Q)
+# (oscillation._flip_part): its spectrum is the double's, so CG takes the
+# double's iterations rather than the sum of two solves' (and per-iteration
+# Python overhead dominates CG at a few hundred unknowns).  For one pair the
+# two solves win at scale and lose a little at a few hundred unknowns.  The
+# pair potentials of an edge with Q solved, block vs two solves (one BLAS
+# thread, 2-core Xeon VM): 132-147 vs 81-89 ms on torus 2:101, 53 vs 32-34
+# on torus 3:21, 2.6-2.8 vs 4.0-4.2 on a random 4-regular graph of 512
+# vertices, 4.9-5.2 vs 5.2-5.6 on torus 2:25.
 
 
 def _g_laplacian(
@@ -416,11 +440,9 @@ def _g_potentials(
     g: Graph, l_rhs: np.ndarray | None = None, q_rhs: np.ndarray | None = None
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(x, y) with L x = l_rhs and Q y = q_rhs on g, from one block-diagonal
-    system diag(L, Q).  Each right-hand side is a real or complex (n, k)
-    block, the same k for both, or None, which leaves out its block and gives
-    None.  The potentials are 0 at the grounded vertices.  The real and
-    imaginary parts are solved as real columns, and a column that is zero on
-    every free vertex is not solved at all."""
+    system diag(L, Q) solved by _solve.  Each right-hand side is a real or
+    complex (n, k) block, the same k for both, or None, which leaves out its
+    block and gives None.  The potentials are 0 at the grounded vertices."""
     is_root = g.component_roots == np.arange(g.n)
     blocks, rows = [], []
     if l_rhs is not None:
@@ -431,17 +453,7 @@ def _g_potentials(
         blocks.append((np.flatnonzero(~is_root | on_odd_cycle), True))
         rows.append(q_rhs)
     stacked = np.concatenate([rhs[free] for (free, _), rhs in zip(blocks, rows)])
-    is_complex = np.iscomplexobj(stacked)
-    if is_complex:
-        stacked = np.concatenate([stacked.real, stacked.imag], axis=1)
-    solved = np.flatnonzero(stacked.any(axis=0))
-    solution = np.zeros(stacked.shape)
-    if solved.size:
-        assemble = partial(_g_laplacian, g, blocks)
-        solution[:, solved] = _solve(assemble, stacked[:, solved])
-    if is_complex:
-        k = solution.shape[1] // 2
-        solution = solution[:, :k] + 1j * solution[:, k:]
+    solution = _solve(partial(_g_laplacian, g, blocks), stacked)
     potentials, start = {}, 0
     for free, signless in blocks:
         x = np.zeros((g.n, solution.shape[1]), dtype=solution.dtype)
@@ -449,6 +461,51 @@ def _g_potentials(
         potentials[signless] = x
         start += free.size
     return potentials.get(False), potentials.get(True)
+
+
+@dataclass(frozen=True)
+class _PairPotentials:
+    """x = L^+ (e_u - e_v) and y = Q^+ (e_u + e_v) for two vertices u and v
+    of one component of g, grounded as in _g_potentials; y is None when it
+    was not asked for."""
+
+    u: int
+    v: int
+    x: np.ndarray
+    y: np.ndarray | None
+
+    @property
+    def omega(self) -> float:
+        return float(self.x[self.u] - self.x[self.v])
+
+    @property
+    def rho(self) -> float:
+        return float(self.y[self.u] + self.y[self.v])
+
+    @property
+    def omega_double(self) -> float:
+        return (self.omega + self.rho) / 2
+
+
+def _pair_potentials(g: Graph, u: int, v: int, signless: bool) -> _PairPotentials:
+    """x alone, or with `signless` x and y: L, then Q, as two solves (u = v
+    gives x = 0 without one).  Q is solved only on a component with an odd
+    cycle; on a bipartite one, where u and v must then have different
+    colors, y = S_u S x."""
+    rhs = np.zeros((g.n, 1))
+    rhs[u] += 1.0
+    rhs[v] -= 1.0
+    x = _g_potentials(g, rhs)[0][:, 0]
+    roots = g.double_roots
+    if not signless:
+        y = None
+    elif roots[u] != roots[g.n + u]:  # u's component is bipartite
+        y = np.where(roots[: g.n] == roots[u], x, -x)
+    else:
+        rhs = np.zeros((g.n, 1))
+        np.add.at(rhs, ([u, v], 0), 1.0)
+        y = _g_potentials(g, q_rhs=rhs)[1][:, 0]
+    return _PairPotentials(u, v, x, y)
 
 
 def _balanced_roots(net: ElectricNetwork) -> np.ndarray | None:
@@ -483,15 +540,13 @@ def solve_network(net: ElectricNetwork, *, ground: int | None = None) -> FlowSol
 
 
 def circulation_projection(
-    node_count: int, tails: np.ndarray, heads: np.ndarray, flow: np.ndarray,
-    roots: np.ndarray | None = None,
+    node_count: int, tails: np.ndarray, heads: np.ndarray, flow: np.ndarray
 ) -> np.ndarray:
     """Orthogonal projection of a flow on unit resistors onto the circulations.
 
     Resistor i runs from tails[i] to heads[i]; `flow` is one flow of shape
     (len(tails),) or a block of k flows, (len(tails), k), projected with one
-    labeling and one Laplacian; a real flow gives a real projection.  `roots`
-    is the resistors' label_components when already known.
+    labeling and one Laplacian; a real flow gives a real projection.
     Injecting the flow's divergence (+flow at each tail, -flow at each head)
     drives potentials x with L x = B flow; the drops x[tail] - x[head] are
     the gradient part B^T L^+ B flow, and what remains conserves flow at
@@ -501,8 +556,7 @@ def circulation_projection(
     divergence = np.zeros((node_count,) + flow.shape[1:], dtype=flow.dtype)
     np.add.at(divergence, tails, flow)
     np.add.at(divergence, heads, -flow)
-    if roots is None:
-        roots = label_components(node_count, tails, heads)
+    roots = label_components(node_count, tails, heads)
     potentials = _grounded_potentials(node_count, tails, heads, divergence, roots)
     return flow - (potentials[tails] - potentials[heads])
 
@@ -512,37 +566,23 @@ def resistance_distance(g: Graph, a: int, b: int, *, double: bool = False) -> fl
     with `double`, between a_out = a and b_in = n + b on the bipartite double
     of g (one resistor u_out -- v_in per arc (u, v)), where a = b is allowed.
 
-    The double is never built.  In the node order (out, in) its Laplacian is
-    [[D, -A], [-A, D]], with D the degree and A the adjacency matrix of g.
-    The orthogonal change of variables (x, y) -> (x + y, x - y) / sqrt(2)
-    turns it into L (+) Q, the Laplacian L = D - A of g next to its signless
-    Laplacian Q = D + A, and turns the injection (e_a, -e_b) into
-    (e_a - e_b, e_a + e_b) / sqrt(2).  Hence
-
-        omega_double(a, b) = omega(a, b) / 2 + (e_a + e_b)^T Q^+ (e_a + e_b) / 2.
-
-    Q is positive definite on a component of g that is not bipartite, so the
-    second term is one solve of Q, ungrounded on a's component.  On a
-    bipartite component Q = S L S, with S the diagonal +-1 coloring; b_in is
-    reachable from a_out only when b has the other color, where
-    S (e_a + e_b) = +-(e_a - e_b), so the two halves agree and
-    omega_double = omega without a second solve.  (Doyle & Snell, "Random
-    Walks and Electric Networks", section 1.3, for the resistance; Cvetkovic,
-    Rowlinson & Simic, "Signless Laplacians of finite graphs", 2007, for Q.)
+    The double is never built: omega_double = (omega + rho) / 2, with rho
+    from g's signless Laplacian (see the block comment above _g_laplacian).
+    That costs one Laplacian solve, plus one signless-Laplacian solve when
+    a's component is not bipartite.
     """
     _check_terminals(g, a, b, double)
-    omega = _resistance(g, a, b) if a != b else 0.0
-    return _double_from_omega(g, a, b, omega) if double else omega
+    pot = _pair_potentials(g, a, b, signless=double)
+    return pot.omega_double if double else pot.omega
 
 
 def resistance_distances(g: Graph, a: int, b: int) -> tuple[float, float]:
     """(omega, omega_double): resistance_distance(g, a, b) and
-    resistance_distance(g, a, b, double=True) from one Laplacian solve, plus
-    one signless-Laplacian solve when a's component is not bipartite."""
+    resistance_distance(g, a, b, double=True) from the same solves."""
     _check_terminals(g, a, b, double=False)
     _check_terminals(g, a, b, double=True)
-    omega = _resistance(g, a, b)
-    return omega, _double_from_omega(g, a, b, omega)
+    pot = _pair_potentials(g, a, b, signless=True)
+    return pot.omega, pot.omega_double
 
 
 def _check_terminals(g: Graph, a: int, b: int, double: bool) -> None:
@@ -553,24 +593,6 @@ def _check_terminals(g: Graph, a: int, b: int, double: bool) -> None:
     roots, b_node = (g.double_roots, g.n + b) if double else (g.component_roots, b)
     if roots[a] != roots[b_node]:
         raise ValueError(f"vertices {a} and {b_node} lie in different components")
-
-
-def _resistance(g: Graph, a: int, b: int) -> float:
-    injections = np.zeros((g.n, 1))
-    injections[a] += 1.0
-    injections[b] -= 1.0
-    potentials, _ = _g_potentials(g, injections)
-    return float(potentials[a, 0] - potentials[b, 0])
-
-
-def _double_from_omega(g: Graph, a: int, b: int, omega: float) -> float:
-    """omega_double(a, b) from omega(a, b); see resistance_distance."""
-    if g.double_roots[a] != g.double_roots[g.n + a]:  # a's component is bipartite
-        return omega
-    rhs = np.zeros((g.n, 1))
-    np.add.at(rhs, ([a, b], 0), 1.0)
-    _, x = _g_potentials(g, q_rhs=rhs)
-    return 0.5 * omega + 0.5 * float(x[a, 0] + x[b, 0])
 
 
 # ======================================================================================
@@ -596,47 +618,13 @@ def _double_from_omega(g: Graph, a: int, b: int, omega: float) -> float:
 # of about eps / lambda_min(I - K): 2n eps on the cycle C_n.
 
 
-@dataclass(frozen=True)
-class _EdgePotentials:
-    """x = L^+ (e_u - e_v) and y = Q^+ (e_u + e_v) for the edge {u, v} of g,
-    grounded as in _g_potentials; y is None when it was not asked for."""
-
-    u: int
-    v: int
-    x: np.ndarray
-    y: np.ndarray | None
-
-    @property
-    def omega(self) -> float:
-        return float(self.x[self.u] - self.x[self.v])
-
-    @property
-    def rho(self) -> float:
-        return float(self.y[self.u] + self.y[self.v])
-
-
-def _edge_potentials(g: Graph, u: int, v: int, signless: bool) -> _EdgePotentials:
-    """x alone, or with `signless` x and y, from one solve.  On a bipartite
-    component S (e_u + e_v) = S_u (e_u - e_v), so y = S_u S x and only L is
-    solved; otherwise L and Q are solved as one block-diagonal system."""
-    rhs = np.zeros((g.n, 1))
-    rhs[u], rhs[v] = 1.0, -1.0
-    roots = g.double_roots
-    if not signless or roots[u] != roots[g.n + u]:
-        x = _g_potentials(g, rhs)[0][:, 0]
-        y = np.where(roots[: g.n] == roots[u], x, -x) if signless else None
-        return _EdgePotentials(u, v, x, y)
-    x, y = _g_potentials(g, rhs, np.abs(rhs))
-    return _EdgePotentials(u, v, x[:, 0], y[:, 0])
-
-
 def _series(weight: float, k: float) -> float:
     """weight * k / (1 - k), the term of one eigenvalue k of K; a zero weight
     gives 0 (then 1 - k may be 0)."""
     return weight * k / (1.0 - k) if weight else 0.0
 
 
-def _edge_double_power(pot: _EdgePotentials, delta: np.ndarray, zero_tol: float) -> float:
+def _edge_double_power(pot: _PairPotentials, delta: np.ndarray, zero_tol: float) -> float:
     """P of the feasible double network of a state whose nonzero amplitudes
     are delta = (<uv|psi>, <vu|psi>) on the edge {u, v}; an amplitude at or
     below zero_tol stays a resistor."""
@@ -646,11 +634,11 @@ def _edge_double_power(pot: _EdgePotentials, delta: np.ndarray, zero_tol: float)
         power = _series(abs(minus) ** 2 / 2, pot.omega)
         return power + _series(abs(plus) ** 2 / 2, pot.rho) if plus else power
     if kept.any():
-        return _series(abs(delta[kept][0]) ** 2, (pot.omega + pot.rho) / 2)
+        return _series(abs(delta[kept][0]) ** 2, pot.omega_double)
     return 0.0
 
 
-def _edge_selfflip_power(pot: _EdgePotentials, delta: np.ndarray, zero_tol: float) -> float:
+def _edge_selfflip_power(pot: _PairPotentials, delta: np.ndarray, zero_tol: float) -> float:
     """P of the feasible self-flip network of the same state: delta[0] enters
     at v and leaves at u of g without the edge, whose resistance between u
     and v is omega / (1 - omega) (a unit resistor in parallel gives omega)."""

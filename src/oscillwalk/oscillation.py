@@ -25,10 +25,10 @@ from .electric import (
     ZERO_AMPLITUDE_TOL,
     _balanced_roots,
     _edge_double_power,
-    _edge_potentials,
     _edge_selfflip_power,
-    _EdgePotentials,
     _g_potentials,
+    _pair_potentials,
+    _PairPotentials,
     network_from_selfflip_state,
     network_from_state_double,
     solve_network,
@@ -139,18 +139,19 @@ class OverlapSeries:
 # The double's Laplacian is never assembled.  Let o be psi's divergence at
 # the out-nodes (psi summed over the arcs leaving each vertex) and i the one
 # at the in-nodes (minus psi summed over the arcs entering it).  The change
-# of variables that splits the double's Laplacian into L (+) Q (see
-# electric.resistance_distance) turns the double's solve into L p = o + i
-# and Q q = o - i on g's own vertices, one block-diagonal system, and the
-# current on arc (u, v) is (p_u - p_v + q_u + q_v) / 2.
+# of variables that splits the double's Laplacian into L (+) Q (derived in
+# electric's block comment above _g_laplacian) turns the double's solve into
+# L p = o + i and Q q = o - i on g's own vertices, one block-diagonal
+# system, and the current on arc (u, v) is (p_u - p_v + q_u + q_v) / 2.
 #
 # A state on the two arcs of one edge {u, v}, with delta_0 on (u, v) and
 # delta_1 on (v, u), has o + i = (delta_0 - delta_1)(e_u - e_v) and
-# o - i = (delta_0 + delta_1)(e_u + e_v).  So the potentials of e_u - e_v
-# under L and of e_u + e_v under Q give its flip part and, in `certify`, the
-# powers of its networks (electric's transfer-current block).  A self-flip
-# state has delta_1 = -delta_0 and needs no Q solve, and on a bipartite g the
-# Q potentials are the L ones turned by the coloring: either way the state
+# o - i = (delta_0 + delta_1)(e_u + e_v).  So the pair potentials of u and v,
+# L^+ (e_u - e_v) and Q^+ (e_u + e_v), give its flip part and, in `certify`,
+# the powers of its networks (electric's transfer-current block): L, then Q,
+# the solves of resistance_distance.  A self-flip state has
+# delta_1 = -delta_0 and needs no Q solve, and on a bipartite g the Q
+# potentials are the L ones turned by the coloring: either way the state
 # costs one L solve on g's n vertices.
 
 
@@ -202,12 +203,12 @@ def _support_edge(amps: np.ndarray) -> int | None:
     return None
 
 
-def _solve_edge(g: Graph, edge: int, amps: np.ndarray) -> _EdgePotentials:
+def _solve_edge(g: Graph, edge: int, amps: np.ndarray) -> _PairPotentials:
     u, v = g.edges[edge].tolist()
-    return _edge_potentials(g, u, v, signless=bool(amps[2 * edge] + amps[2 * edge + 1] != 0))
+    return _pair_potentials(g, u, v, signless=bool(amps[2 * edge] + amps[2 * edge + 1] != 0))
 
 
-def _edge_flip(g: Graph, edge: int, amps: np.ndarray, pot: _EdgePotentials) -> np.ndarray:
+def _edge_flip(g: Graph, edge: int, amps: np.ndarray, pot: _PairPotentials) -> np.ndarray:
     delta_0, delta_1 = amps[2 * edge], amps[2 * edge + 1]
     q = None if pot.y is None else (delta_0 + delta_1) * pot.y
     return amps - _currents(g, (delta_0 - delta_1) * pot.x, q)

@@ -416,22 +416,27 @@ def _read_state_columns(fh, arc_count: int) -> np.ndarray | None:
 
 def _read_state_rows(g: Graph, path: str) -> ArcState:
     """The csv.reader row loop: words the first fault of a file in row order,
-    and reads the files the column reader leaves to the csv module."""
+    and reads the files the column reader leaves to the csv module.  A fault
+    the csv module raises, such as a field over csv.field_size_limit(),
+    becomes a ValueError naming the file."""
     amps = np.zeros(g.arc_count, dtype=np.complex128)
     seen = np.zeros(g.arc_count, dtype=bool)
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or row[0] == "arc_id":
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: expected rows of (arc_id, re, im), got {row!r}")
-            a = int(row[0])
-            if not 0 <= a < g.arc_count:
-                raise ValueError(f"{path}: arc id {a} out of range for {g.arc_count} arcs")
-            if seen[a]:
-                raise ValueError(f"{path}: duplicate arc id {a}")
-            seen[a] = True
-            amps[a] = float(row[1]) + 1j * float(row[2])
+        try:
+            for row in csv.reader(fh):
+                if not row or row[0].strip().startswith("#") or row[0] == "arc_id":
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"{path}: expected rows of (arc_id, re, im), got {row!r}")
+                a = int(row[0])
+                if not 0 <= a < g.arc_count:
+                    raise ValueError(f"{path}: arc id {a} out of range for {g.arc_count} arcs")
+                if seen[a]:
+                    raise ValueError(f"{path}: duplicate arc id {a}")
+                seen[a] = True
+                amps[a] = float(row[1]) + 1j * float(row[2])
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise ValueError(f"{path}: no amplitude for arc {missing}")

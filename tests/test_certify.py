@@ -59,9 +59,7 @@ def assert_matches_oracle(psi):
     circulation projection on the double's edges, within RTOL relative (the
     flip part relative to the unit state)."""
     g = psi.graph
-    flip = electric.circulation_projection(
-        2 * g.n, g.arc_tails, g.n + g.arc_heads, psi.amplitudes, g.double_roots
-    )
+    flip = electric.circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, psi.amplitudes)
     double = solve_network(network_from_state_double(psi)).power
     selfflip = None
     if is_selfflip_state(psi):
@@ -202,7 +200,7 @@ def run_recording(argv, monkeypatch, capsys):
         ("torus:2:24", "edge:0:1", [575]),
         ("torus:2:24", "selfflip:0:24", [575]),
         ("torus:2:13", "selfflip:0:1", [168]),  # odd cycles, but no Q right-hand side
-        ("torus:2:13", "edge:0:1", [168 + 169]),  # one block-diagonal L and Q solve
+        ("torus:2:13", "edge:0:1", [168, 169]),  # L, then Q: the solves of `resistance`
     ],
 )
 @pytest.mark.parametrize("command", ["bounds", "decompose"])
@@ -222,6 +220,23 @@ def test_decompose_of_a_wide_state_assembles_no_double(monkeypatch, capsys, tmp_
     argv = ["decompose", "--graph", "torus:2:12", "--state", f"csv:{path}"]
     code, solved, networks = run_recording(argv, monkeypatch, capsys)
     assert (code, solved, networks) == (0, [286, 286], [])
+
+
+def test_bounds_of_a_real_wide_state_solve_one_real_column_per_system(monkeypatch, capsys,
+                                                                      tmp_path):
+    # A real state on 20 arcs of torus 2:12: its double network (288 nodes,
+    # one ground in each copy) and its flip projection (diag(L, Q) of
+    # 143 + 143 unknowns) each take one CG solve; the zero imaginary part of
+    # the network's injections is not solved.
+    g = torus_graph(2, 12)
+    rng = np.random.default_rng(5)
+    amps = np.zeros(g.arc_count)
+    amps[rng.choice(g.arc_count, 20, replace=False)] = rng.standard_normal(20)
+    path = tmp_path / "state.csv"
+    write_state_csv(ArcState(g, amps / np.linalg.norm(amps)), str(path))
+    argv = ["bounds", "--graph", "torus:2:12", "--state", f"csv:{path}"]
+    code, solved, networks = run_recording(argv, monkeypatch, capsys)
+    assert (code, solved, networks) == (0, [286, 286], [2 * g.n])
 
 
 @pytest.mark.parametrize(

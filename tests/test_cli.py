@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oscillwalk import basis_arc_state, hypercube_graph, torus_graph, write_state_csv
+from oscillwalk import cli
 from oscillwalk.cli import main
 from oscillwalk.electric import CERTIFIED
 
@@ -294,6 +295,40 @@ def test_bounds_selfflip_block(capsys):
     record = json.loads(out)
     assert record["selfflip"] is not None
     assert record["selfflip"]["alpha_lower"] == pytest.approx(record["alpha_sq"], abs=1e-9)
+
+
+# The zoo graphs, then two CG-sized graphs with odd cycles, whose single-edge
+# states take L, then Q, as two conjugate-gradient solves.
+PAIR_GRAPHS = [
+    "complete:5", "complete:12", "cycle:5", "cycle:9", "hypercube:3", "hypercube:4",
+    "complete_bipartite_balanced:3", "torus:2:5", "random_regular:12:4:7",
+    "torus:2:13", "random_regular:200:5:3",
+]
+
+
+@pytest.mark.parametrize("spec", PAIR_GRAPHS)
+def test_single_edge_bounds_are_the_resistance_commands_distances(spec, capsys):
+    # An edge state's bound is 1 - omega_double and a self-flip state's
+    # 1 - omega, both tight (electric's transfer-current block); the overlap
+    # bound (1 - P') / (1 + P') is positive exactly when that distance is
+    # below 1/2, the resistance verdict's test.
+    g = cli._parse_graph(spec, None)
+    rng = np.random.default_rng(g.n)
+    for edge in sorted({0, int(rng.integers(len(g.edges)))}):
+        u, v = g.edges[edge].tolist()
+        code, out, _ = run_cli(["resistance", "--graph", spec, "--pair", f"{u}:{v}"], capsys)
+        assert code == 0
+        resistance = json.loads(out)
+        for kind, network, omega, verdict in (
+            ("edge", "double", resistance["omega_double"], resistance["verdict_single_edge"]),
+            ("selfflip", "selfflip", resistance["omega"], resistance["verdict_selfflip"]),
+        ):
+            code, out, _ = run_cli(["bounds", "--graph", spec, "--state", f"{kind}:{u}:{v}"],
+                                   capsys)
+            assert code == 0
+            record = json.loads(out)[network]
+            assert abs(record["alpha_lower"] - (1.0 - omega)) <= 1e-12, (kind, u, v)
+            assert (record["overlap_lower"] > 0) == (verdict == CERTIFIED), (kind, u, v)
 
 
 def test_bounds_zero_tol_override_changes_the_network(capsys):

@@ -336,11 +336,10 @@ def _assembly_cases():
 
 
 @pytest.mark.parametrize("case", list(_assembly_cases()), ids=lambda case: case[0])
-@pytest.mark.parametrize("off_diagonal", [-1.0, 1.0])
-def test_dense_laplacian_is_the_sparse_one_bit_for_bit(case, off_diagonal):
+def test_dense_laplacian_is_the_sparse_one_bit_for_bit(case):
     _, node_count, tails, heads, free = case
-    dense = electric._laplacian(node_count, tails, heads, free, off_diagonal, dense=True)
-    sparse = electric._laplacian(node_count, tails, heads, free, off_diagonal).toarray()
+    dense = electric._laplacian(node_count, tails, heads, free, dense=True)
+    sparse = electric._laplacian(node_count, tails, heads, free).toarray()
     assert isinstance(dense, np.ndarray)
     assert dense.dtype == sparse.dtype and dense.shape == sparse.shape == (free.size, free.size)
     assert dense.tobytes() == sparse.tobytes()
@@ -352,16 +351,21 @@ def test_dense_laplacian_is_the_sparse_one_bit_for_bit(case, off_diagonal):
 )
 def test_laplacians_of_g_match_the_edge_list_assembly_bit_for_bit(g):
     # L grounded at vertex 0 and Q on every vertex (grounded at 0 too when g
-    # is bipartite), alone and as the blocks of diag(L, Q): the numpy array,
-    # the CSR read off g.adjacency and the COO route from g's edge list agree.
+    # is bipartite), alone and as the blocks of diag(L, Q): the numpy array
+    # and the CSR read off g.adjacency agree with L by the COO route from g's
+    # edge list and with Q = D + A built here from it.
     free_l = np.arange(1, g.n)
     free_q = free_l if bipartite_partition(g) is not None else np.arange(g.n)
-    coo = [electric._laplacian(g.n, *g.edges.T, free, sign).toarray()
-           for free, sign in ((free_l, -1.0), (free_q, 1.0))]
-    for blocks, expected in (([(free_l, False)], coo[0]), ([(free_q, True)], coo[1]),
+    adjacency = np.zeros((g.n, g.n))
+    np.add.at(adjacency, tuple(g.edges.T), 1.0)
+    np.add.at(adjacency, tuple(g.edges.T[::-1]), 1.0)
+    signless = np.diag(adjacency.sum(axis=1)) + adjacency
+    oracles = [electric._laplacian(g.n, *g.edges.T, free_l).toarray(),
+               signless[np.ix_(free_q, free_q)]]
+    for blocks, expected in (([(free_l, False)], oracles[0]), ([(free_q, True)], oracles[1]),
                              ([(free_l, False), (free_q, True)], np.block(
-                                 [[coo[0], np.zeros((free_l.size, free_q.size))],
-                                  [np.zeros((free_q.size, free_l.size)), coo[1]]]))):
+                                 [[oracles[0], np.zeros((free_l.size, free_q.size))],
+                                  [np.zeros((free_q.size, free_l.size)), oracles[1]]]))):
         sparse = electric._g_laplacian(g, blocks)
         assert sparse.has_sorted_indices
         assert electric._g_laplacian(g, blocks, dense=True).tobytes() == expected.tobytes()

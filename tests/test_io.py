@@ -232,22 +232,26 @@ def test_simulate_csv_matches_the_row_loop(spec, state, t_max, capsys):
 
 
 def reference_read(g, path):
-    """read_state_csv as the csv.reader row loop it replaced."""
+    """read_state_csv as the csv.reader row loop it replaced, with the csv
+    module's own errors worded as ValueErrors naming the file."""
     amps = np.zeros(g.arc_count, dtype=np.complex128)
     seen = np.zeros(g.arc_count, dtype=bool)
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or row[0] == "arc_id":
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: expected rows of (arc_id, re, im), got {row!r}")
-            a = int(row[0])
-            if not 0 <= a < g.arc_count:
-                raise ValueError(f"{path}: arc id {a} out of range for {g.arc_count} arcs")
-            if seen[a]:
-                raise ValueError(f"{path}: duplicate arc id {a}")
-            seen[a] = True
-            amps[a] = float(row[1]) + 1j * float(row[2])
+        try:
+            for row in csv.reader(fh):
+                if not row or row[0].strip().startswith("#") or row[0] == "arc_id":
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"{path}: expected rows of (arc_id, re, im), got {row!r}")
+                a = int(row[0])
+                if not 0 <= a < g.arc_count:
+                    raise ValueError(f"{path}: arc id {a} out of range for {g.arc_count} arcs")
+                if seen[a]:
+                    raise ValueError(f"{path}: duplicate arc id {a}")
+                seen[a] = True
+                amps[a] = float(row[1]) + 1j * float(row[2])
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise ValueError(f"{path}: no amplitude for arc {missing}")
@@ -338,6 +342,15 @@ def test_reader_matches_the_row_loop(name, block, tmp_path, monkeypatch):
     path.write_bytes(STATE_BYTES[name] if name in STATE_BYTES else STATE_FILES[name].encode())
     reference, got = read_outcomes(K4, str(path))
     assert got == reference
+
+
+def test_a_field_over_the_csv_limit_exits_one_with_a_one_line_diagnostic(tmp_path, capsys):
+    path = tmp_path / "long_field.csv"
+    path.write_text(_rows(*GOOD[:6], "6,0." + "1" * 139_998 + ",0", *GOOD[7:]))
+    code = main(["bounds", "--graph", "complete:4", "--state", f"csv:{path}"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: field larger than field limit ({csv.field_size_limit()})\n"
 
 
 ACCEPTED_UNQUOTED = [
