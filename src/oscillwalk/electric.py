@@ -2,7 +2,7 @@
 
 A starting state turns into a unit-resistor network: arcs with zero amplitude
 become resistors, nonzero amplitudes become current injections.  Solving the
-Kirchhoff currents (grounded graph-Laplacian systems) yields the power
+Kirchhoff currents (pinned graph-Laplacian systems) yields the power
 dissipation P, and Thomson's principle makes the completed current pattern the
 closest circulation, so
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,18 +67,20 @@ ZERO_AMPLITUDE_TOL = 1e-12
 # against the same unit norm.
 FEASIBILITY_TOL = 1e-9
 # Laplacian systems of at most this many unknowns are solved densely, larger
-# ones by CG.  Measured per solve with its assembly on g's own systems (one
-# BLAS thread, 2-core Xeon VM), dense vs CG: 0.07 vs 0.19 ms at 47 unknowns
-# (L of K_48), 0.09 vs 0.35-0.98 at 63 (Q_6, torus 2:8, a random 4-regular
-# graph), 0.17-0.25 vs 0.26-1.04 at 95-127 (diag(L, Q) of those), 0.41 vs
-# 0.95 at 143 (L of torus 2:12), 1.26 vs 1.33 at 199, 1.04-1.61 vs 0.46-1.28
-# at 254-286, 7.0 vs 0.73 at 510 (diag(L, Q) of Q_8), 54 vs 2.1 at 1249
-# (torus 2:25).  The crossover lies between about 150 and 250 unknowns; the
-# threshold stays at 128, where the double's irregular networks cross over
-# too (0.50 vs 0.57-0.81 ms at 128, 1.7 vs 0.48 at 256).  A block with at
-# least as many real right-hand sides as unknowns is solved densely too: the
-# flip projector of torus 2:22 (diag(L, Q) of 966 unknowns, 1936 columns)
-# takes 0.46 s that way against 4.0 s by CG column by column.  A dense system
+# ones by CG; every node is an unknown (see the Kirchhoff solver).  Measured
+# per solve with its assembly on g's own systems (one BLAS thread, 2-core
+# Xeon VM, with one node per component cut rather than pinned), dense vs CG:
+# 0.07 vs 0.19 ms at 48 unknowns (L of K_48), 0.09 vs 0.35-0.98 at 64 (Q_6,
+# torus 2:8, a random 4-regular graph), 0.17-0.25 vs 0.26-1.04 at 128
+# (diag(L, Q) of those), 0.41 vs 0.95 at 144 (L of torus 2:12), 1.26 vs 1.33
+# at 200, 1.04-1.61 vs 0.46-1.28 at 256-288, 7.0 vs 0.73 at 512 (diag(L, Q)
+# of Q_8), 54 vs 2.1 at 1250 (torus 2:25).
+# The crossover lies between about 150 and 250 unknowns; the threshold
+# stays at 128, where the double's irregular networks cross over too (0.50
+# vs 0.57-0.81 ms at 128, 1.7 vs 0.48 at 256).  A block with at least as
+# many real right-hand sides as unknowns is solved densely too: the flip
+# projector of torus 2:22 (diag(L, Q) of 968 unknowns, 1936 columns) takes
+# 0.46 s that way against 4.0 s by CG column by column.  A dense system
 # is assembled straight into a numpy array; only the CG branch builds a scipy
 # CSR matrix and imports scipy.sparse, so a process whose solves are all
 # dense never loads scipy (its import is about half of `import oscillwalk.cli`).
@@ -133,9 +134,11 @@ class FlowSolution:
     """Kirchhoff solution of an ElectricNetwork.
 
     `currents[i]` flows along resistor_edges[i] from its first to its second
-    node; `potentials` are grounded at one node per component.  When any
-    component's injections do not balance, no steady current exists:
-    feasible is False and power is +infinity.
+    node; `potentials` are pinned at one node per component, whose potential
+    is then the component's net injection: ~0, not a literal 0 (see the
+    Kirchhoff solver's block comment).  When any component's injections do
+    not balance, no steady current exists: feasible is False and power is
+    +infinity.
     """
 
     feasible: bool
@@ -233,87 +236,94 @@ def _network(
 # ======================================================================================
 # Kirchhoff solver
 # ======================================================================================
+#
+# Every system is a Laplacian pinned instead of grounded: the full matrix
+# with 1 added to the diagonal at one pinned node r per component.  The
+# pinned matrix is positive definite, and pinning is exact: summing the rows
+# of a component of (L + e_r e_r^T) x = b gives x_r = the component's sum of
+# b, so a b that sums to 0 on each component forces x_r = 0 and L x = b, the
+# system grounded at r.  A b off by s shifts the component's potentials by s
+# and leaves every drop as it is.  The signless Laplacian Q of a bipartite
+# component is S L S, with S its +-1 coloring, so it is pinned the same way
+# for a b whose S-weighted sum is 0 (see the L (+) Q section below).  The
+# pinned potential is rounding noise rather than a literal 0; only drops and
+# pair sums are read from the solutions.  (Doyle & Snell, "Random Walks and
+# Electric Networks", section 1.3, for grounding.)
 
 
-def _grounded_potentials(
-    node_count: int,
-    tails: np.ndarray,
-    heads: np.ndarray,
-    rhs: np.ndarray,
-    roots: np.ndarray,
-    ground: int | None = None,
-) -> np.ndarray:
-    """Solve L x = rhs with one node per component pinned to potential 0.
-
-    `rhs` is one right-hand side of shape (node_count,) or a block of them,
-    (node_count, k), real or complex; the potentials have its shape and
-    dtype.  Each component is grounded at its root, its smallest node (see
-    label_components), or at `ground` in its own component.  The Laplacian
-    of the free nodes is assembled once from the edge arrays.
-    """
-    is_free = roots != np.arange(node_count)
+def _pins(roots: np.ndarray, ground: int | None = None) -> np.ndarray:
+    """One node per component of the labeling `roots` (see label_components):
+    its root, its smallest node, or `ground` in ground's own component."""
+    is_pin = roots == np.arange(roots.size)
     if ground is not None:
-        is_free[roots[ground]] = True
-        is_free[ground] = False
-    free = np.flatnonzero(is_free)
-    block = rhs.reshape(node_count, -1)
-    potentials = np.zeros(block.shape, dtype=block.dtype)
-    potentials[free] = _solve(partial(_laplacian, node_count, tails, heads, free), block[free])
-    return potentials.reshape(rhs.shape)
+        is_pin[roots[ground]] = False
+        is_pin[ground] = True
+    return np.flatnonzero(is_pin)
 
 
 def _laplacian(
-    node_count: int, tails: np.ndarray, heads: np.ndarray, free: np.ndarray,
-    *, dense: bool = False,
+    node_count: int, tails: np.ndarray, heads: np.ndarray, pins: np.ndarray,
+    signs: float | np.ndarray = -1.0, *, dense: bool = False,
 ) -> np.ndarray | sp.csr_matrix:
-    """Laplacian of the edges {tails[i], heads[i]} on the rows and columns of
-    the sorted `free` nodes: a free node's diagonal counts all of its edges,
-    and an edge between two free nodes puts -1 at both of their entries.  A
-    numpy array when `dense`, else a scipy CSR matrix; both hold the same
-    small integers, summed exactly, so they are equal entry for entry."""
-    position = np.full(node_count, -1, dtype=np.int64)
-    position[free] = np.arange(free.size)
-    pu, pv = position[tails], position[heads]
-    pu_free, pv_free = pu[pu >= 0], pv[pv >= 0]
-    both = (pu >= 0) & (pv >= 0)
-    rows = np.concatenate([pu_free, pv_free, pu[both], pv[both]])
-    cols = np.concatenate([pu_free, pv_free, pv[both], pu[both]])
-    vals = np.concatenate(
-        [np.ones(pu_free.size + pv_free.size), np.full(2 * int(both.sum()), -1.0)]
-    )
+    """The pinned Laplacian of the links {tails[i], heads[i]} on all
+    `node_count` nodes: link i puts signs[i] (a scalar: on every link) at
+    both of its off-diagonal entries, -1 for a Laplacian and +1 for a
+    signless one, and a node's diagonal counts its links plus 1 if it is in
+    `pins`.  A numpy array when `dense`; else a scipy CSR matrix from one COO
+    with one diagonal entry per node.  Both hold the same small integers,
+    summed exactly, so they are equal entry for entry."""
+    off = np.full(tails.shape, signs, dtype=np.float64)
+    diagonal = np.bincount(np.concatenate([tails, heads, pins]), minlength=node_count)
     if dense:
-        matrix = np.zeros((free.size, free.size))
-        np.add.at(matrix.reshape(-1), rows * free.size + cols, vals)
-        return matrix
+        entries = np.concatenate([tails * node_count + heads, heads * node_count + tails])
+        matrix = np.bincount(entries, np.concatenate([off, off]), minlength=node_count**2)
+        matrix[:: node_count + 1] += diagonal
+        return matrix.reshape(node_count, node_count)
     import scipy.sparse as sp  # only CG-sized systems pay for this import
 
-    return sp.csr_matrix((vals, (rows, cols)), shape=(free.size, free.size))
+    # Each row lists its links to smaller nodes, itself, then its links to
+    # larger ones.  Links sorted by (tail, head) with tail < head, as g's
+    # edges are, give every row sorted and free of duplicates, so scipy's
+    # COO-to-CSR step keeps them as they are and sorts nothing.  The indices
+    # are the int32 that scipy would convert them to.
+    nodes = np.arange(node_count)
+    rows = np.concatenate([heads, nodes, tails], dtype=np.int32, casting="same_kind")
+    cols = np.concatenate([tails, nodes, heads], dtype=np.int32, casting="same_kind")
+    values = np.concatenate([off, diagonal, off])
+    return sp.csr_matrix((values, (rows, cols)), shape=(node_count, node_count))
 
 
-def _solve(assemble, rhs: np.ndarray) -> np.ndarray:
-    """Solve the real positive definite system `assemble(dense=...)` for an
-    (unknowns, k) block, real or complex; the solution has its dtype.  The
-    real and imaginary parts are solved as real columns, and an all-zero
-    column is not solved at all.  The columns left are solved densely when
-    there are at most _DENSE_MAX_NODES or at most as many unknowns as
-    columns (the dense matrix is then no bigger than the right-hand sides),
-    otherwise by diagonally preconditioned conjugate gradients column by
-    column."""
-    is_complex = np.iscomplexobj(rhs)
-    columns = np.concatenate([rhs.real, rhs.imag], axis=1) if is_complex else rhs
-    solved = np.flatnonzero(columns.any(axis=0))
+def _solve(
+    node_count: int, tails: np.ndarray, heads: np.ndarray, pins: np.ndarray, rhs: np.ndarray,
+    signs: float | np.ndarray = -1.0,
+) -> np.ndarray:
+    """Solve _laplacian(node_count, tails, heads, pins, signs) x = rhs for
+    one right-hand side of shape (node_count,) or a block of them,
+    (node_count, k), real or complex; x has its shape and dtype.  The real
+    and imaginary parts are solved as real columns, and a column that is 0
+    off the pins is not solved at all: its potentials are 0, as grounding at
+    the pins would give.  The columns left are solved densely when there are
+    at most _DENSE_MAX_NODES or at most as many nodes as columns (the dense
+    matrix is then no bigger than the right-hand sides), otherwise by
+    diagonally preconditioned conjugate gradients column by column."""
+    block = rhs.reshape(node_count, -1)
+    is_complex = np.iscomplexobj(block)
+    columns = np.concatenate([block.real, block.imag], axis=1) if is_complex else block
+    nonzero = columns != 0
+    nonzero[pins] = False
+    solved = np.flatnonzero(nonzero.any(axis=0))
     solution = np.zeros(columns.shape)
     if solved.size:
-        block = columns[:, solved]
-        if block.shape[0] <= max(_DENSE_MAX_NODES, block.shape[1]):
-            solution[:, solved] = np.linalg.solve(assemble(dense=True), block)
+        dense = node_count <= max(_DENSE_MAX_NODES, solved.size)
+        matrix = _laplacian(node_count, tails, heads, pins, signs, dense=dense)
+        if dense:
+            solution[:, solved] = np.linalg.solve(matrix, columns[:, solved])
         else:
-            matrix = assemble(dense=False)
-            solution[:, solved] = np.column_stack([_pcg(matrix, column) for column in block.T])
+            solution[:, solved] = np.column_stack([_pcg(matrix, columns[:, j]) for j in solved])
     if is_complex:
-        k = rhs.shape[1]
-        return solution[:, :k] + 1j * solution[:, k:]
-    return solution
+        k = block.shape[1]
+        solution = solution[:, :k] + 1j * solution[:, k:]
+    return solution.reshape(rhs.shape)
 
 
 def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | None = None) -> np.ndarray:
@@ -373,10 +383,10 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
 #     omega = x_a - x_b with L x = e_a - e_b (g's own resistance distance),
 #     rho = y_a + y_b with Q y = e_a + e_b.
 #
-# L is grounded at one vertex per component.  Q is positive definite on a
-# component of g with an odd cycle and is solved there ungrounded.  On a
+# L is pinned at one vertex per component.  Q is positive definite on a
+# component of g with an odd cycle and is solved there unpinned.  On a
 # bipartite component Q = S L S, with S the diagonal +-1 coloring, and Q is
-# grounded there alone; b_in is reachable from a_out only when b has the
+# pinned there alone; b_in is reachable from a_out only when b has the
 # other color, where S (e_a + e_b) = S_a (e_a - e_b), so y = S_a S x and
 # rho = omega with no Q solve.  (Doyle & Snell, "Random Walks and Electric
 # Networks", section 1.3, for the resistance; Cvetkovic, Rowlinson & Simic,
@@ -394,79 +404,34 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
 # vertices, 4.9-5.2 vs 5.2-5.6 on torus 2:25.
 
 
-def _g_laplacian(
-    g: Graph, blocks: Sequence[tuple[np.ndarray, bool]], *, dense: bool = False
-) -> np.ndarray | sp.csr_matrix:
-    """The block-diagonal matrix with one block per (free, signless) pair: L
-    (signless: Q) of g on the rows and columns of the sorted `free` vertices.
-    A numpy array when `dense`, cut from g's dense adjacency matrix.  Else a
-    scipy CSR matrix read off g.adjacency: row u holds u's sorted neighbors
-    with u itself sorted in, the columns of grounded vertices are dropped,
-    and the kept row lengths give indptr, with no COO step, duplicate sum or
-    index sort.  Both hold the same small integers."""
-    size = sum(free.size for free, _ in blocks)
-    if dense:
-        adjacency = np.zeros((g.n, g.n))
-        adjacency[np.arange(g.n)[:, None], g.adjacency] = 1.0
-        matrix = np.zeros((size, size))
-        start = 0
-        for free, signless in blocks:
-            block = adjacency[np.ix_(free, free)]
-            if not signless:
-                np.subtract(0.0, block, out=block)  # -A without negative zeros
-            np.fill_diagonal(block, g.degree)
-            matrix[start : start + free.size, start : start + free.size] = block
-            start += free.size
-        return matrix
-    import scipy.sparse as sp  # only CG-sized systems pay for this import
-
-    parts = []
-    start = 0
-    for free, signless in blocks:
-        position = np.full(g.n, -1, dtype=np.int64)
-        position[free] = start + np.arange(free.size)
-        columns = np.sort(np.column_stack([g.adjacency[free], free]), axis=1)
-        values = np.where(columns == free[:, None], float(g.degree), 1.0 if signless else -1.0)
-        columns = position[columns]
-        kept = columns >= 0
-        parts.append((values[kept], columns[kept], np.count_nonzero(kept, axis=1)))
-        start += free.size
-    values, columns, counts = (np.concatenate(part) for part in zip(*parts))
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csr_matrix((values, columns, indptr), shape=(size, size))
-
-
 def _g_potentials(
     g: Graph, l_rhs: np.ndarray | None = None, q_rhs: np.ndarray | None = None
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(x, y) with L x = l_rhs and Q y = q_rhs on g, from one block-diagonal
-    system diag(L, Q) solved by _solve.  Each right-hand side is a real or
-    complex (n, k) block, the same k for both, or None, which leaves out its
-    block and gives None.  The potentials are 0 at the grounded vertices."""
-    is_root = g.component_roots == np.arange(g.n)
-    blocks, rows = [], []
-    if l_rhs is not None:
-        blocks.append((np.flatnonzero(~is_root), False))
-        rows.append(l_rhs)
-    if q_rhs is not None:
-        on_odd_cycle = g.double_roots[: g.n] == g.double_roots[g.n :]
-        blocks.append((np.flatnonzero(~is_root | on_odd_cycle), True))
-        rows.append(q_rhs)
-    stacked = np.concatenate([rhs[free] for (free, _), rhs in zip(blocks, rows)])
-    solution = _solve(partial(_g_laplacian, g, blocks), stacked)
-    potentials, start = {}, 0
-    for free, signless in blocks:
-        x = np.zeros((g.n, solution.shape[1]), dtype=solution.dtype)
-        x[free] = solution[start : start + free.size]
-        potentials[signless] = x
-        start += free.size
-    return potentials.get(False), potentials.get(True)
+    """(x, y) with L x = l_rhs and Q y = q_rhs on g, from one solve: of L or
+    Q alone, or of diag(L, Q) on 2n nodes when both are asked for.  Each
+    right-hand side is a real or complex (n, k) block, the same k for both,
+    or None, which gives None.  L is pinned at each component's root, Q at
+    the roots of the bipartite components."""
+    n, (tails, heads) = g.n, g.edges.T
+    l_pins = _pins(g.component_roots)
+    if q_rhs is None:
+        return _solve(n, tails, heads, l_pins, l_rhs), None
+    roots = g.double_roots
+    q_pins = l_pins[roots[l_pins] != roots[n + l_pins]]
+    if l_rhs is None:
+        return None, _solve(n, tails, heads, q_pins, q_rhs, 1.0)
+    xy = _solve(
+        2 * n, np.concatenate([tails, n + tails]), np.concatenate([heads, n + heads]),
+        np.concatenate([l_pins, n + q_pins]), np.concatenate([l_rhs, q_rhs]),
+        np.repeat([-1.0, 1.0], tails.size),
+    )
+    return xy[:n], xy[n:]
 
 
 @dataclass(frozen=True)
 class _PairPotentials:
     """x = L^+ (e_u - e_v) and y = Q^+ (e_u + e_v) for two vertices u and v
-    of one component of g, grounded as in _g_potentials; y is None when it
+    of one component of g, pinned as in _g_potentials; y is None when it
     was not asked for."""
 
     u: int
@@ -525,15 +490,16 @@ def solve_network(net: ElectricNetwork, *, ground: int | None = None) -> FlowSol
     A component whose injections do not sum to ~0 makes the network
     infeasible (power = +infinity); this is a value, not an error.  Currents
     are unique, so the result does not depend on the grounding choice
-    (`ground` forces a specific node to be its component's ground, which is
-    useful for testing exactly that).
+    (`ground` forces a specific node to be its component's pinned node,
+    which is useful for testing exactly that).
     """
     roots = _balanced_roots(net)
     if roots is None:
         return FlowSolution(feasible=False, currents=None, potentials=None, power=math.inf)
 
     tails, heads = net.resistor_edges.T
-    potentials = _grounded_potentials(net.node_count, tails, heads, net.injections, roots, ground)
+    pins = _pins(roots, ground)
+    potentials = _solve(net.node_count, tails, heads, pins, net.injections)
     currents = potentials[tails] - potentials[heads]
     power = float(np.vdot(currents, currents).real)
     return FlowSolution(feasible=True, currents=currents, potentials=potentials, power=power)
@@ -556,8 +522,8 @@ def circulation_projection(
     divergence = np.zeros((node_count,) + flow.shape[1:], dtype=flow.dtype)
     np.add.at(divergence, tails, flow)
     np.add.at(divergence, heads, -flow)
-    roots = label_components(node_count, tails, heads)
-    potentials = _grounded_potentials(node_count, tails, heads, divergence, roots)
+    pins = _pins(label_components(node_count, tails, heads))
+    potentials = _solve(node_count, tails, heads, pins, divergence)
     return flow - (potentials[tails] - potentials[heads])
 
 
@@ -567,7 +533,7 @@ def resistance_distance(g: Graph, a: int, b: int, *, double: bool = False) -> fl
     of g (one resistor u_out -- v_in per arc (u, v)), where a = b is allowed.
 
     The double is never built: omega_double = (omega + rho) / 2, with rho
-    from g's signless Laplacian (see the block comment above _g_laplacian).
+    from g's signless Laplacian (see the block comment above _g_potentials).
     That costs one Laplacian solve, plus one signless-Laplacian solve when
     a's component is not bipartite.
     """

@@ -140,7 +140,7 @@ class OverlapSeries:
 # the out-nodes (psi summed over the arcs leaving each vertex) and i the one
 # at the in-nodes (minus psi summed over the arcs entering it).  The change
 # of variables that splits the double's Laplacian into L (+) Q (derived in
-# electric's block comment above _g_laplacian) turns the double's solve into
+# electric's block comment above _g_potentials) turns the double's solve into
 # L p = o + i and Q q = o - i on g's own vertices, one block-diagonal
 # system, and the current on arc (u, v) is (p_u - p_v + q_u + q_v) / 2.
 #

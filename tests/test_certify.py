@@ -131,7 +131,7 @@ def test_states_on_a_bridge_keep_their_verdicts(tmp_path):
 
 def test_selfflip_states_on_a_cg_sized_torus(monkeypatch):
     g = torus_graph(2, 12)
-    assert g.n - 1 > electric._DENSE_MAX_NODES
+    assert g.n > electric._DENSE_MAX_NODES
     solved = []
     pcg = electric._pcg
     monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
@@ -139,7 +139,7 @@ def test_selfflip_states_on_a_cg_sized_torus(monkeypatch):
         psi = selfflip_state(g, u, v)
         solved.clear()
         certify(psi)
-        assert solved == [g.n - 1]
+        assert solved == [g.n]
         assert_matches_oracle(psi)
 
 
@@ -179,14 +179,21 @@ def test_random_regular_single_edge_states_match_the_oracle(n, d, seed):
 
 
 def run_recording(argv, monkeypatch, capsys):
-    """Run the CLI, recording the unknowns of every CG solve and every
-    assembly of a network's (irregular) Laplacian."""
+    """Run the CLI, recording the unknowns of every CG solve and the node
+    count of every assembly of a network's Laplacian.  g's own L, Q and
+    diag(L, Q) give every node the same number of links; a network lacks
+    the links of the state's support, so its link counts differ."""
     solved, networks = [], []
     pcg, laplacian = electric._pcg, electric._laplacian
+
+    def recording(node_count, tails, heads, *args, **kw):
+        links = np.bincount(np.concatenate([tails, heads]), minlength=node_count)
+        if links.min() != links.max():
+            networks.append(node_count)
+        return laplacian(node_count, tails, heads, *args, **kw)
+
     monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
-    monkeypatch.setattr(
-        electric, "_laplacian", lambda *args, **kw: networks.append(args[0]) or laplacian(*args, **kw)
-    )
+    monkeypatch.setattr(electric, "_laplacian", recording)
     code = main(argv)
     capsys.readouterr()
     return code, solved, networks
@@ -195,12 +202,12 @@ def run_recording(argv, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "spec,state,solves",
     [
-        ("hypercube:8", "edge:0:1", [255]),  # bipartite: y = S_u S x, one L solve
-        ("hypercube:8", "selfflip:3:7", [255]),
-        ("torus:2:24", "edge:0:1", [575]),
-        ("torus:2:24", "selfflip:0:24", [575]),
-        ("torus:2:13", "selfflip:0:1", [168]),  # odd cycles, but no Q right-hand side
-        ("torus:2:13", "edge:0:1", [168, 169]),  # L, then Q: the solves of `resistance`
+        ("hypercube:8", "edge:0:1", [256]),  # bipartite: y = S_u S x, one L solve
+        ("hypercube:8", "selfflip:3:7", [256]),
+        ("torus:2:24", "edge:0:1", [576]),
+        ("torus:2:24", "selfflip:0:24", [576]),
+        ("torus:2:13", "selfflip:0:1", [169]),  # odd cycles, but no Q right-hand side
+        ("torus:2:13", "edge:0:1", [169, 169]),  # L, then Q: the solves of `resistance`
     ],
 )
 @pytest.mark.parametrize("command", ["bounds", "decompose"])
@@ -212,21 +219,21 @@ def test_single_edge_states_take_one_cg_solve_on_g(command, spec, state, solves,
 
 
 def test_decompose_of_a_wide_state_assembles_no_double(monkeypatch, capsys, tmp_path):
-    # torus 2:12 is bipartite: L and Q are each grounded at vertex 0, so the
-    # block has 2 * 143 unknowns, one CG solve per real and imaginary part.
+    # torus 2:12 is bipartite: L and Q are each pinned at vertex 0, and the
+    # block has 2 * 144 unknowns, one CG solve per real and imaginary part.
     g = torus_graph(2, 12)
     path = tmp_path / "state.csv"
     write_state_csv(random_state(g, np.random.default_rng(42)), str(path))
     argv = ["decompose", "--graph", "torus:2:12", "--state", f"csv:{path}"]
     code, solved, networks = run_recording(argv, monkeypatch, capsys)
-    assert (code, solved, networks) == (0, [286, 286], [])
+    assert (code, solved, networks) == (0, [288, 288], [])
 
 
 def test_bounds_of_a_real_wide_state_solve_one_real_column_per_system(monkeypatch, capsys,
                                                                       tmp_path):
     # A real state on 20 arcs of torus 2:12: its double network (288 nodes,
-    # one ground in each copy) and its flip projection (diag(L, Q) of
-    # 143 + 143 unknowns) each take one CG solve; the zero imaginary part of
+    # one pin in each copy) and its flip projection (diag(L, Q) of
+    # 144 + 144 unknowns) each take one CG solve; the zero imaginary part of
     # the network's injections is not solved.
     g = torus_graph(2, 12)
     rng = np.random.default_rng(5)
@@ -236,7 +243,7 @@ def test_bounds_of_a_real_wide_state_solve_one_real_column_per_system(monkeypatc
     write_state_csv(ArcState(g, amps / np.linalg.norm(amps)), str(path))
     argv = ["bounds", "--graph", "torus:2:12", "--state", f"csv:{path}"]
     code, solved, networks = run_recording(argv, monkeypatch, capsys)
-    assert (code, solved, networks) == (0, [286, 286], [2 * g.n])
+    assert (code, solved, networks) == (0, [288, 288], [2 * g.n])
 
 
 @pytest.mark.parametrize(

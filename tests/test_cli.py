@@ -229,19 +229,24 @@ def test_resistance_labels_twice_and_builds_no_double(spec, pair, capsys, monkey
 def test_resistance_assembles_one_laplacian_and_a_signless_one_if_odd(spec, pair, n, odd, capsys,
                                                                       monkeypatch):
     from oscillwalk import electric
+    from oscillwalk.graphs import build_graph
 
     expected = run_cli(["resistance", "--graph", spec, "--pair", pair], capsys)
     assembled = []
 
-    def recording(g, blocks, *, dense=False):
-        assembled.extend((g.n, free.size, signless) for free, signless in blocks)
-        return laplacian(g, blocks, dense=dense)
+    def recording(node_count, tails, heads, pins, signs=-1.0, *, dense=False):
+        assembled.append((node_count, tails.size, pins.size, signs))
+        return laplacian(node_count, tails, heads, pins, signs, dense=dense)
 
-    laplacian = electric._g_laplacian
-    monkeypatch.setattr(electric, "_g_laplacian", recording)
+    laplacian = electric._laplacian
+    monkeypatch.setattr(electric, "_laplacian", recording)
     assert run_cli(["resistance", "--graph", spec, "--pair", pair], capsys) == expected
-    # L grounded at one node, then Q on a's whole component when it has an odd cycle.
-    assert assembled == [(n, n - 1, False)] + ([(n, n, True)] if odd else [])
+    # Each system is g's own, on all of its n vertices and m edges (a
+    # network would lack some links): L pinned at one vertex, then Q,
+    # unpinned, when a's component has an odd cycle.
+    family, *params = spec.split(":")
+    m = len(build_graph(family, params).edges)
+    assert assembled == [(n, m, 1, -1.0)] + ([(n, m, 0, 1.0)] if odd else [])
 
 
 def test_resistance_pair_in_different_copies_of_the_double_exits_one(capsys):

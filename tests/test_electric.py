@@ -231,19 +231,81 @@ def test_grounding_choice_does_not_change_currents():
     assert_grounding_invariance(net, (3, 7, 12))
 
 
-@pytest.mark.parametrize(
-    "g, dense", [(hypercube_graph(3), True), (torus_graph(2, 10), False)], ids=["dense", "cg"]
+def balanced_network(node_count, edges, seed):
+    """Unit resistors on `edges` with random complex injections that sum to
+    0 on each component (exactly 0 at an isolated node)."""
+    from scipy.sparse.csgraph import connected_components
+
+    tails, heads = np.array(edges).reshape(-1, 2).T
+    adjacency = sp.coo_matrix((np.ones(tails.size), (tails, heads)), shape=(node_count,) * 2)
+    labels = connected_components(adjacency, directed=False)[1]
+    rng = np.random.default_rng(seed)
+    injections = rng.standard_normal(node_count) + 1j * rng.standard_normal(node_count)
+    sums = np.bincount(labels, injections.real) + 1j * np.bincount(labels, injections.imag)
+    return ElectricNetwork(node_count, edges, injections - (sums / np.bincount(labels))[labels])
+
+
+# Three components with parallel resistors (0-1 twice, 5-6 three times).
+PARALLEL_EDGES = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (0, 2),
+                  (4, 5), (5, 6), (6, 5), (5, 6), (6, 7), (7, 4),
+                  (8, 9), (9, 10), (10, 8), (9, 11)]
+# A triangle, a path and the isolated nodes 3, 6 and 8.
+ISOLATED_EDGES = [(0, 1), (1, 2), (2, 0), (4, 5), (5, 7)]
+# The double of torus 2:10 under an edge state (two components of 100 nodes)
+# beside 30 isolated nodes: 230 nodes, solved by CG.
+TORUS_NET = network_from_state_double(basis_arc_state(torus_graph(2, 10), 0, 1))
+TORUS_AND_ISOLATED = ElectricNetwork(
+    230, TORUS_NET.resistor_edges, np.concatenate([TORUS_NET.injections, np.zeros(30)])
 )
-def test_currents_match_laplacian_pseudoinverse(g, dense):
-    net = network_from_state_double(basis_arc_state(g, 0, 1))
-    unknowns = net.node_count - bipartite_double(g).num_components
-    assert (unknowns <= electric._DENSE_MAX_NODES) == dense
+
+
+@pytest.mark.parametrize(
+    "net, ground, dense",
+    [
+        pytest.param(network_from_state_double(basis_arc_state(hypercube_graph(3), 0, 1)),
+                     None, True, id="dense"),
+        pytest.param(TORUS_NET, None, False, id="cg"),
+        pytest.param(balanced_network(9, ISOLATED_EDGES, 1), None, True, id="isolated"),
+        pytest.param(balanced_network(12, PARALLEL_EDGES, 2), None, True, id="parallel"),
+        pytest.param(balanced_network(12, PARALLEL_EDGES, 3), 6, True, id="ground"),
+        pytest.param(TORUS_AND_ISOLATED, None, False, id="cg-isolated"),
+        pytest.param(TORUS_AND_ISOLATED, 150, False, id="cg-ground"),
+    ],
+)
+def test_currents_match_laplacian_pseudoinverse(net, ground, dense):
+    # Every node is an unknown: one pinned node per component (its smallest,
+    # or `ground` in ground's component) holds potential ~0, and the
+    # currents are the pseudoinverse's.
+    from scipy.sparse.csgraph import connected_components
+
+    assert (net.node_count <= electric._DENSE_MAX_NODES) == dense
     pairs = np.array(net.resistor_edges)
     potentials = np.linalg.pinv(dense_laplacian(net.node_count, *pairs.T)) @ net.injections
     expected = potentials[pairs[:, 0]] - potentials[pairs[:, 1]]
-    sol = solve_network(net)
+    sol = solve_network(net, ground=ground)
     assert np.max(np.abs(sol.currents - expected)) <= 1e-9
     assert sol.power == pytest.approx(float(np.sum(np.abs(expected) ** 2)), abs=1e-9)
+    assert_kcl(net, sol)
+    adjacency = sp.coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(net.node_count,) * 2)
+    labels = connected_components(adjacency, directed=False)[1]
+    pins = np.unique(labels, return_index=True)[1]  # the smallest node of each component
+    if ground is not None:
+        pins[labels[ground]] = ground
+    assert np.max(np.abs(sol.potentials[pins])) <= 1e-12
+
+
+def test_injections_only_at_the_pins_take_no_solve(monkeypatch):
+    # Rounding noise left at the pinned nodes 0 and 3 (the smallest of each
+    # component) would cost a solve of a system that grounding there drops:
+    # it takes none, and the currents are 0.
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(b.shape) or solve(a, b))
+    injections = np.zeros(5, dtype=complex)
+    injections[[0, 3]] = 5e-17, -5e-17j
+    sol = solve_network(ElectricNetwork(5, [(0, 1), (1, 2), (3, 4)], injections))
+    assert sol.feasible and solves == []
+    assert not sol.currents.any() and not sol.potentials.any()
 
 
 @pytest.mark.parametrize(
@@ -304,79 +366,84 @@ def _allocating_pcg(a, b, tol=1e-13):
 
 
 def test_in_place_conjugate_gradients_match_the_allocating_loop_bitwise():
-    # Grounded Laplacian of torus 3:10 (999 unknowns, a CG-sized system; its
-    # diagonal 6 has no exact reciprocal); each tolerance stops the loop at a
-    # different iterate.
+    # Laplacian of torus 3:10 pinned at node 0 (1000 unknowns, a CG-sized
+    # system; its diagonal 6 has no exact reciprocal); each tolerance stops
+    # the loop at a different iterate.
     g = torus_graph(3, 10)
-    lap = electric._laplacian(g.n, *g.edges.T, np.arange(1, g.n))
+    lap = electric._laplacian(g.n, *g.edges.T, np.array([0]))
     assert lap.shape[0] > electric._DENSE_MAX_NODES
     rng = np.random.default_rng(37)
-    b = np.zeros(g.n - 1)
+    b = np.zeros(g.n)
     b[[10, 555]] = 1.0, -1.0
-    for rhs in (b, rng.standard_normal(g.n - 1)):
+    for rhs in (b, rng.standard_normal(g.n)):
         for tol in (1e-3, 1e-8, 1e-13):
             assert np.array_equal(electric._pcg(lap, rhs, tol), _allocating_pcg(lap, rhs, tol))
 
 
 def _assembly_cases():
-    # Three components with parallel resistors (0-1 twice, 5-6 three times);
-    # grounding each at its smallest node leaves edges with one grounded end.
-    edges = np.array([(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (0, 2),
-                      (4, 5), (5, 6), (6, 5), (5, 6), (6, 7), (7, 4),
-                      (8, 9), (9, 10), (10, 8), (9, 11)])
-    tails, heads = edges.T
+    # Three components with parallel resistors; pinning one node of each
+    # leaves links with one pinned end.
+    tails, heads = np.array(PARALLEL_EDGES).T
     roots = label_components(12, tails, heads)
-    yield "grounded", 12, tails, heads, np.flatnonzero(roots != np.arange(12))
-    yield "one-component", 12, tails, heads, np.flatnonzero(roots == roots[5])
-    g = torus_graph(2, 5)  # the double: 50 nodes, one root per component
+    yield "grounded", 12, tails, heads, np.flatnonzero(roots == np.arange(12)), -1.0
+    yield "one-component", 12, tails, heads, np.array([roots[5]]), -1.0
+    g = torus_graph(2, 5)  # the double: 50 nodes, one pin per component
     double = (2 * g.n, g.arc_tails, g.n + g.arc_heads)
-    yield "double", *double, np.flatnonzero(g.double_roots != np.arange(2 * g.n))
+    yield "double", *double, np.flatnonzero(g.double_roots == np.arange(2 * g.n)), -1.0
     g = complete_graph(7)
-    yield "complete", g.n, *g.edges.T, np.arange(g.n)
+    yield "complete", g.n, *g.edges.T, np.array([], dtype=np.int64), -1.0
+    yield "signless", g.n, *g.edges.T, np.array([3]), 1.0
+    stacked = np.concatenate([g.edges, g.n + g.edges])
+    yield "signs", 2 * g.n, *stacked.T, np.array([0]), np.repeat([-1.0, 1.0], len(g.edges))
 
 
 @pytest.mark.parametrize("case", list(_assembly_cases()), ids=lambda case: case[0])
 def test_dense_laplacian_is_the_sparse_one_bit_for_bit(case):
-    _, node_count, tails, heads, free = case
-    dense = electric._laplacian(node_count, tails, heads, free, dense=True)
-    sparse = electric._laplacian(node_count, tails, heads, free).toarray()
+    _, node_count, tails, heads, pins, signs = case
+    dense = electric._laplacian(node_count, tails, heads, pins, signs, dense=True)
+    sparse = electric._laplacian(node_count, tails, heads, pins, signs).toarray()
+    expected = dense_laplacian(node_count, tails, heads, pins, signs)
     assert isinstance(dense, np.ndarray)
-    assert dense.dtype == sparse.dtype and dense.shape == sparse.shape == (free.size, free.size)
-    assert dense.tobytes() == sparse.tobytes()
+    assert dense.dtype == sparse.dtype and dense.shape == sparse.shape == (node_count, node_count)
+    assert dense.tobytes() == sparse.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
     "g", [complete_graph(7), hypercube_graph(4), torus_graph(2, 5), cycle_graph(9)],
     ids=lambda g: g.name,
 )
-def test_laplacians_of_g_match_the_edge_list_assembly_bit_for_bit(g):
-    # L grounded at vertex 0 and Q on every vertex (grounded at 0 too when g
-    # is bipartite), alone and as the blocks of diag(L, Q): the numpy array
-    # and the CSR read off g.adjacency agree with L by the COO route from g's
-    # edge list and with Q = D + A built here from it.
-    free_l = np.arange(1, g.n)
-    free_q = free_l if bipartite_partition(g) is not None else np.arange(g.n)
-    adjacency = np.zeros((g.n, g.n))
-    np.add.at(adjacency, tuple(g.edges.T), 1.0)
-    np.add.at(adjacency, tuple(g.edges.T[::-1]), 1.0)
-    signless = np.diag(adjacency.sum(axis=1)) + adjacency
-    oracles = [electric._laplacian(g.n, *g.edges.T, free_l).toarray(),
-               signless[np.ix_(free_q, free_q)]]
-    for blocks, expected in (([(free_l, False)], oracles[0]), ([(free_q, True)], oracles[1]),
-                             ([(free_l, False), (free_q, True)], np.block(
-                                 [[oracles[0], np.zeros((free_l.size, free_q.size))],
-                                  [np.zeros((free_q.size, free_l.size)), oracles[1]]]))):
-        sparse = electric._g_laplacian(g, blocks)
-        assert sparse.has_sorted_indices
-        assert electric._g_laplacian(g, blocks, dense=True).tobytes() == expected.tobytes()
+def test_laplacians_of_g_match_the_edge_list_assembly_bit_for_bit(g, monkeypatch):
+    # The systems _g_potentials assembles: L pinned at vertex 0, Q pinned at
+    # vertex 0 when g is bipartite (unpinned otherwise), and diag(L, Q) when
+    # both are asked for.  The numpy array and the CSR matrix, whose rows
+    # come out sorted, equal the pinned matrices built here entry by entry.
+    assembled = []
+    laplacian = electric._laplacian
+
+    def recording(*args, dense=False):
+        assembled.append(args)
+        return laplacian(*args, dense=dense)
+
+    monkeypatch.setattr(electric, "_laplacian", recording)
+    rhs = np.random.default_rng(g.n).standard_normal((g.n, 1))
+    for l_rhs, q_rhs in ((rhs, None), (None, rhs), (rhs, rhs)):
+        electric._g_potentials(g, l_rhs, q_rhs)
+    l = dense_laplacian(g.n, *g.edges.T, [0])
+    q = dense_laplacian(g.n, *g.edges.T, [0] if bipartite_partition(g) is not None else [], 1.0)
+    both = np.block([[l, np.zeros_like(q)], [np.zeros_like(l), q]])
+    assert len(assembled) == 3
+    for args, expected in zip(assembled, (l, q, both)):
+        sparse = laplacian(*args)
+        assert sparse.has_canonical_format
+        assert laplacian(*args, dense=True).tobytes() == expected.tobytes()
         assert sparse.toarray().tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("unknowns", [128, 129])
 def test_dense_and_cg_currents_agree_at_the_threshold(unknowns, monkeypatch):
-    # A random 4-regular resistor graph on unknowns + 1 nodes, grounded at
-    # node 0, solved once on each side of _DENSE_MAX_NODES.
-    g = random_regular_graph(unknowns + 1, 4, seed=unknowns)
+    # A random 4-regular resistor graph on `unknowns` nodes, pinned at node
+    # 0, solved once on each side of _DENSE_MAX_NODES.
+    g = random_regular_graph(unknowns, 4, seed=unknowns)
     rng = np.random.default_rng(unknowns)
     injections = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
     net = ElectricNetwork(g.n, g.edges, injections - injections.mean())
@@ -643,12 +710,16 @@ def disjoint_union(*graphs):
     return Graph(int(offsets[-1]), edges, require_connected=False, name=name)
 
 
-def dense_laplacian(nodes, tails, heads):
+def dense_laplacian(nodes, tails, heads, pins=(), signs=-1.0):
+    """Laplacian of the links tails[i] -- heads[i] entry by entry, with
+    signs off the diagonal (-1: L, +1: Q) and 1 added at each pinned node."""
     laplacian = np.zeros((nodes, nodes))
+    pins = np.asarray(pins, dtype=np.int64)
     np.add.at(laplacian, (tails, tails), 1.0)
     np.add.at(laplacian, (heads, heads), 1.0)
-    np.add.at(laplacian, (tails, heads), -1.0)
-    np.add.at(laplacian, (heads, tails), -1.0)
+    np.add.at(laplacian, (tails, heads), signs)
+    np.add.at(laplacian, (heads, tails), signs)
+    np.add.at(laplacian, (pins, pins), 1.0)
     return laplacian
 
 
@@ -693,6 +764,50 @@ def test_double_resistance_rejects_terminals_in_different_components():
     # 0 and 3 share a color of Q_3, so 0_out and 3_in = 11 lie in different copies.
     with pytest.raises(ValueError, match="vertices 0 and 11 lie in different components"):
         resistance_distance(hypercube_graph(3), 0, 3, double=True)
+
+
+@pytest.mark.parametrize(
+    "g, dense", [(hypercube_graph(4), True), (torus_graph(2, 12), False)], ids=["dense", "cg"]
+)
+def test_pinned_signless_solve_on_a_bipartite_graph_is_the_colored_laplacian_one(g, dense,
+                                                                                monkeypatch):
+    # Q = S L S on a bipartite g, pinned at vertex 0: for a b whose S-weighted
+    # sum is 0, Q y = b gives y = S L^+ S b up to the null vector S, which the
+    # pin fixes by y_0 = 0.
+    solved = []
+    pcg = electric._pcg
+    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    colors = np.full(g.n, -1.0)
+    colors[bipartite_partition(g).partite_x] = 1.0
+    rng = np.random.default_rng(g.n)
+    b = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    b -= colors * np.mean(colors * b)
+    _, y = electric._g_potentials(g, q_rhs=b[:, None])
+    z = np.linalg.pinv(dense_laplacian(g.n, *g.edges.T)) @ (colors * b)
+    assert np.max(np.abs(y[:, 0] - colors * (z - z[0]))) <= 1e-12
+    assert abs(y[0, 0]) <= 1e-12
+    assert solved == ([] if dense else [g.n, g.n])
+
+
+@pytest.mark.parametrize(
+    "g", [torus_graph(2, 100), torus_graph(2, 101), hypercube_graph(12)], ids=lambda g: g.name
+)
+def test_cg_sized_resistances_match_fosters_closed_forms(g, monkeypatch):
+    # Foster: every edge of an edge-transitive graph has resistance (n-1)/m,
+    # and the double of a non-bipartite one is connected and edge-transitive
+    # with 2n vertices and 2m edges.  A bipartite g takes one L solve
+    # (y = S x), an odd one L, then Q.
+    solved = []
+    pcg = electric._pcg
+    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    bipartite = bipartite_partition(g) is not None
+    m = len(g.edges)
+    omega = (g.n - 1) / m
+    u, v = g.edges[m // 3].tolist()
+    omegas = resistance_distances(g, u, v)
+    assert omegas[0] == pytest.approx(omega, abs=1e-9)
+    assert omegas[1] == pytest.approx(omega if bipartite else (2 * g.n - 1) / (2 * m), abs=1e-9)
+    assert solved == [g.n] * (1 if bipartite else 2)
 
 
 def spsolve_resistances(nodes, tails, heads, pairs):

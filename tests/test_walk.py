@@ -1,6 +1,10 @@
 """Walk operators: coin, shift, evolution, flip transform, averages."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +506,27 @@ def test_measured_overlaps_peak_holds_no_renormalized_copy():
         tracemalloc.stop()
     vector = psi.amplitudes.nbytes
     assert abs(peaks[1] - peaks[0] - vector) <= 0.05 * vector
+
+
+def test_unit_norm_slack_holds_under_one_blas_thread():
+    # The benchmark pins OpenBLAS to one thread, which sums the squared
+    # moduli of torus 2:100's 40,000 arcs in another order than two threads
+    # do: the state above reads 1 + 5 eps there, against 1 + eps with two.
+    # It must still pass ensure_normalized uncopied.
+    script = (
+        "import numpy as np\n"
+        "from oscillwalk import ensure_normalized, torus_graph\n"
+        "from oscillwalk.verify import random_state\n"
+        "psi = random_state(torus_graph(2, 100), np.random.default_rng(41))\n"
+        "assert psi.norm() != 1.0\n"
+        "assert ensure_normalized(psi) is psi\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 # ---- serialization ---------------------------------------------------------------------------
