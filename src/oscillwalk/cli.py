@@ -43,7 +43,13 @@ from .graphs import (
     build_graph,
     edge_disjoint_paths,
 )
-from .oscillation import CapacityError, certify, decompose, measured_overlaps, oscillation_bounds
+from .oscillation import (
+    CapacityError,
+    _certify,
+    decompose,
+    measured_overlaps,
+    oscillation_bounds,
+)
 from .verify import run_checks
 from .walk import (
     ArcState,
@@ -347,9 +353,11 @@ def _cmd_resistance(args) -> int:
 def _cmd_bounds(args) -> int:
     g = _parse_graph(args.graph, args.seed)
     psi0 = _parse_state(g, args.state)
+    network = None
     if args.dump_network:
-        _dump_network(network_from_state_double(psi0, args.zero_tol), args.dump_network)
-    cert = certify(psi0, args.zero_tol, args.flip_tol)
+        network = network_from_state_double(psi0, args.zero_tol)
+        _dump_network(network, args.dump_network)
+    cert = _certify(psi0, args.zero_tol, args.flip_tol, network)
     dec = cert.decomposition
     report = oscillation_bounds(dec)
     record = {

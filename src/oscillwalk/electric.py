@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,12 +70,14 @@ FEASIBILITY_TOL = 1e-9
 # Laplacian systems of at most this many unknowns are solved densely, larger
 # ones by CG; every node is an unknown (see the Kirchhoff solver).  Measured
 # per solve with its assembly on g's own systems (one BLAS thread, 2-core
-# Xeon VM, with one node per component cut rather than pinned), dense vs CG:
-# 0.07 vs 0.19 ms at 48 unknowns (L of K_48), 0.09 vs 0.35-0.98 at 64 (Q_6,
-# torus 2:8, a random 4-regular graph), 0.17-0.25 vs 0.26-1.04 at 128
-# (diag(L, Q) of those), 0.41 vs 0.95 at 144 (L of torus 2:12), 1.26 vs 1.33
-# at 200, 1.04-1.61 vs 0.46-1.28 at 256-288, 7.0 vs 0.73 at 512 (diag(L, Q)
-# of Q_8), 54 vs 2.1 at 1250 (torus 2:25).
+# Xeon VM), dense vs CG: 0.07 vs 0.19 ms at 48 unknowns (L of K_48), 0.09
+# vs 0.35-0.98 at 64 (Q_6, torus 2:8, a random 4-regular graph), 0.17-0.25
+# vs 0.26-1.04 at 128 (diag(L, Q) of those), 0.41 vs 0.95 at 144 (L of
+# torus 2:12), 1.26 vs 1.33 at 200, 1.04-1.61 vs 0.46-1.28 at 256-288, 7.0
+# vs 0.73 at 512 (diag(L, Q) of Q_8), 54 vs 2.1 at 1250 (torus 2:25).  CG
+# on L + J takes fewer iterations, yet the crossover stays: 0.18 vs 0.39 ms
+# at 128 (diag(L, Q) of torus 2:8), 0.19 vs 0.46 at 144, 1.3 vs 0.42 at
+# 256 (L of Q_8).
 # The crossover lies between about 150 and 250 unknowns; the threshold
 # stays at 128, where the double's irregular networks cross over too (0.50
 # vs 0.57-0.81 ms at 128, 1.7 vs 0.48 at 256).  A block with at least as
@@ -135,10 +138,12 @@ class FlowSolution:
 
     `currents[i]` flows along resistor_edges[i] from its first to its second
     node; `potentials` are pinned at one node per component, whose potential
-    is then the component's net injection: ~0, not a literal 0 (see the
-    Kirchhoff solver's block comment).  When any component's injections do
-    not balance, no steady current exists: feasible is False and power is
-    +infinity.
+    is then the component's net injection: ~0, not a literal 0.  They are
+    the pinned system's solution whether it was solved densely or by CG,
+    which regularizes the kernel instead and shifts its solution back to
+    the pin's value (see the Kirchhoff solver's block comment).  When any
+    component's injections do not balance, no steady current exists:
+    feasible is False and power is +infinity.
     """
 
     feasible: bool
@@ -237,18 +242,37 @@ def _network(
 # Kirchhoff solver
 # ======================================================================================
 #
-# Every system is a Laplacian pinned instead of grounded: the full matrix
-# with 1 added to the diagonal at one pinned node r per component.  The
-# pinned matrix is positive definite, and pinning is exact: summing the rows
-# of a component of (L + e_r e_r^T) x = b gives x_r = the component's sum of
-# b, so a b that sums to 0 on each component forces x_r = 0 and L x = b, the
-# system grounded at r.  A b off by s shifts the component's potentials by s
-# and leaves every drop as it is.  The signless Laplacian Q of a bipartite
-# component is S L S, with S its +-1 coloring, so it is pinned the same way
-# for a b whose S-weighted sum is 0 (see the L (+) Q section below).  The
-# pinned potential is rounding noise rather than a literal 0; only drops and
-# pair sums are read from the solutions.  (Doyle & Snell, "Random Walks and
-# Electric Networks", section 1.3, for grounding.)
+# Every system is a Laplacian A (L, the signless Q, diag(L, Q) or a
+# network's) on all of its nodes, with one pin r and one kernel vector w per
+# component: w^T A = 0, w_r = 1.  A dense system is pinned: 1 is added to
+# the diagonal at r, which makes it positive definite.  Pinning is exact:
+# the w-weighted sum of a component's rows of (A + e_r e_r^T) x = b gives
+# x_r = s = w^T b, so a balanced b (s = 0) forces x_r = 0 and A x = b, the
+# system grounded at r, while a b off by s shifts the potentials by s w and
+# leaves every drop as it is.
+#
+# CG reaches the same pinned solution by regularizing the kernel instead
+# of pinning.  With J = sum_c w_c w_c^T / |c|, the orthogonal projector onto
+# A's null space, and b' = b - s e_r on each component (so w^T b' = 0), it
+# solves (A + J) y = b', whose solution is A^+ b'; then x = y + (s - y_r) w
+# is the pinned solution, x_r = s included.  A + J keeps A's nonzero
+# spectrum and puts 1 on the kernel, so CG converges at the rate of the
+# smallest nonzero eigenvalue, a component's Fiedler value.  The pinned
+# matrix's smallest eigenvalue is near the grounded Laplacian's, about
+# 1 / (n times the mean resistance to r), far below it: a pair on torus
+# 2:100 takes 248 iterations against 401 pinned.
+# (Bochev & Lehoucq, SIAM Review 47, 2005, on fixing a node against
+# regularizing the kernel; Kaasschieter, J. Comput. Appl. Math. 24, 1988, on
+# CG for consistent singular systems.)
+#
+# Either way a potential means the same: the pinned potential is the
+# component's imbalance s, rounding noise rather than a literal 0 for a
+# balanced b, and only drops and pair sums are read from the solutions.
+# w is 1 on a component of L or of a network.  The signless Laplacian Q of
+# a bipartite component is S L S, with S its +-1 coloring, so there w = S
+# (S_r = 1); Q on a component with an odd cycle is positive definite and is
+# neither pinned nor regularized (see the L (+) Q section below).  (Doyle &
+# Snell, "Random Walks and Electric Networks", section 1.3, for grounding.)
 
 
 def _pins(roots: np.ndarray, ground: int | None = None) -> np.ndarray:
@@ -261,6 +285,67 @@ def _pins(roots: np.ndarray, ground: int | None = None) -> np.ndarray:
     return np.flatnonzero(is_pin)
 
 
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """The pins of a system and its null space W = [w_1 ... w_k]: w_c is 1 at
+    the pin pins[c], +-1 on the rest of its component and 0 elsewhere.
+
+    W is held as `blocks`, one (nodes, w) per pin with nodes a slice and w
+    its entries (None: all 1), when every component is a run of nodes, as on
+    g's own systems on a connected g; otherwise as each node's component
+    root `labels` (see label_components) and its entry of W, `weights`
+    (None: 1 on every node).  The blocks cost one reduction and one update
+    per pin; the labels a bincount and a gather."""
+
+    pins: np.ndarray
+    blocks: tuple[tuple[slice, np.ndarray | None], ...] = ()
+    labels: np.ndarray | None = None
+    weights: np.ndarray | None = None
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """|c| = w_c^T w_c, one per pin."""
+        if self.labels is None:
+            return np.array([nodes.stop - nodes.start for nodes, _ in self.blocks])
+        weights = None if self.weights is None else np.abs(self.weights)
+        return np.bincount(self.labels, weights, minlength=self.labels.size)[self.labels[self.pins]]
+
+    @cached_property
+    def _units(self) -> list[tuple[slice, np.ndarray | None, np.ndarray]]:
+        """(nodes, w, w / |c|) per block."""
+        return [(nodes, w, (np.ones(size) if w is None else w) / size)
+                for (nodes, w), size in zip(self.blocks, self.sizes.tolist())]
+
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        """W^T v."""
+        if self.labels is None:
+            return np.array([v[nodes].sum() if w is None else w @ v[nodes]
+                             for nodes, w in self.blocks])
+        weighted = v if self.weights is None else self.weights * v
+        return np.bincount(self.labels, weighted, minlength=v.size)[self.labels[self.pins]]
+
+    def add(self, coefficients: np.ndarray, out: np.ndarray) -> None:
+        """out += W coefficients."""
+        if self.labels is None:
+            for (nodes, w), c in zip(self.blocks, coefficients):
+                out[nodes] += c if w is None else c * w
+            return
+        by_root = np.zeros(out.size)
+        by_root[self.labels[self.pins]] = coefficients
+        spread = by_root[self.labels]
+        out += spread if self.weights is None else self.weights * spread
+
+    def project(self, p: np.ndarray, out: np.ndarray) -> None:
+        """out += J p, J = W diag(1 / sizes) W^T the projector onto W's span:
+        per block one dot with w / |c| and one update."""
+        if self.labels is not None:
+            self.add(self.sums(p) / self.sizes, out)
+            return
+        for nodes, w, unit in self._units:
+            c = unit @ p[nodes]
+            out[nodes] += c if w is None else c * w
+
+
 def _laplacian(
     node_count: int, tails: np.ndarray, heads: np.ndarray, pins: np.ndarray,
     signs: float | np.ndarray = -1.0, *, dense: bool = False,
@@ -269,9 +354,10 @@ def _laplacian(
     `node_count` nodes: link i puts signs[i] (a scalar: on every link) at
     both of its off-diagonal entries, -1 for a Laplacian and +1 for a
     signless one, and a node's diagonal counts its links plus 1 if it is in
-    `pins`.  A numpy array when `dense`; else a scipy CSR matrix from one COO
-    with one diagonal entry per node.  Both hold the same small integers,
-    summed exactly, so they are equal entry for entry."""
+    `pins` (none: the Laplacian itself).  A numpy array when `dense`; else a
+    scipy CSR matrix from one COO with one diagonal entry per node.  Both
+    hold the same small integers, summed exactly, so they are equal entry
+    for entry."""
     off = np.full(tails.shape, signs, dtype=np.float64)
     diagonal = np.bincount(np.concatenate([tails, heads, pins]), minlength=node_count)
     if dense:
@@ -294,43 +380,55 @@ def _laplacian(
 
 
 def _solve(
-    node_count: int, tails: np.ndarray, heads: np.ndarray, pins: np.ndarray, rhs: np.ndarray,
+    node_count: int, tails: np.ndarray, heads: np.ndarray, kernel: _Kernel, rhs: np.ndarray,
     signs: float | np.ndarray = -1.0,
 ) -> np.ndarray:
-    """Solve _laplacian(node_count, tails, heads, pins, signs) x = rhs for
-    one right-hand side of shape (node_count,) or a block of them,
+    """Solve _laplacian(node_count, tails, heads, kernel.pins, signs) x = rhs
+    for one right-hand side of shape (node_count,) or a block of them,
     (node_count, k), real or complex; x has its shape and dtype.  The real
     and imaginary parts are solved as real columns, and a column that is 0
     off the pins is not solved at all: its potentials are 0, as grounding at
     the pins would give.  The columns left are solved densely when there are
     at most _DENSE_MAX_NODES or at most as many nodes as columns (the dense
-    matrix is then no bigger than the right-hand sides), otherwise by
-    diagonally preconditioned conjugate gradients column by column."""
+    matrix is then no bigger than the right-hand sides), otherwise column by
+    column by CG on the unpinned matrix plus the kernel projector J, shifted
+    back to the pinned solution (see the block comment above)."""
     block = rhs.reshape(node_count, -1)
     is_complex = np.iscomplexobj(block)
     columns = np.concatenate([block.real, block.imag], axis=1) if is_complex else block
+    pins = kernel.pins
     nonzero = columns != 0
     nonzero[pins] = False
     solved = np.flatnonzero(nonzero.any(axis=0))
     solution = np.zeros(columns.shape)
-    if solved.size:
-        dense = node_count <= max(_DENSE_MAX_NODES, solved.size)
-        matrix = _laplacian(node_count, tails, heads, pins, signs, dense=dense)
-        if dense:
-            solution[:, solved] = np.linalg.solve(matrix, columns[:, solved])
-        else:
-            solution[:, solved] = np.column_stack([_pcg(matrix, columns[:, j]) for j in solved])
+    if solved.size and node_count <= max(_DENSE_MAX_NODES, solved.size):
+        matrix = _laplacian(node_count, tails, heads, pins, signs, dense=True)
+        solution[:, solved] = np.linalg.solve(matrix, columns[:, solved])
+    elif solved.size:
+        matrix = _laplacian(node_count, tails, heads, pins[:0], signs)  # unpinned
+        for j in solved:
+            b = columns[:, j].copy()
+            imbalance = kernel.sums(b)
+            b[pins] -= imbalance
+            y = _pcg(matrix, b, kernel if pins.size else None)
+            kernel.add(imbalance - y[pins], y)
+            solution[:, j] = y
     if is_complex:
         k = block.shape[1]
         solution = solution[:, :k] + 1j * solution[:, k:]
     return solution.reshape(rhs.shape)
 
 
-def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | None = None) -> np.ndarray:
-    """Conjugate gradients with Jacobi preconditioning for SPD `a`; raises
-    ConvergenceError if the residual stays above tol * max(1, |b|) after
-    `max_iter` iterations (default 20 n).  The updates run in place; only
-    the product a @ p allocates."""
+def _pcg(
+    a: sp.csr_matrix, b: np.ndarray, kernel: _Kernel | None = None, tol: float = 1e-13,
+    max_iter: int | None = None,
+) -> np.ndarray:
+    """Conjugate gradients with Jacobi preconditioning (a's diagonal) for
+    a + J, with J the projector onto the span of `kernel` (none when it is
+    None), which must be positive definite, or positive semidefinite with b
+    orthogonal to its null space; raises ConvergenceError if the residual
+    stays above tol * max(1, |b|) after `max_iter` iterations (default
+    20 n).  The updates run in place; only the product a @ p allocates."""
     n = b.size
     if max_iter is None:
         max_iter = 20 * n
@@ -347,6 +445,8 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
         if np.linalg.norm(r) <= stop:
             return x
         ap = a @ p
+        if kernel is not None:
+            kernel.project(p, ap)
         alpha = rz / float(p @ ap)
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=ap)
@@ -399,9 +499,10 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-13, max_iter: int | No
 # Python overhead dominates CG at a few hundred unknowns).  For one pair the
 # two solves win at scale and lose a little at a few hundred unknowns.  The
 # pair potentials of an edge with Q solved, block vs two solves (one BLAS
-# thread, 2-core Xeon VM): 132-147 vs 81-89 ms on torus 2:101, 53 vs 32-34
-# on torus 3:21, 2.6-2.8 vs 4.0-4.2 on a random 4-regular graph of 512
-# vertices, 4.9-5.2 vs 5.2-5.6 on torus 2:25.
+# thread, 2-core Xeon VM, CG on L + J, fastest of 5 to 30 runs, two
+# sessions): 73-82 vs 48-53 ms on torus 2:101, 24-34 vs 20-24 on torus
+# 3:21, 1.7-1.8 vs 2.0-2.2 on a random 4-regular graph of 512 vertices,
+# 2.4-2.7 vs 3.4-3.9 on torus 2:25.
 
 
 def _g_potentials(
@@ -413,19 +514,42 @@ def _g_potentials(
     or None, which gives None.  L is pinned at each component's root, Q at
     the roots of the bipartite components."""
     n, (tails, heads) = g.n, g.edges.T
-    l_pins = _pins(g.component_roots)
     if q_rhs is None:
-        return _solve(n, tails, heads, l_pins, l_rhs), None
-    roots = g.double_roots
-    q_pins = l_pins[roots[l_pins] != roots[n + l_pins]]
+        return _solve(n, tails, heads, _g_kernel(g, [False]), l_rhs), None
     if l_rhs is None:
-        return None, _solve(n, tails, heads, q_pins, q_rhs, 1.0)
+        return None, _solve(n, tails, heads, _g_kernel(g, [True]), q_rhs, 1.0)
     xy = _solve(
         2 * n, np.concatenate([tails, n + tails]), np.concatenate([heads, n + heads]),
-        np.concatenate([l_pins, n + q_pins]), np.concatenate([l_rhs, q_rhs]),
+        _g_kernel(g, [False, True]), np.concatenate([l_rhs, q_rhs]),
         np.repeat([-1.0, 1.0], tails.size),
     )
     return xy[:n], xy[n:]
+
+
+def _g_kernel(g: Graph, signless: Sequence[bool]) -> _Kernel:
+    """The kernel of L (False) or Q (True) on g, or of diag(L, Q), one system
+    per entry of `signless`, the i-th on the nodes i n to (i + 1) n.  L is
+    pinned at each component's root with w = 1, Q at the roots of the
+    bipartite components with w = S, their coloring."""
+    n, roots = g.n, g.component_roots
+    colors = None
+    if any(signless):
+        double_roots = g.double_roots
+        colors = np.where(double_roots[:n] == double_roots[roots], 1.0, -1.0)
+        colors[double_roots[roots] == double_roots[n + roots]] = 0.0  # an odd cycle: Q is definite
+    weights = [colors if is_q else None for is_q in signless]
+    offsets = range(0, n * len(signless), n)
+    if g.num_components == 1:  # each kernel vector is its system's whole block, rooted at 0
+        blocks = [(slice(o, o + n), w) for o, w in zip(offsets, weights) if w is None or w[0]]
+        pins = np.array([nodes.start for nodes, _ in blocks], dtype=np.int64)
+        return _Kernel(pins, blocks=tuple(blocks))
+    is_root = roots == np.arange(n)
+    pins = [o + np.flatnonzero(is_root if w is None else is_root & (w != 0))
+            for o, w in zip(offsets, weights)]
+    return _Kernel(
+        np.concatenate(pins), labels=np.concatenate([o + roots for o in offsets]),
+        weights=np.concatenate([np.ones(n) if w is None else w for w in weights]),
+    )
 
 
 @dataclass(frozen=True)
@@ -498,8 +622,8 @@ def solve_network(net: ElectricNetwork, *, ground: int | None = None) -> FlowSol
         return FlowSolution(feasible=False, currents=None, potentials=None, power=math.inf)
 
     tails, heads = net.resistor_edges.T
-    pins = _pins(roots, ground)
-    potentials = _solve(net.node_count, tails, heads, pins, net.injections)
+    kernel = _Kernel(_pins(roots, ground), labels=roots)
+    potentials = _solve(net.node_count, tails, heads, kernel, net.injections)
     currents = potentials[tails] - potentials[heads]
     power = float(np.vdot(currents, currents).real)
     return FlowSolution(feasible=True, currents=currents, potentials=potentials, power=power)
@@ -522,8 +646,8 @@ def circulation_projection(
     divergence = np.zeros((node_count,) + flow.shape[1:], dtype=flow.dtype)
     np.add.at(divergence, tails, flow)
     np.add.at(divergence, heads, -flow)
-    pins = _pins(label_components(node_count, tails, heads))
-    potentials = _solve(node_count, tails, heads, pins, divergence)
+    roots = label_components(node_count, tails, heads)
+    potentials = _solve(node_count, tails, heads, _Kernel(_pins(roots), labels=roots), divergence)
     return flow - (potentials[tails] - potentials[heads])
 
 

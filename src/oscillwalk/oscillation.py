@@ -23,6 +23,7 @@ import numpy as np
 
 from .electric import (
     ZERO_AMPLITUDE_TOL,
+    ElectricNetwork,
     _balanced_roots,
     _edge_double_power,
     _edge_selfflip_power,
@@ -272,6 +273,16 @@ def certify(
     solve and at most one Q solve on g: each network is still labeled for
     feasibility, but none is solved.  Any other state solves its networks.
     """
+    return _certify(state, zero_tol, flip_tol)
+
+
+def _certify(
+    state: ArcState, zero_tol: float, flip_tol: float,
+    network_double: ElectricNetwork | None = None,
+) -> Certificate:
+    """certify(state, zero_tol, flip_tol), given its double network
+    network_from_state_double(state, zero_tol) when the caller has built it
+    already (bounds --dump-network writes it)."""
     psi = ensure_normalized(state)
     g, amps = psi.graph, psi.amplitudes
     edge = _support_edge(amps)
@@ -284,7 +295,10 @@ def certify(
             return math.inf
         return edge_power(pot, amps[2 * edge : 2 * edge + 2], zero_tol)
 
-    power_double = power(network_from_state_double(psi, zero_tol), _edge_double_power)
+    if network_double is None:  # built here, it is freed before the flip part is formed
+        network_double = network_from_state_double(psi, zero_tol)
+    power_double = power(network_double, _edge_double_power)
+    del network_double
     flip_amps = _flip_part(g, amps) if pot is None else _edge_flip(g, edge, amps, pot)
     power_selfflip = None
     if is_selfflip_state(state, flip_tol):

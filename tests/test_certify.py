@@ -134,7 +134,8 @@ def test_selfflip_states_on_a_cg_sized_torus(monkeypatch):
     assert g.n > electric._DENSE_MAX_NODES
     solved = []
     pcg = electric._pcg
-    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    monkeypatch.setattr(electric, "_pcg",
+                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
     for u, v in [(0, 1), (5, 17), (143, 131)]:
         psi = selfflip_state(g, u, v)
         solved.clear()
@@ -192,7 +193,8 @@ def run_recording(argv, monkeypatch, capsys):
             networks.append(node_count)
         return laplacian(node_count, tails, heads, *args, **kw)
 
-    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    monkeypatch.setattr(electric, "_pcg",
+                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
     monkeypatch.setattr(electric, "_laplacian", recording)
     code = main(argv)
     capsys.readouterr()

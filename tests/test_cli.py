@@ -242,11 +242,13 @@ def test_resistance_assembles_one_laplacian_and_a_signless_one_if_odd(spec, pair
     monkeypatch.setattr(electric, "_laplacian", recording)
     assert run_cli(["resistance", "--graph", spec, "--pair", pair], capsys) == expected
     # Each system is g's own, on all of its n vertices and m edges (a
-    # network would lack some links): L pinned at one vertex, then Q,
-    # unpinned, when a's component has an odd cycle.
+    # network would lack some links): L, then Q, unpinned, when a's
+    # component has an odd cycle.  A dense L is pinned at one vertex; CG
+    # takes L unpinned and adds the projector onto its kernel instead.
     family, *params = spec.split(":")
     m = len(build_graph(family, params).edges)
-    assert assembled == [(n, m, 1, -1.0)] + ([(n, m, 0, 1.0)] if odd else [])
+    l_pins = 1 if n <= electric._DENSE_MAX_NODES else 0
+    assert assembled == [(n, m, l_pins, -1.0)] + ([(n, m, 0, 1.0)] if odd else [])
 
 
 def test_resistance_pair_in_different_copies_of_the_double_exits_one(capsys):
@@ -380,6 +382,35 @@ def test_dump_network(tmp_path, capsys):
     assert payload["injections"]["0"] == [-1.0, 0.0]
 
 
+@pytest.mark.parametrize("state", ["edge:0:1", "selfflip:3:8", "csv"])
+def test_bounds_builds_the_dumped_double_network_once(state, tmp_path, capsys, monkeypatch):
+    # The network written to --dump-network is the one certify labels and
+    # solves: one build, and the file is the dump of that network.
+    from oscillwalk import electric, oscillation
+    from oscillwalk.verify import random_state
+
+    g = torus_graph(2, 5)
+    if state == "csv":
+        state = f"csv:{tmp_path / 'state.csv'}"
+        write_state_csv(random_state(g, np.random.default_rng(3)), state[4:])
+    expected = run_cli(["bounds", "--graph", "torus:2:5", "--state", state], capsys)
+    psi = cli._parse_state(g, state)
+    cli._dump_network(electric.network_from_state_double(psi), str(tmp_path / "expected.json"))
+    built = []
+
+    def counting(*args, **kw):
+        built.append(args[0])
+        return electric.network_from_state_double(*args, **kw)
+
+    for module in (cli, oscillation):
+        monkeypatch.setattr(module, "network_from_state_double", counting)
+    dump = tmp_path / "net.json"
+    argv = ["bounds", "--graph", "torus:2:5", "--state", state, "--dump-network", str(dump)]
+    assert run_cli(argv, capsys) == expected
+    assert len(built) == 1
+    assert dump.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
 # ---- verify ---------------------------------------------------------------------------------
 
 
@@ -444,7 +475,7 @@ def test_dense_only_commands_load_no_scipy(tmp_path):
 
 
 def test_cg_sized_resistance_imports_scipy_sparse_and_keeps_its_output():
-    # torus 2:12 grounded at one node leaves 143 unknowns: solved by CG.
+    # torus 2:12 has 144 nodes, all of them unknowns: solved by CG.
     script = (
         "import sys\n"
         "from oscillwalk.cli import main\n"

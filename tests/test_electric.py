@@ -319,7 +319,8 @@ def test_flow_block_projection_matches_single_flows(g, single_by_cg, monkeypatch
     # torus (2 columns, 198 > 128 unknowns) still goes through CG.
     solved = []
     pcg = electric._pcg
-    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    monkeypatch.setattr(electric, "_pcg",
+                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
     rng = np.random.default_rng(36)
     flows = rng.standard_normal((g.arc_count, 100)) + 1j * rng.standard_normal((g.arc_count, 100))
     links = (2 * g.n, g.arc_tails, g.n + g.arc_heads)
@@ -343,8 +344,10 @@ def test_conjugate_gradients_raise_when_not_converged():
     assert np.max(np.abs(lap @ x - b)) <= 1e-10
 
 
-def _allocating_pcg(a, b, tol=1e-13):
-    """The conjugate-gradient loop written with a new array per update."""
+def _allocating_pcg(a, b, tol=1e-13, constant_kernel=False):
+    """The conjugate-gradient loop written with a new array per update; with
+    `constant_kernel` every product a @ p gets J p added, J the projector
+    onto the constant vector: the mean of p, as a dot with 1 / n."""
     diag = a.diagonal()
     inv_diag = np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0)
     x = np.zeros(b.size)
@@ -354,7 +357,7 @@ def _allocating_pcg(a, b, tol=1e-13):
     rz = float(r @ z)
     stop = tol * max(1.0, float(np.linalg.norm(b)))
     while np.linalg.norm(r) > stop:
-        ap = a @ p
+        ap = a @ p + np.full(p.size, 1.0 / p.size) @ p if constant_kernel else a @ p
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
@@ -366,18 +369,25 @@ def _allocating_pcg(a, b, tol=1e-13):
 
 
 def test_in_place_conjugate_gradients_match_the_allocating_loop_bitwise():
-    # Laplacian of torus 3:10 pinned at node 0 (1000 unknowns, a CG-sized
-    # system; its diagonal 6 has no exact reciprocal); each tolerance stops
-    # the loop at a different iterate.
+    # The Laplacian of torus 3:10 (1000 unknowns, a CG-sized system; its
+    # diagonal 6 has no exact reciprocal) pinned at node 0, then unpinned
+    # with the projector onto its constant kernel vector, as _solve runs it
+    # (right-hand sides orthogonal to that vector); each tolerance stops the
+    # loop at a different iterate.
     g = torus_graph(3, 10)
-    lap = electric._laplacian(g.n, *g.edges.T, np.array([0]))
-    assert lap.shape[0] > electric._DENSE_MAX_NODES
+    kernel = electric._g_kernel(g, [False])
+    assert kernel.blocks == ((slice(0, g.n), None),) and kernel.pins.tolist() == [0]
     rng = np.random.default_rng(37)
     b = np.zeros(g.n)
     b[[10, 555]] = 1.0, -1.0
-    for rhs in (b, rng.standard_normal(g.n)):
-        for tol in (1e-3, 1e-8, 1e-13):
-            assert np.array_equal(electric._pcg(lap, rhs, tol), _allocating_pcg(lap, rhs, tol))
+    noise = rng.standard_normal(g.n)
+    for pins, j in ((kernel.pins, None), (kernel.pins[:0], kernel)):
+        lap = electric._laplacian(g.n, *g.edges.T, pins)
+        assert lap.shape[0] > electric._DENSE_MAX_NODES
+        for rhs in (b, noise if j is None else noise - noise.mean()):
+            for tol in (1e-3, 1e-8, 1e-13):
+                expected = _allocating_pcg(lap, rhs, tol, constant_kernel=j is not None)
+                assert np.array_equal(electric._pcg(lap, rhs, j, tol), expected)
 
 
 def _assembly_cases():
@@ -463,6 +473,73 @@ def test_dense_and_cg_currents_agree_at_the_threshold(unknowns, monkeypatch):
     assert solved_densely == [unknowns <= 128, True, False]
     assert np.array_equal(default, currents[0 if unknowns <= 128 else 1])
     assert np.max(np.abs(currents[0] - currents[1])) <= 1e-12
+
+
+# CG-sized systems of g on a bipartite torus, an odd one and their disjoint
+# union (313 vertices, two components), with L's and Q's pins: each
+# component's smallest vertex, for Q only on a bipartite component.
+G_SYSTEMS = {"torus:2:12": ([0], [0]), "torus:2:13": ([0], []), "union": ([0, 144], [0])}
+
+
+@pytest.mark.parametrize("systems", ["L", "Q", "LQ"])
+@pytest.mark.parametrize("name", list(G_SYSTEMS))
+def test_cg_potentials_of_g_are_the_dense_pinned_solution(name, systems, monkeypatch):
+    # CG runs on the unpinned L, Q or diag(L, Q) plus the projector onto its
+    # kernel and shifts its solution back: the potentials are the pinned
+    # matrix's, pin values included, for right-hand sides of any imbalance.
+    if name == "union":
+        g = disjoint_union(torus_graph(2, 12), torus_graph(2, 13))
+    else:
+        g = torus_graph(2, int(name.split(":")[2]))
+    solved = []
+    pcg = electric._pcg
+    monkeypatch.setattr(electric, "_pcg",
+                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
+    rng = np.random.default_rng(len(name) + len(systems))
+    l_rhs = rng.standard_normal((g.n, 1)) if "L" in systems else None
+    q_rhs = rng.standard_normal((g.n, 1)) if "Q" in systems else None
+    x, y = electric._g_potentials(g, l_rhs, q_rhs)
+    assert solved == [len(systems) * g.n]
+    l_pins, q_pins = (np.array(pins, dtype=np.int64) for pins in G_SYSTEMS[name])
+    for rhs, potentials, pins, signs in ((l_rhs, x, l_pins, -1.0), (q_rhs, y, q_pins, 1.0)):
+        if rhs is not None:
+            pinned = electric._laplacian(g.n, *g.edges.T, pins, signs, dense=True)
+            assert np.max(np.abs(potentials - np.linalg.solve(pinned, rhs))) <= 1e-10
+
+
+NETWORK_CASES = {
+    # Two torus components of the double and 30 isolated nodes.
+    "isolated": (balanced_network(230, TORUS_AND_ISOLATED.resistor_edges, 38), None),
+    "ground": (balanced_network(230, TORUS_AND_ISOLATED.resistor_edges, 39), 150),
+    # Feasible, though node 5's component sums to 1e-10 rather than 0.
+    "imbalanced": (ElectricNetwork(200, TORUS_NET.resistor_edges,
+                                   TORUS_NET.injections + 1e-10 * (np.arange(200) == 5)), None),
+}
+
+
+@pytest.mark.parametrize("case", list(NETWORK_CASES))
+def test_cg_network_potentials_are_the_dense_pinned_solution(case, monkeypatch):
+    from scipy.sparse.csgraph import connected_components
+
+    net, ground = NETWORK_CASES[case]
+    solved = []
+    pcg = electric._pcg
+    monkeypatch.setattr(electric, "_pcg",
+                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
+    sol = solve_network(net, ground=ground)
+    assert sol.feasible and solved
+    assert set(solved) == {net.node_count}
+    tails, heads = net.resistor_edges.T
+    adjacency = sp.coo_matrix((np.ones(tails.size), (tails, heads)), shape=(net.node_count,) * 2)
+    labels = connected_components(adjacency, directed=False)[1]
+    pins = np.unique(labels, return_index=True)[1]  # the smallest node of each component
+    if ground is not None:
+        pins[labels[ground]] = ground
+    pinned = electric._laplacian(net.node_count, tails, heads, pins, dense=True)
+    assert np.max(np.abs(sol.potentials - np.linalg.solve(pinned, net.injections))) <= 1e-10
+    # A pin holds its component's net injection, the 1e-10 included.
+    sums = np.bincount(labels, net.injections.real) + 1j * np.bincount(labels, net.injections.imag)
+    assert np.max(np.abs(sol.potentials[pins] - sums)) <= 1e-14
 
 
 def test_complex_injections_solved_componentwise():
@@ -776,7 +853,8 @@ def test_pinned_signless_solve_on_a_bipartite_graph_is_the_colored_laplacian_one
     # pin fixes by y_0 = 0.
     solved = []
     pcg = electric._pcg
-    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    monkeypatch.setattr(electric, "_pcg",
+                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
     colors = np.full(g.n, -1.0)
     colors[bipartite_partition(g).partite_x] = 1.0
     rng = np.random.default_rng(g.n)
@@ -789,6 +867,25 @@ def test_pinned_signless_solve_on_a_bipartite_graph_is_the_colored_laplacian_one
     assert solved == ([] if dense else [g.n, g.n])
 
 
+class CountingMatrix:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, a):
+        self.a, self.products = a, 0
+
+    def diagonal(self):
+        return self.a.diagonal()
+
+    def __matmul__(self, p):
+        self.products += 1
+        return self.a @ p
+
+
+# Iterations of the L solve of an edge pair: L + J converges at the Fiedler
+# rate, L pinned at one vertex at the grounded Laplacian's (401, 404 and 24).
+MAX_L_ITERATIONS = {"torus:2:100": 260, "torus:2:101": 260, "hypercube:12": 16}
+
+
 @pytest.mark.parametrize(
     "g", [torus_graph(2, 100), torus_graph(2, 101), hypercube_graph(12)], ids=lambda g: g.name
 )
@@ -799,7 +896,14 @@ def test_cg_sized_resistances_match_fosters_closed_forms(g, monkeypatch):
     # (y = S x), an odd one L, then Q.
     solved = []
     pcg = electric._pcg
-    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+
+    def counting(a, b, kernel):
+        counted = CountingMatrix(a)
+        x = pcg(counted, b, kernel)
+        solved.append((b.size, counted.products - 1))
+        return x
+
+    monkeypatch.setattr(electric, "_pcg", counting)
     bipartite = bipartite_partition(g) is not None
     m = len(g.edges)
     omega = (g.n - 1) / m
@@ -807,7 +911,8 @@ def test_cg_sized_resistances_match_fosters_closed_forms(g, monkeypatch):
     omegas = resistance_distances(g, u, v)
     assert omegas[0] == pytest.approx(omega, abs=1e-9)
     assert omegas[1] == pytest.approx(omega if bipartite else (2 * g.n - 1) / (2 * m), abs=1e-9)
-    assert solved == [g.n] * (1 if bipartite else 2)
+    assert [size for size, _ in solved] == [g.n] * (1 if bipartite else 2)
+    assert solved[0][1] <= MAX_L_ITERATIONS[g.name]
 
 
 def spsolve_resistances(nodes, tails, heads, pairs):
