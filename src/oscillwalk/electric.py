@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,9 +74,9 @@ FEASIBILITY_TOL = 1e-9
 # vs 0.26-1.04 at 128 (diag(L, Q) of those), 0.41 vs 0.95 at 144 (L of
 # torus 2:12), 1.26 vs 1.33 at 200, 1.04-1.61 vs 0.46-1.28 at 256-288, 7.0
 # vs 0.73 at 512 (diag(L, Q) of Q_8), 54 vs 2.1 at 1250 (torus 2:25).  CG
-# on L + J takes fewer iterations, yet the crossover stays: 0.18 vs 0.39 ms
-# at 128 (diag(L, Q) of torus 2:8), 0.19 vs 0.46 at 144, 1.3 vs 0.42 at
-# 256 (L of Q_8).
+# on the unpinned L takes fewer iterations, yet the crossover stays: 0.18 vs
+# 0.39 ms at 128 (diag(L, Q) of torus 2:8), 0.19 vs 0.46 at 144, 1.3 vs
+# 0.42 at 256 (L of Q_8).
 # The crossover lies between about 150 and 250 unknowns; the threshold
 # stays at 128, where the double's irregular networks cross over too (0.50
 # vs 0.57-0.81 ms at 128, 1.7 vs 0.48 at 256).  A block with at least as
@@ -88,6 +87,9 @@ FEASIBILITY_TOL = 1e-9
 # CSR matrix and imports scipy.sparse, so a process whose solves are all
 # dense never loads scipy (its import is about half of `import oscillwalk.cli`).
 _DENSE_MAX_NODES = 128
+# CG stops once the residual is at most this times max(1, |b|); a balanced
+# right-hand side already that small is not solved (see _solve).
+_CG_TOL = 1e-13
 
 CERTIFIED = "oscillatory localization certified"
 NOT_CERTIFIED = "not certified (resistance bound vacuous)"
@@ -140,8 +142,8 @@ class FlowSolution:
     node; `potentials` are pinned at one node per component, whose potential
     is then the component's net injection: ~0, not a literal 0.  They are
     the pinned system's solution whether it was solved densely or by CG,
-    which regularizes the kernel instead and shifts its solution back to
-    the pin's value (see the Kirchhoff solver's block comment).  When any
+    which solves the unpinned system and shifts its solution to the pin's
+    value (see the Kirchhoff solver's block comment).  When any
     component's injections do not balance, no steady current exists:
     feasible is False and power is +infinity.
     """
@@ -251,19 +253,22 @@ def _network(
 # system grounded at r, while a b off by s shifts the potentials by s w and
 # leaves every drop as it is.
 #
-# CG reaches the same pinned solution by regularizing the kernel instead
-# of pinning.  With J = sum_c w_c w_c^T / |c|, the orthogonal projector onto
-# A's null space, and b' = b - s e_r on each component (so w^T b' = 0), it
-# solves (A + J) y = b', whose solution is A^+ b'; then x = y + (s - y_r) w
-# is the pinned solution, x_r = s included.  A + J keeps A's nonzero
-# spectrum and puts 1 on the kernel, so CG converges at the rate of the
-# smallest nonzero eigenvalue, a component's Fiedler value.  The pinned
-# matrix's smallest eigenvalue is near the grounded Laplacian's, about
-# 1 / (n times the mean resistance to r), far below it: a pair on torus
-# 2:100 takes 248 iterations against 401 pinned.
-# (Bochev & Lehoucq, SIAM Review 47, 2005, on fixing a node against
-# regularizing the kernel; Kaasschieter, J. Comput. Appl. Math. 24, 1988, on
-# CG for consistent singular systems.)
+# CG reaches the same pinned solution without the pin.  With
+# b' = b - s e_r on each component, so that w^T b' = 0, the singular system
+# A y = b' is consistent, and Jacobi-preconditioned CG converges on it
+# (Kaasschieter, J. Comput. Appl. Math. 24, 1988): w^T A = 0 keeps every
+# residual in A's range, and the rate is set by the smallest nonzero
+# eigenvalue, a component's Fiedler value.  y may carry any multiple of w;
+# x = y + (s - y_r) w drops it and is the pinned solution, x_r = s included.
+# The pinned matrix's smallest eigenvalue is near the grounded Laplacian's,
+# about 1 / (n times the mean resistance to r), far below the Fiedler value:
+# a pair on torus 2:100 takes 248 iterations against 401 pinned.  Adding
+# the projector J onto A's null space to A, the regularization of Bochev &
+# Lehoucq (SIAM Review 47, 2005), gains nothing: where the diagonal is
+# constant, as on g's own systems, the Jacobi directions stay orthogonal to
+# w and J p is rounding noise (248 iterations either way), and on a
+# network's irregular diagonal J adds iterations (49 against 36 on the
+# network of a flip part near one vertex of torus 2:24).
 #
 # Either way a potential means the same: the pinned potential is the
 # component's imbalance s, rounding noise rather than a literal 0 for a
@@ -271,8 +276,8 @@ def _network(
 # w is 1 on a component of L or of a network.  The signless Laplacian Q of
 # a bipartite component is S L S, with S its +-1 coloring, so there w = S
 # (S_r = 1); Q on a component with an odd cycle is positive definite and is
-# neither pinned nor regularized (see the L (+) Q section below).  (Doyle &
-# Snell, "Random Walks and Electric Networks", section 1.3, for grounding.)
+# not pinned (see the L (+) Q section below).  (Doyle & Snell, "Random
+# Walks and Electric Networks", section 1.3, for grounding.)
 
 
 def _pins(roots: np.ndarray, ground: int | None = None) -> np.ndarray:
@@ -288,62 +293,26 @@ def _pins(roots: np.ndarray, ground: int | None = None) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Kernel:
     """The pins of a system and its null space W = [w_1 ... w_k]: w_c is 1 at
-    the pin pins[c], +-1 on the rest of its component and 0 elsewhere.
-
-    W is held as `blocks`, one (nodes, w) per pin with nodes a slice and w
-    its entries (None: all 1), when every component is a run of nodes, as on
-    g's own systems on a connected g; otherwise as each node's component
-    root `labels` (see label_components) and its entry of W, `weights`
-    (None: 1 on every node).  The blocks cost one reduction and one update
-    per pin; the labels a bincount and a gather."""
+    the pin pins[c], +-1 on the rest of its component and 0 elsewhere, held
+    as each node's component root `labels` (see label_components) and its
+    entry of W, `weights` (None: 1 on every node).  Each method costs a
+    bincount or a gather and runs once per right-hand side."""
 
     pins: np.ndarray
-    blocks: tuple[tuple[slice, np.ndarray | None], ...] = ()
-    labels: np.ndarray | None = None
+    labels: np.ndarray
     weights: np.ndarray | None = None
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """|c| = w_c^T w_c, one per pin."""
-        if self.labels is None:
-            return np.array([nodes.stop - nodes.start for nodes, _ in self.blocks])
-        weights = None if self.weights is None else np.abs(self.weights)
-        return np.bincount(self.labels, weights, minlength=self.labels.size)[self.labels[self.pins]]
-
-    @cached_property
-    def _units(self) -> list[tuple[slice, np.ndarray | None, np.ndarray]]:
-        """(nodes, w, w / |c|) per block."""
-        return [(nodes, w, (np.ones(size) if w is None else w) / size)
-                for (nodes, w), size in zip(self.blocks, self.sizes.tolist())]
 
     def sums(self, v: np.ndarray) -> np.ndarray:
         """W^T v."""
-        if self.labels is None:
-            return np.array([v[nodes].sum() if w is None else w @ v[nodes]
-                             for nodes, w in self.blocks])
         weighted = v if self.weights is None else self.weights * v
         return np.bincount(self.labels, weighted, minlength=v.size)[self.labels[self.pins]]
 
     def add(self, coefficients: np.ndarray, out: np.ndarray) -> None:
         """out += W coefficients."""
-        if self.labels is None:
-            for (nodes, w), c in zip(self.blocks, coefficients):
-                out[nodes] += c if w is None else c * w
-            return
         by_root = np.zeros(out.size)
         by_root[self.labels[self.pins]] = coefficients
         spread = by_root[self.labels]
         out += spread if self.weights is None else self.weights * spread
-
-    def project(self, p: np.ndarray, out: np.ndarray) -> None:
-        """out += J p, J = W diag(1 / sizes) W^T the projector onto W's span:
-        per block one dot with w / |c| and one update."""
-        if self.labels is not None:
-            self.add(self.sums(p) / self.sizes, out)
-            return
-        for nodes, w, unit in self._units:
-            c = unit @ p[nodes]
-            out[nodes] += c if w is None else c * w
 
 
 def _laplacian(
@@ -391,8 +360,9 @@ def _solve(
     the pins would give.  The columns left are solved densely when there are
     at most _DENSE_MAX_NODES or at most as many nodes as columns (the dense
     matrix is then no bigger than the right-hand sides), otherwise column by
-    column by CG on the unpinned matrix plus the kernel projector J, shifted
-    back to the pinned solution (see the block comment above)."""
+    column by CG on the unpinned matrix with the balanced right-hand side,
+    shifted back to the pinned solution (see the block comment above).  A
+    balanced column already within CG's stop is not solved: x = s w."""
     block = rhs.reshape(node_count, -1)
     is_complex = np.iscomplexobj(block)
     columns = np.concatenate([block.real, block.imag], axis=1) if is_complex else block
@@ -405,13 +375,18 @@ def _solve(
         matrix = _laplacian(node_count, tails, heads, pins, signs, dense=True)
         solution[:, solved] = np.linalg.solve(matrix, columns[:, solved])
     elif solved.size:
-        matrix = _laplacian(node_count, tails, heads, pins[:0], signs)  # unpinned
+        matrix = None
         for j in solved:
             b = columns[:, j].copy()
             imbalance = kernel.sums(b)
             b[pins] -= imbalance
-            y = _pcg(matrix, b, kernel if pins.size else None)
-            kernel.add(imbalance - y[pins], y)
+            y = np.zeros(node_count)
+            if np.linalg.norm(b) > _CG_TOL:  # else _pcg returns y = 0 at once
+                if matrix is None:
+                    matrix = _laplacian(node_count, tails, heads, pins[:0], signs)  # unpinned
+                y = _pcg(matrix, b)
+                imbalance -= y[pins]
+            kernel.add(imbalance, y)
             solution[:, j] = y
     if is_complex:
         k = block.shape[1]
@@ -420,12 +395,10 @@ def _solve(
 
 
 def _pcg(
-    a: sp.csr_matrix, b: np.ndarray, kernel: _Kernel | None = None, tol: float = 1e-13,
-    max_iter: int | None = None,
+    a: sp.csr_matrix, b: np.ndarray, tol: float = _CG_TOL, max_iter: int | None = None,
 ) -> np.ndarray:
-    """Conjugate gradients with Jacobi preconditioning (a's diagonal) for
-    a + J, with J the projector onto the span of `kernel` (none when it is
-    None), which must be positive definite, or positive semidefinite with b
+    """Conjugate gradients with Jacobi preconditioning (a's diagonal) for a,
+    which must be positive definite, or positive semidefinite with b
     orthogonal to its null space; raises ConvergenceError if the residual
     stays above tol * max(1, |b|) after `max_iter` iterations (default
     20 n).  The updates run in place; only the product a @ p allocates."""
@@ -445,8 +418,6 @@ def _pcg(
         if np.linalg.norm(r) <= stop:
             return x
         ap = a @ p
-        if kernel is not None:
-            kernel.project(p, ap)
         alpha = rz / float(p @ ap)
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=ap)
@@ -499,7 +470,7 @@ def _pcg(
 # Python overhead dominates CG at a few hundred unknowns).  For one pair the
 # two solves win at scale and lose a little at a few hundred unknowns.  The
 # pair potentials of an edge with Q solved, block vs two solves (one BLAS
-# thread, 2-core Xeon VM, CG on L + J, fastest of 5 to 30 runs, two
+# thread, 2-core Xeon VM, CG on the unpinned L, fastest of 5 to 30 runs, two
 # sessions): 73-82 vs 48-53 ms on torus 2:101, 24-34 vs 20-24 on torus
 # 3:21, 1.7-1.8 vs 2.0-2.2 on a random 4-regular graph of 512 vertices,
 # 2.4-2.7 vs 3.4-3.9 on torus 2:25.
@@ -539,10 +510,6 @@ def _g_kernel(g: Graph, signless: Sequence[bool]) -> _Kernel:
         colors[double_roots[roots] == double_roots[n + roots]] = 0.0  # an odd cycle: Q is definite
     weights = [colors if is_q else None for is_q in signless]
     offsets = range(0, n * len(signless), n)
-    if g.num_components == 1:  # each kernel vector is its system's whole block, rooted at 0
-        blocks = [(slice(o, o + n), w) for o, w in zip(offsets, weights) if w is None or w[0]]
-        pins = np.array([nodes.start for nodes, _ in blocks], dtype=np.int64)
-        return _Kernel(pins, blocks=tuple(blocks))
     is_root = roots == np.arange(n)
     pins = [o + np.flatnonzero(is_root if w is None else is_root & (w != 0))
             for o, w in zip(offsets, weights)]

@@ -31,6 +31,7 @@ from oscillwalk import (
     network_from_selfflip_state,
     network_from_state_double,
     random_regular_graph,
+    read_state_csv,
     solve_network,
     torus_graph,
     write_state_csv,
@@ -135,7 +136,7 @@ def test_selfflip_states_on_a_cg_sized_torus(monkeypatch):
     solved = []
     pcg = electric._pcg
     monkeypatch.setattr(electric, "_pcg",
-                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
+                        lambda a, b: solved.append(b.size) or pcg(a, b))
     for u, v in [(0, 1), (5, 17), (143, 131)]:
         psi = selfflip_state(g, u, v)
         solved.clear()
@@ -194,7 +195,7 @@ def run_recording(argv, monkeypatch, capsys):
         return laplacian(node_count, tails, heads, *args, **kw)
 
     monkeypatch.setattr(electric, "_pcg",
-                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
+                        lambda a, b: solved.append(b.size) or pcg(a, b))
     monkeypatch.setattr(electric, "_laplacian", recording)
     code = main(argv)
     capsys.readouterr()
@@ -218,6 +219,49 @@ def test_single_edge_states_take_one_cg_solve_on_g(command, spec, state, solves,
     argv = [command, "--graph", spec, "--state", state]
     code, solved, networks = run_recording(argv, monkeypatch, capsys)
     assert (code, solved, networks) == (0, solves, [])
+
+
+def plaquette_state(side, count, rng):
+    """A random sum of `count` unit squares of torus 2:side, each a flip
+    state: its corners u, v, w, z in turn, from a random corner either way
+    round, carry c on u -> v and w -> z and -c on w -> v and u -> z."""
+    g = torus_graph(2, side)
+    corners = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+    turn = rng.integers(4, size=(count, 1)) + rng.choice([1, -1], size=(count, 1)) * np.arange(4)
+    origins = np.column_stack(np.divmod(rng.integers(g.n, size=count), side))
+    cells = corners[turn % 4] + origins[:, None]
+    u, v, w, z = (cells[:, k] % side @ [side, 1] for k in range(4))
+    c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    amps = np.zeros(g.arc_count, dtype=complex)
+    for tails, heads, sign in ((u, v, 1), (w, v, -1), (w, z, 1), (u, z, -1)):
+        np.add.at(amps, [g.arc_index(t, h) for t, h in zip(tails, heads)], sign * c)
+    return ArcState(g, amps / np.linalg.norm(amps))
+
+
+def test_bounds_of_a_plaquette_state_solve_nothing(monkeypatch, capsys, tmp_path):
+    # Overlapping squares leave rounding noise in the double network's
+    # injections and in the flip part's divergence.  Balanced, each column
+    # is already within CG's stop: it takes no CG solve and no sparse
+    # assembly, and its potentials are the imbalance times the kernel
+    # vector, so every current is exactly 0 and the flip part is the state.
+    psi = plaquette_state(24, 576, np.random.default_rng(8))
+    path = tmp_path / "state.csv"
+    write_state_csv(psi, str(path))
+    amps = read_state_csv(psi.graph, str(path)).amplitudes
+    solved, sparse = [], []
+    pcg, laplacian = electric._pcg, electric._laplacian
+
+    def recording(*args, dense=False, **kw):
+        sparse.append(not dense)
+        return laplacian(*args, dense=dense, **kw)
+
+    monkeypatch.setattr(electric, "_pcg", lambda a, b: solved.append(b.size) or pcg(a, b))
+    monkeypatch.setattr(electric, "_laplacian", recording)
+    assert main(["bounds", "--graph", "torus:2:24", "--state", f"csv:{path}"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert solved == [] and not any(sparse)
+    assert record["double"]["power"] == 0.0
+    assert record["alpha_sq"] == float(np.vdot(amps, amps).real)
 
 
 def test_decompose_of_a_wide_state_assembles_no_double(monkeypatch, capsys, tmp_path):

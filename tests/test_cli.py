@@ -244,7 +244,7 @@ def test_resistance_assembles_one_laplacian_and_a_signless_one_if_odd(spec, pair
     # Each system is g's own, on all of its n vertices and m edges (a
     # network would lack some links): L, then Q, unpinned, when a's
     # component has an odd cycle.  A dense L is pinned at one vertex; CG
-    # takes L unpinned and adds the projector onto its kernel instead.
+    # solves L unpinned and shifts its solution to the pin's value instead.
     family, *params = spec.split(":")
     m = len(build_graph(family, params).edges)
     l_pins = 1 if n <= electric._DENSE_MAX_NODES else 0

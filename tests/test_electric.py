@@ -259,28 +259,62 @@ TORUS_AND_ISOLATED = ElectricNetwork(
 )
 
 
+def near_flip_network(g, seed, cut=3e-4):
+    """The double network of the flip part of a random state on the arcs
+    leaving vertex 0, its amplitudes below `cut` set to 0: the far field
+    stays resistors, the arcs between carry injections, and what is left is
+    many components with unequal degrees."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(g.arc_count, dtype=complex)
+    amps[g.out_arcs[0]] = rng.standard_normal(g.degree) + 1j * rng.standard_normal(g.degree)
+    _, flip = flip_projection(ArcState(g, amps / np.linalg.norm(amps)))
+    near = np.where(np.abs(flip.amplitudes) < cut, 0, flip.amplitudes)
+    return network_from_state_double(ArcState(g, near / np.linalg.norm(near)))
+
+
+# 455 components of 1 to 576 nodes on the 1152 nodes of torus 2:24's double.
+IRREGULAR_NET = near_flip_network(torus_graph(2, 24), 1)
+
+
 @pytest.mark.parametrize(
-    "net, ground, dense",
+    "net, ground, max_iterations",
     [
         pytest.param(network_from_state_double(basis_arc_state(hypercube_graph(3), 0, 1)),
-                     None, True, id="dense"),
-        pytest.param(TORUS_NET, None, False, id="cg"),
-        pytest.param(balanced_network(9, ISOLATED_EDGES, 1), None, True, id="isolated"),
-        pytest.param(balanced_network(12, PARALLEL_EDGES, 2), None, True, id="parallel"),
-        pytest.param(balanced_network(12, PARALLEL_EDGES, 3), 6, True, id="ground"),
-        pytest.param(TORUS_AND_ISOLATED, None, False, id="cg-isolated"),
-        pytest.param(TORUS_AND_ISOLATED, 150, False, id="cg-ground"),
+                     None, None, id="dense"),
+        pytest.param(TORUS_NET, None, 18, id="cg"),
+        pytest.param(balanced_network(9, ISOLATED_EDGES, 1), None, None, id="isolated"),
+        pytest.param(balanced_network(12, PARALLEL_EDGES, 2), None, None, id="parallel"),
+        pytest.param(balanced_network(12, PARALLEL_EDGES, 3), 6, None, id="ground"),
+        pytest.param(TORUS_AND_ISOLATED, None, 18, id="cg-isolated"),
+        pytest.param(TORUS_AND_ISOLATED, 150, 18, id="cg-ground"),
+        pytest.param(IRREGULAR_NET, None, 42, id="cg-irregular"),
     ],
 )
-def test_currents_match_laplacian_pseudoinverse(net, ground, dense):
+def test_currents_match_laplacian_pseudoinverse(net, ground, max_iterations, monkeypatch):
     # Every node is an unknown: one pinned node per component (its smallest,
     # or `ground` in ground's component) holds potential ~0, and the
-    # currents are the pseudoinverse's.
+    # currents are the pseudoinverse's.  CG runs on the singular Laplacian
+    # within the iterations it took with the projector onto its kernel added
+    # (18 and, on the irregular diagonal of "cg-irregular", 49 per column,
+    # where it takes 36 without).
     from scipy.sparse.csgraph import connected_components
 
-    assert (net.node_count <= electric._DENSE_MAX_NODES) == dense
+    iterations = []
+    pcg = electric._pcg
+
+    def counting(a, b):
+        counted = CountingMatrix(a)
+        x = pcg(counted, b)
+        iterations.append(counted.products - 1)
+        return x
+
+    monkeypatch.setattr(electric, "_pcg", counting)
+    assert (net.node_count <= electric._DENSE_MAX_NODES) == (max_iterations is None)
     pairs = np.array(net.resistor_edges)
-    potentials = np.linalg.pinv(dense_laplacian(net.node_count, *pairs.T)) @ net.injections
+    # Singular values below 1e-10 of the largest are the kernel's: hundreds
+    # of components leave some above pinv's default cutoff, 1e-15 of it.
+    laplacian = dense_laplacian(net.node_count, *pairs.T)
+    potentials = np.linalg.pinv(laplacian, 1e-10) @ net.injections
     expected = potentials[pairs[:, 0]] - potentials[pairs[:, 1]]
     sol = solve_network(net, ground=ground)
     assert np.max(np.abs(sol.currents - expected)) <= 1e-9
@@ -292,6 +326,10 @@ def test_currents_match_laplacian_pseudoinverse(net, ground, dense):
     if ground is not None:
         pins[labels[ground]] = ground
     assert np.max(np.abs(sol.potentials[pins])) <= 1e-12
+    pinned = electric._laplacian(net.node_count, *pairs.T, pins, dense=True)
+    assert np.max(np.abs(sol.potentials - np.linalg.solve(pinned, net.injections))) <= 1e-12
+    assert bool(iterations) == (max_iterations is not None)
+    assert max(iterations, default=0) <= (max_iterations or 0)
 
 
 def test_injections_only_at_the_pins_take_no_solve(monkeypatch):
@@ -320,7 +358,7 @@ def test_flow_block_projection_matches_single_flows(g, single_by_cg, monkeypatch
     solved = []
     pcg = electric._pcg
     monkeypatch.setattr(electric, "_pcg",
-                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
+                        lambda a, b: solved.append(b.size) or pcg(a, b))
     rng = np.random.default_rng(36)
     flows = rng.standard_normal((g.arc_count, 100)) + 1j * rng.standard_normal((g.arc_count, 100))
     links = (2 * g.n, g.arc_tails, g.n + g.arc_heads)
@@ -344,10 +382,8 @@ def test_conjugate_gradients_raise_when_not_converged():
     assert np.max(np.abs(lap @ x - b)) <= 1e-10
 
 
-def _allocating_pcg(a, b, tol=1e-13, constant_kernel=False):
-    """The conjugate-gradient loop written with a new array per update; with
-    `constant_kernel` every product a @ p gets J p added, J the projector
-    onto the constant vector: the mean of p, as a dot with 1 / n."""
+def _allocating_pcg(a, b, tol=1e-13):
+    """The conjugate-gradient loop written with a new array per update."""
     diag = a.diagonal()
     inv_diag = np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 1.0)
     x = np.zeros(b.size)
@@ -357,7 +393,7 @@ def _allocating_pcg(a, b, tol=1e-13, constant_kernel=False):
     rz = float(r @ z)
     stop = tol * max(1.0, float(np.linalg.norm(b)))
     while np.linalg.norm(r) > stop:
-        ap = a @ p + np.full(p.size, 1.0 / p.size) @ p if constant_kernel else a @ p
+        ap = a @ p
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
@@ -370,24 +406,23 @@ def _allocating_pcg(a, b, tol=1e-13, constant_kernel=False):
 
 def test_in_place_conjugate_gradients_match_the_allocating_loop_bitwise():
     # The Laplacian of torus 3:10 (1000 unknowns, a CG-sized system; its
-    # diagonal 6 has no exact reciprocal) pinned at node 0, then unpinned
-    # with the projector onto its constant kernel vector, as _solve runs it
-    # (right-hand sides orthogonal to that vector); each tolerance stops the
-    # loop at a different iterate.
+    # diagonal 6 has no exact reciprocal) pinned at node 0, then unpinned,
+    # as _solve runs it, with right-hand sides balanced against its constant
+    # kernel vector; each tolerance stops the loop at a different iterate.
     g = torus_graph(3, 10)
-    kernel = electric._g_kernel(g, [False])
-    assert kernel.blocks == ((slice(0, g.n), None),) and kernel.pins.tolist() == [0]
+    pins = electric._g_kernel(g, [False]).pins
+    assert pins.tolist() == [0]
     rng = np.random.default_rng(37)
     b = np.zeros(g.n)
     b[[10, 555]] = 1.0, -1.0
     noise = rng.standard_normal(g.n)
-    for pins, j in ((kernel.pins, None), (kernel.pins[:0], kernel)):
-        lap = electric._laplacian(g.n, *g.edges.T, pins)
+    for pinned in (True, False):
+        lap = electric._laplacian(g.n, *g.edges.T, pins if pinned else pins[:0])
         assert lap.shape[0] > electric._DENSE_MAX_NODES
-        for rhs in (b, noise if j is None else noise - noise.mean()):
+        for rhs in (b, noise if pinned else noise - noise.mean()):
             for tol in (1e-3, 1e-8, 1e-13):
-                expected = _allocating_pcg(lap, rhs, tol, constant_kernel=j is not None)
-                assert np.array_equal(electric._pcg(lap, rhs, j, tol), expected)
+                expected = _allocating_pcg(lap, rhs, tol)
+                assert np.array_equal(electric._pcg(lap, rhs, tol), expected)
 
 
 def _assembly_cases():
@@ -484,9 +519,10 @@ G_SYSTEMS = {"torus:2:12": ([0], [0]), "torus:2:13": ([0], []), "union": ([0, 14
 @pytest.mark.parametrize("systems", ["L", "Q", "LQ"])
 @pytest.mark.parametrize("name", list(G_SYSTEMS))
 def test_cg_potentials_of_g_are_the_dense_pinned_solution(name, systems, monkeypatch):
-    # CG runs on the unpinned L, Q or diag(L, Q) plus the projector onto its
-    # kernel and shifts its solution back: the potentials are the pinned
-    # matrix's, pin values included, for right-hand sides of any imbalance.
+    # CG runs on the unpinned L, Q or diag(L, Q) with the balanced
+    # right-hand side and shifts its solution back: the potentials are the
+    # pinned matrix's, pin values included, for right-hand sides of any
+    # imbalance.
     if name == "union":
         g = disjoint_union(torus_graph(2, 12), torus_graph(2, 13))
     else:
@@ -494,7 +530,7 @@ def test_cg_potentials_of_g_are_the_dense_pinned_solution(name, systems, monkeyp
     solved = []
     pcg = electric._pcg
     monkeypatch.setattr(electric, "_pcg",
-                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
+                        lambda a, b: solved.append(b.size) or pcg(a, b))
     rng = np.random.default_rng(len(name) + len(systems))
     l_rhs = rng.standard_normal((g.n, 1)) if "L" in systems else None
     q_rhs = rng.standard_normal((g.n, 1)) if "Q" in systems else None
@@ -525,7 +561,7 @@ def test_cg_network_potentials_are_the_dense_pinned_solution(case, monkeypatch):
     solved = []
     pcg = electric._pcg
     monkeypatch.setattr(electric, "_pcg",
-                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
+                        lambda a, b: solved.append(b.size) or pcg(a, b))
     sol = solve_network(net, ground=ground)
     assert sol.feasible and solved
     assert set(solved) == {net.node_count}
@@ -854,7 +890,7 @@ def test_pinned_signless_solve_on_a_bipartite_graph_is_the_colored_laplacian_one
     solved = []
     pcg = electric._pcg
     monkeypatch.setattr(electric, "_pcg",
-                        lambda a, b, kernel: solved.append(b.size) or pcg(a, b, kernel))
+                        lambda a, b: solved.append(b.size) or pcg(a, b))
     colors = np.full(g.n, -1.0)
     colors[bipartite_partition(g).partite_x] = 1.0
     rng = np.random.default_rng(g.n)
@@ -881,8 +917,9 @@ class CountingMatrix:
         return self.a @ p
 
 
-# Iterations of the L solve of an edge pair: L + J converges at the Fiedler
-# rate, L pinned at one vertex at the grounded Laplacian's (401, 404 and 24).
+# Iterations of the L solve of an edge pair: CG on the unpinned L converges
+# at the Fiedler rate, L pinned at one vertex at the grounded Laplacian's
+# (401, 404 and 24).
 MAX_L_ITERATIONS = {"torus:2:100": 260, "torus:2:101": 260, "hypercube:12": 16}
 
 
@@ -897,9 +934,9 @@ def test_cg_sized_resistances_match_fosters_closed_forms(g, monkeypatch):
     solved = []
     pcg = electric._pcg
 
-    def counting(a, b, kernel):
+    def counting(a, b):
         counted = CountingMatrix(a)
-        x = pcg(counted, b, kernel)
+        x = pcg(counted, b)
         solved.append((b.size, counted.products - 1))
         return x
 
