@@ -37,8 +37,6 @@ from .electric import (
 from .graphs import Graph, bipartite_partition
 from .walk import (
     ArcState,
-    _slot_order,
-    _slot_start,
     _slot_steps,
     dense_walk_matrix,
     ensure_normalized,
@@ -321,17 +319,14 @@ def measured_overlaps(state: ArcState, t_max: int) -> OverlapSeries:
 
     even_overlaps covers steps 0, 2, ..., odd_overlaps steps 1, 3, ...;
     odd steps are measured against the flipped starting state.  The sweep
-    runs in float64 when the start is real and takes one dot over the arcs
-    per two steps: the odd overlap comes from the even one and the coin's
-    vertex means (see the `walk` module).
+    steps only the start's light cone, runs in float64 when the start is
+    real and takes one dot over the cone's share of the start per two steps:
+    the odd overlap comes from the even one and the coin's vertex means (see
+    the `walk` module).  The final state is never built over all the arcs.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    psi0 = ensure_normalized(state)
-    g = psi0.graph
-    order = _slot_order(g)
-    start = _slot_start(psi0, order)
-    _, overlaps = _slot_steps(g, order, start.copy(), t_max, start)
+    _, _, overlaps = _slot_steps(ensure_normalized(state), t_max, measure=True)
     return OverlapSeries(even_overlaps=overlaps[0::2], odd_overlaps=overlaps[1::2])
 
 

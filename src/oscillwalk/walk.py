@@ -18,14 +18,33 @@ are real, so a start whose imaginary part is zero walks in float64 on its
 real part, half the bytes of complex128; `evolve` still returns complex
 amplitudes.
 
+The walk moves amplitude one hop per step: the coin mixes the slots of one
+vertex, and the shift moves the amplitude of (u, v) to v.  So after t steps a
+start held by the vertex set V0 (the tails of its nonzero arcs) is exactly 0
+off the ball B(V0, t), its light cone.  The stepper walks only that cone, in
+*windows*: from step t0 it steps the slot-major block of the m vertices of
+B(V0, t0 + k) for k = _CONE_BLOCK steps (slot j*m + i holds the i-th window
+vertex's j-th out-arc), then grows the ball and carries the state over.  A
+slot whose reverse arc leaves the window gathers from one extra sink slot
+that holds 0, and 0 is what the full walk gathers there, since within the
+block no amplitude reaches the window's edge.  The coin sums run over the
+same rows in the same order and the gather reads the same values, so every
+amplitude in the window is the full walk's bit for bit.  Once the next
+window would hold _CONE_SHARE (half) of g's vertices or more, the walk takes
+all of g, which is simply the last window, for the remaining steps; a ball
+that stops growing holds whole components and is the last window too.  A
+start nonzero on half the arcs or more, such as a random state, takes all of
+g at once.
+
 The flip of a state is its shift negated, <uv|~psi> = -<vu|psi>, so for any y
 the odd overlap <~psi0|S y> equals -<psi0|y>, and |<~psi0|U^(2k+1) psi0>| is
 |<psi0|C x>| with x = U^(2k) psi0.  As (C x)_s = 2 m_u - x_s on the slots s
 of vertex u, where m_u is u's mean of x, that is |sum_u conj(s_u) 2 m_u -
 <psi0|x>| with s_u the sum of psi0 over u's slots: the even overlap <psi0|x>
-and the coin's vertex means give the odd overlap with an n-length dot, so
-the full dot over the arcs runs every other step and no flipped copy is
-kept.
+and the coin's vertex means give the odd overlap with an m-length dot, so
+the dot over the window's share of psi0 runs every other step and no flipped
+copy is kept.  V0 lies in every window, so the window's share of psi0 is all
+of it.
 """
 
 from __future__ import annotations
@@ -73,6 +92,12 @@ _BLOCK_CHARS = 1 << 20
 # 1 + 5 eps with one OpenBLAS thread and 1 + eps with two.  So
 # ensure_normalized allows max(UNIT_NORM_SLACK, sqrt(arc_count) eps).
 UNIT_NORM_SLACK = 4 * np.finfo(np.float64).eps
+# The walk steps each window of the light cone this many steps (an even
+# number, so every window but the last starts at an even step) ...
+_CONE_BLOCK = 16
+# ... and steps all of g once the next window would hold this share of its
+# vertices or more.
+_CONE_SHARE = 0.5
 
 
 @dataclass
@@ -214,77 +239,201 @@ def walk_step(state: ArcState) -> ArcState:
     return apply_shift(apply_coin(state))
 
 
-def _slot_order(g: Graph) -> np.ndarray:
-    """The arc held by each slot: slot j*n + u holds vertex u's j-th out-arc."""
-    return g.out_arcs.T.ravel()
+def _window_slots(
+    g: Graph, inside: np.ndarray | None
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The window of the vertices in the mask `inside` (all of g when None):
+    its vertices (None for g), the arc held by each of its slots and the slot
+    of each slot's reverse arc, or the sink slot d*m where that arc leaves
+    the window's m vertices."""
+    if inside is None:
+        # Inverting the slot order takes arc-length maps, which a window
+        # must not build, but over all of g it takes about half the time of
+        # the formula below (torus 2:300, Q_14, random_regular 20000:5).
+        order = g.out_arcs.T.ravel()
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        return None, order, pos[order ^ 1]
+    d = g.degree
+    verts = np.flatnonzero(inside)
+    m = verts.size
+    order = np.take(g.out_arcs, verts, axis=0).T.ravel()
+    # Vertex v's arcs to larger heads are the even arcs 2e of consecutive
+    # edges (v, w), the last in v's last column, so the reverse 2e of an odd
+    # arc 2e + 1 = (u, v), v < u, lies in column d - 1 - (last - e) of v's row;
+    # each even slot is the partner of the odd slot it reverses.
+    odd = np.flatnonzero(order & 1)
+    arcs = order[odd]
+    low = g.arc_heads[arcs]
+    kept = inside[low]
+    odd, arcs, low = odd[kept], arcs[kept], low[kept]
+    column = np.empty(g.n, dtype=np.intp)  # each window vertex's slot column
+    column[verts] = np.arange(m)
+    partner = (d - 1 - (g.out_arcs[:, -1][low] >> 1) + (arcs >> 1)) * m + column[low]
+    rev = np.full(d * m, d * m)
+    rev[odd] = partner
+    rev[partner] = odd
+    return verts, order, rev
 
 
-def _slot_start(psi: ArcState, order: np.ndarray) -> np.ndarray:
-    """The slot-major amplitudes of `psi`: float64 when its imaginary part is
-    zero (the walk is real, so it stays real), else complex128."""
-    amps = psi.amplitudes
-    if not amps.imag.any():
-        amps = amps.real
-    return amps[order]
+def _grow(
+    g: Graph, inside: np.ndarray, layer: np.ndarray, layers: int, limit: float
+) -> np.ndarray | None:
+    """Add up to `layers` layers to the ball `inside` (a vertex mask, grown in
+    place) whose last layer is `layer`.  Returns the new last layer, empty
+    once the ball holds whole components of g, or None as soon as the ball
+    holds `limit` vertices or more."""
+    size = np.count_nonzero(inside)
+    if size >= limit:
+        return None
+    stamp = np.empty(g.n, dtype=np.intp)
+    for _ in range(layers):
+        if not layer.size:
+            break
+        reached = g.adjacency[layer].ravel()
+        reached = reached[~inside[reached]]
+        inside[reached] = True
+        # reached lists every new vertex, some more than once
+        if size + reached.size >= limit and np.count_nonzero(inside) >= limit:
+            return None
+        # one copy of each vertex: the one whose index its stamp holds
+        index = np.arange(reached.size)
+        stamp[reached] = index
+        layer = reached[stamp[reached] == index]
+        size += layer.size
+    return layer
 
 
-def _slot_steps(
-    g: Graph, order: np.ndarray, x: np.ndarray, steps: int, start: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Walk the slot-major state `x` (slot order `order`) `steps` steps.
+def _cone_windows(g: Graph, amps: np.ndarray, steps: int):
+    """Yield (inside, stop) for each window of the walk from the start
+    `amps`: the mask of the ball B(V0, stop) around the vertices V0 that hold
+    the start, or None for all of g, and the step up to which that window
+    holds the walk.  The mask is grown in place between windows."""
+    limit = _CONE_SHARE * g.n
+    nonzero = amps != 0
+    # V0 holds at least a d-th as many vertices as the start has nonzero arcs
+    if np.count_nonzero(nonzero) >= g.degree * limit:
+        del nonzero
+        yield None, steps
+        return
+    layer = g.arc_tails[nonzero]  # V0, a vertex once per arc it holds
+    del nonzero
+    inside = np.zeros(g.n, dtype=bool)
+    inside[layer] = True
+    t = 0
+    while True:
+        stop = min(t + _CONE_BLOCK, steps)
+        layer = _grow(g, inside, layer, stop - t, limit)
+        if layer is None:
+            yield None, steps
+            return
+        if not layer.size:  # the ball holds whole components of g
+            stop = steps
+        yield inside, stop
+        if stop == steps:
+            return
+        t = stop
 
-    `x` is one of the two buffers and is overwritten; returns the buffer that
-    holds U^steps x and, when the slot-major start `start` (left unchanged) is
-    given, the overlaps |<start|U^t x>| at even t and |<~start|U^t x>| at odd
-    t for t = 0..steps (x must equal start then).  The loop body takes two
-    steps, so no step tests its parity.
+
+def _step_block(
+    x: np.ndarray,
+    rev: np.ndarray,
+    d: int,
+    t: int,
+    stop: int,
+    start: np.ndarray | None,
+    overlaps: np.ndarray | None,
+) -> np.ndarray:
+    """Walk the slot-major state x[:-1] of a window from step t to `stop`.
+
+    x[-1] is the window's sink, 0, and `rev` the window's reverse slots.  `x`
+    is one of the two buffers and is overwritten; returns the slots that hold
+    the state at `stop`.  With the window's share `start` of the start, it
+    writes the overlaps of steps t..stop-1 to `overlaps`.  The loop body
+    takes two steps, so no step tests its parity.
     """
-    d, n = g.degree, g.n
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    rev = pos[order ^ 1]  # the slot of each slot's reverse arc
-    del pos  # free it before the second buffer
+    dm = rev.size
     y = np.empty_like(x)
-    rows_x, rows_y = x.reshape(d, n), y.reshape(d, n)
-    twice_mean = np.empty(n, dtype=x.dtype)
+    y[dm] = 0.0
+    xs, ys = x[:dm], y[:dm]
+    rows_x, rows_y = xs.reshape(d, -1), ys.reshape(d, -1)
+    twice_mean = np.empty(dm // d, dtype=x.dtype)
     scale = 2.0 / d
-    overlaps = None
     if start is not None:
-        sums = np.add.reduce(start.reshape(d, n), axis=0)
-        overlaps = np.empty(steps + 1)
+        sums = np.add.reduce(start.reshape(d, -1), axis=0)
     # mode="clip" lets take write straight into its out; "raise" would buffer it
-    for t in range(0, steps, 2):
+    for t in range(t, stop, 2):
         if start is not None:
-            even = np.vdot(start, x)
+            even = np.vdot(start, xs)
             overlaps[t] = abs(even)
         np.add.reduce(rows_x, axis=0, out=twice_mean)
         twice_mean *= scale
         np.subtract(twice_mean, rows_x, out=rows_x)
-        np.take(x, rev, out=y, mode="clip")
+        np.take(x, rev, out=ys, mode="clip")
         if start is not None:
             overlaps[t + 1] = abs(np.vdot(sums, twice_mean) - even)
-        if t + 1 == steps:
-            return y, overlaps
+        if t + 1 == stop:
+            return ys
         np.add.reduce(rows_y, axis=0, out=twice_mean)
         twice_mean *= scale
         np.subtract(twice_mean, rows_y, out=rows_y)
-        np.take(y, rev, out=x, mode="clip")
-    if start is not None:
-        overlaps[steps] = abs(np.vdot(start, x))
-    return x, overlaps
+        np.take(y, rev, out=xs, mode="clip")
+    return xs
+
+
+def _slot_steps(
+    psi: ArcState, steps: int, measure: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Walk `psi` `steps` steps (>= 0) in the windows of its light cone.
+
+    Returns the arc held by each slot of the last window, U^steps psi on
+    those slots (it is 0 on every other arc) and, with `measure`, the
+    overlaps |<psi|U^t psi>| at even t and |<~psi|U^t psi>| at odd t for
+    t = 0..steps.
+    """
+    g = psi.graph
+    d = g.degree
+    amps = psi.amplitudes
+    if not amps.imag.any():
+        amps = amps.real  # the walk is real, so a real start stays real
+    overlaps = np.empty(steps + 1) if measure else None
+    t, verts, xs = 0, None, None
+    for inside, stop in _cone_windows(g, amps, steps):
+        carried, old = verts, xs
+        x = xs = order = rev = start = None  # free the last window before this one
+        verts, order, rev = _window_slots(g, inside)
+        m = g.n if verts is None else verts.size
+        x = np.empty(d * m + 1, dtype=amps.dtype)
+        x[-1] = 0.0  # the sink
+        if measure:
+            start = amps[order]
+        if old is None:
+            x[:-1] = start if measure else amps[order]
+        else:  # carry the walk over from the last window
+            x[:-1] = 0.0
+            columns = carried if verts is None else np.searchsorted(verts, carried)
+            x[:-1].reshape(d, m)[:, columns] = old.reshape(d, -1)
+        del old
+        xs = _step_block(x, rev, d, t, stop, start, overlaps)
+        t = stop
+    if measure and steps % 2 == 0:
+        overlaps[steps] = abs(np.vdot(start, xs))
+    return order, xs, overlaps
 
 
 def evolve(state: ArcState, t: int) -> ArcState:
-    """Apply the walk t times (t >= 0) to a normalized state."""
+    """Apply the walk t times (t >= 0) to a normalized state.
+
+    The walk steps only the state's light cone (see the module docstring)
+    and scatters its last window into the returned amplitudes, 0 elsewhere.
+    """
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
     psi = ensure_normalized(state)
-    g = psi.graph
-    order = _slot_order(g)
-    x, _ = _slot_steps(g, order, _slot_start(psi, order), t)
-    amps = np.empty(g.arc_count, dtype=np.complex128)
+    order, x, _ = _slot_steps(psi, t)
+    amps = np.zeros(psi.graph.arc_count, dtype=np.complex128)
     amps[order] = x
-    return ArcState(g, amps)
+    return ArcState(psi.graph, amps)
 
 
 def flip_transform(state: ArcState) -> ArcState:

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from oscillwalk import (
     ArcState,
+    Graph,
     GraphError,
     apply_coin,
     apply_shift,
@@ -37,6 +38,7 @@ from oscillwalk import (
     walk_step,
     write_state_csv,
 )
+from oscillwalk import walk
 from oscillwalk.walk import UNIT_NORM_SLACK
 from oscillwalk.verify import (
     assert_bipartite_alternation,
@@ -337,11 +339,114 @@ def test_stepper_matches_single_steps_and_matrix_powers(g):
         assert_stepper_matches(psi, 13, 1)
 
 
-@pytest.mark.parametrize("g", [complete_graph(12), torus_graph(2, 5)], ids=lambda g: g.name)
+@pytest.mark.parametrize(
+    "g",
+    # the edge starts on the cycles walk windows of their light cone for
+    # about 100 and 250 steps, then all of the cycle
+    [complete_graph(12), torus_graph(2, 5), cycle_graph(401), cycle_graph(999)],
+    ids=lambda g: g.name,
+)
 def test_stepper_over_a_thousand_steps(g):
     states = stepper_states(g, np.random.default_rng(14))
     for kind in ("edge", "random"):
         assert_stepper_matches(states[kind], 1000, 250)
+
+
+BLOCK = walk._CONE_BLOCK
+
+
+@pytest.mark.parametrize(
+    "t_max", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]
+)
+def test_sweeps_ending_around_a_window_boundary(t_max):
+    # An edge start on cycle 401 reaches 2 t + 1 vertices in t steps, so its
+    # walk changes windows every BLOCK steps up to about step 100.
+    states = stepper_states(cycle_graph(401), np.random.default_rng(19))
+    for kind in ("edge", "selfflip"):
+        assert_stepper_matches(states[kind], t_max, BLOCK // 2)
+
+
+def test_a_cone_over_two_windows_matches_single_steps():
+    # On torus 2:61 (3721 vertices) the cone of an edge or vertex start
+    # takes one window, then all of the torus: the ball of radius 2 BLOCK
+    # holds more than half the vertices.
+    g = torus_graph(2, 61)
+    c = 30 * 61 + 30
+    starts = [basis_arc_state(g, 0, 1), basis_arc_state(g, c, c + 61),
+              ArcState(g, np.exp(0.7j) * uniform_state(g, [c]).amplitudes)]
+    for psi in starts:
+        series = measured_overlaps(psi, 40)
+        reference = stepped_overlaps(psi, 40)
+        assert np.max(np.abs(series.even_overlaps - reference[0::2])) <= 1e-12
+        assert np.max(np.abs(series.odd_overlaps - reference[1::2])) <= 1e-12
+        current = psi
+        for t in range(41):
+            assert np.max(np.abs(evolve(psi, t).amplitudes - current.amplitudes)) <= 1e-12
+            current = walk_step(current)
+
+
+def test_windows_step_bit_for_bit_like_the_full_graph(monkeypatch):
+    """Inside a window the amplitudes are the full walk's, bit for bit, and
+    0 outside it: the same coin sums in the same row order and the same
+    gather, with a zero sink where a reverse arc leaves the window."""
+    cases = []
+    for g in (cycle_graph(401), torus_graph(2, 41)):
+        u, v = (int(x) for x in g.edges[len(g.edges) // 2])
+        rng = np.random.default_rng(20)
+        local = np.zeros(g.arc_count, dtype=complex)
+        local[g.out_arcs[[u, v]].ravel()] = rng.standard_normal(2 * g.degree) + 1j
+        cases += [basis_arc_state(g, u, v), ArcState(g, local / np.linalg.norm(local))]
+    steps = (0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 1, 5 * BLOCK, 150)
+    windowed = [[evolve(psi, t).amplitudes for t in steps] for psi in cases]
+    monkeypatch.setattr(walk, "_CONE_SHARE", 0.0)  # every walk takes all of g at once
+    for psi, states in zip(cases, windowed):
+        for t, state in zip(steps, states):
+            full = evolve(psi, t).amplitudes
+            assert np.array_equal(state.view(np.int64), full.view(np.int64))
+
+
+def test_a_disconnected_graph_keeps_the_other_component_at_zero():
+    two = np.vstack([cycle_graph(401).edges, cycle_graph(401).edges + 401])
+    g = Graph(802, two, require_connected=False, name="two cycles")
+    psi = basis_arc_state(g, 7, 8)
+    for t in (1, BLOCK, 150, 300):
+        amps = evolve(psi, t).amplitudes
+        assert not amps[g.out_arcs[401:]].any()
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+    series = measured_overlaps(psi, 300)
+    reference = stepped_overlaps(psi, 300)
+    assert np.max(np.abs(series.even_overlaps - reference[0::2])) <= 1e-12
+    assert np.max(np.abs(series.odd_overlaps - reference[1::2])) <= 1e-12
+
+
+def test_a_ball_that_fills_its_component_stays_the_window():
+    # cycle 101 holds less than half of the 502 vertices: the cone of a
+    # start on it stops growing at about step 50 and walks that window on
+    mixed = np.vstack([cycle_graph(101).edges, cycle_graph(401).edges + 101])
+    g = Graph(502, mixed, require_connected=False, name="cycles 101 and 401")
+    psi = basis_arc_state(g, 3, 4)
+    series = measured_overlaps(psi, 200)
+    reference = stepped_overlaps(psi, 200)
+    assert np.max(np.abs(series.even_overlaps - reference[0::2])) <= 1e-12
+    assert np.max(np.abs(series.odd_overlaps - reference[1::2])) <= 1e-12
+    current = psi
+    for t in range(201):
+        if t % 25 == 0:
+            amps = evolve(psi, t).amplitudes
+            assert not amps[g.out_arcs[101:]].any()
+            assert np.max(np.abs(amps - current.amplitudes)) <= 1e-12
+        current = walk_step(current)
+
+
+def test_translated_edge_starts_give_the_same_overlaps():
+    # Vertex 0's cone wraps the vertex numbering of torus 2:41; the edge one
+    # step up the same axis from the centre (20, 20) is its translate.
+    g = torus_graph(2, 41)
+    c = 20 + 41 * 20
+    corner = measured_overlaps(basis_arc_state(g, 0, 1), 30)
+    centre = measured_overlaps(basis_arc_state(g, c, c + 1), 30)
+    assert np.max(np.abs(corner.even_overlaps - centre.even_overlaps)) <= 1e-14
+    assert np.max(np.abs(corner.odd_overlaps - centre.odd_overlaps)) <= 1e-14
 
 
 STEPPER_GRAPHS = ZOO + [complete_graph(2), cycle_graph(7)]
@@ -384,6 +489,21 @@ def test_evolve_returns_complex_states_and_keeps_its_input(g):
     for t in (1, 2, 9):
         turned = evolve(ArcState(g, 1j * real.amplitudes), t).amplitudes
         assert np.array_equal(turned.imag, evolve(real, t).amplitudes.real)
+
+
+def test_measured_overlaps_of_an_edge_start_keep_to_its_light_cone():
+    """In 20 steps an edge start on torus 2:300 reaches under 900 of the
+    90,000 vertices: the sweep peaks below one float64 vector over the arcs
+    (8 B per arc), where a walk over every arc keeps about 48."""
+    g = torus_graph(2, 300)
+    psi = basis_arc_state(g, 0, 1)
+    tracemalloc.start()
+    try:
+        measured_overlaps(psi, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.arc_count
 
 
 def test_measured_overlaps_keep_to_a_few_state_vectors():
