@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import Graph, label_components
+from .graphs import Graph, _int64_ids, label_components
 from .walk import ArcState, check_tolerance, ensure_normalized, is_flip_state, is_selfflip_state
 
 if TYPE_CHECKING:
@@ -113,7 +113,7 @@ class ElectricNetwork:
     injections: np.ndarray
 
     def __post_init__(self):
-        edges = np.array(self.resistor_edges, dtype=np.int64)
+        edges = np.array(_int64_ids(self.resistor_edges, "node id"))
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -142,8 +142,9 @@ class FlowSolution:
     node; `potentials` are pinned at one node per component, whose potential
     is then the component's net injection: ~0, not a literal 0.  They are
     the pinned system's solution whether it was solved densely or by CG,
-    which solves the unpinned system and shifts its solution to the pin's
-    value (see the Kirchhoff solver's block comment).  When any
+    which solves the unpinned system and shifts each component by a
+    constant to the pin's value (see the Kirchhoff solver's block comment).
+    When any
     component's injections do not balance, no steady current exists:
     feasible is False and power is +infinity.
     """
@@ -244,22 +245,25 @@ def _network(
 # Kirchhoff solver
 # ======================================================================================
 #
-# Every system is a Laplacian A (L, the signless Q, diag(L, Q) or a
-# network's) on all of its nodes, with one pin r and one kernel vector w per
-# component: w^T A = 0, w_r = 1.  A dense system is pinned: 1 is added to
-# the diagonal at r, which makes it positive definite.  Pinning is exact:
-# the w-weighted sum of a component's rows of (A + e_r e_r^T) x = b gives
-# x_r = s = w^T b, so a balanced b (s = 0) forces x_r = 0 and A x = b, the
-# system grounded at r, while a b off by s shifts the potentials by s w and
-# leaves every drop as it is.
+# Every system is a Laplacian A on all of its nodes: a network's, g's L, or
+# g's signless Q solved as S Q S, alone or as diag(L, S Q S).  S Q S is L on
+# a bipartite component and positive definite, with no pin, on a component
+# with an odd cycle (see the L (+) Q section below).  Every other component
+# is singular and has one pin r, and its kernel vector is the component's
+# indicator w: w^T A = 0.  A dense system is pinned: 1 is added to the diagonal at r, which makes it
+# positive definite.  Pinning is exact: the sum of a component's rows of
+# (A + e_r e_r^T) x = b gives x_r = s = w^T b, so a balanced b (s = 0)
+# forces x_r = 0 and A x = b, the system grounded at r, while a b off by s
+# raises the component's potentials by s and leaves every drop as it is.
 #
 # CG reaches the same pinned solution without the pin.  With
 # b' = b - s e_r on each component, so that w^T b' = 0, the singular system
 # A y = b' is consistent, and Jacobi-preconditioned CG converges on it
 # (Kaasschieter, J. Comput. Appl. Math. 24, 1988): w^T A = 0 keeps every
 # residual in A's range, and the rate is set by the smallest nonzero
-# eigenvalue, a component's Fiedler value.  y may carry any multiple of w;
-# x = y + (s - y_r) w drops it and is the pinned solution, x_r = s included.
+# eigenvalue, a component's Fiedler value.  y may carry any constant on a
+# component; x = y + (s - y_r) w drops it and is the pinned solution,
+# x_r = s included.
 # The pinned matrix's smallest eigenvalue is near the grounded Laplacian's,
 # about 1 / (n times the mean resistance to r), far below the Fiedler value:
 # a pair on torus 2:100 takes 248 iterations against 401 pinned.  Adding
@@ -273,11 +277,8 @@ def _network(
 # Either way a potential means the same: the pinned potential is the
 # component's imbalance s, rounding noise rather than a literal 0 for a
 # balanced b, and only drops and pair sums are read from the solutions.
-# w is 1 on a component of L or of a network.  The signless Laplacian Q of
-# a bipartite component is S L S, with S its +-1 coloring, so there w = S
-# (S_r = 1); Q on a component with an odd cycle is positive definite and is
-# not pinned (see the L (+) Q section below).  (Doyle & Snell, "Random
-# Walks and Electric Networks", section 1.3, for grounding.)
+# (Doyle & Snell, "Random Walks and Electric Networks", section 1.3, for
+# grounding.)
 
 
 def _pins(roots: np.ndarray, ground: int | None = None) -> np.ndarray:
@@ -290,43 +291,18 @@ def _pins(roots: np.ndarray, ground: int | None = None) -> np.ndarray:
     return np.flatnonzero(is_pin)
 
 
-@dataclass(frozen=True, eq=False)
-class _Kernel:
-    """The pins of a system and its null space W = [w_1 ... w_k]: w_c is 1 at
-    the pin pins[c], +-1 on the rest of its component and 0 elsewhere, held
-    as each node's component root `labels` (see label_components) and its
-    entry of W, `weights` (None: 1 on every node).  Each method costs a
-    bincount or a gather and runs once per right-hand side."""
-
-    pins: np.ndarray
-    labels: np.ndarray
-    weights: np.ndarray | None = None
-
-    def sums(self, v: np.ndarray) -> np.ndarray:
-        """W^T v."""
-        weighted = v if self.weights is None else self.weights * v
-        return np.bincount(self.labels, weighted, minlength=v.size)[self.labels[self.pins]]
-
-    def add(self, coefficients: np.ndarray, out: np.ndarray) -> None:
-        """out += W coefficients."""
-        by_root = np.zeros(out.size)
-        by_root[self.labels[self.pins]] = coefficients
-        spread = by_root[self.labels]
-        out += spread if self.weights is None else self.weights * spread
-
-
 def _laplacian(
     node_count: int, tails: np.ndarray, heads: np.ndarray, pins: np.ndarray,
     signs: float | np.ndarray = -1.0, *, dense: bool = False,
 ) -> np.ndarray | sp.csr_matrix:
     """The pinned Laplacian of the links {tails[i], heads[i]} on all
     `node_count` nodes: link i puts signs[i] (a scalar: on every link) at
-    both of its off-diagonal entries, -1 for a Laplacian and +1 for a
-    signless one, and a node's diagonal counts its links plus 1 if it is in
-    `pins` (none: the Laplacian itself).  A numpy array when `dense`; else a
-    scipy CSR matrix from one COO with one diagonal entry per node.  Both
-    hold the same small integers, summed exactly, so they are equal entry
-    for entry."""
+    both of its off-diagonal entries, -1 for a Laplacian and +1 for g's
+    signless Q on a component with an odd cycle (see _g_potentials), and a
+    node's diagonal counts its links plus 1 if it is in `pins` (none: the
+    Laplacian itself).  A numpy array when `dense`; else a scipy CSR matrix
+    from one COO with one diagonal entry per node.  Both hold the same small
+    integers, summed exactly, so they are equal entry for entry."""
     off = np.full(tails.shape, signs, dtype=np.float64)
     diagonal = np.bincount(np.concatenate([tails, heads, pins]), minlength=node_count)
     if dense:
@@ -349,24 +325,26 @@ def _laplacian(
 
 
 def _solve(
-    node_count: int, tails: np.ndarray, heads: np.ndarray, kernel: _Kernel, rhs: np.ndarray,
-    signs: float | np.ndarray = -1.0,
+    node_count: int, tails: np.ndarray, heads: np.ndarray, roots: np.ndarray, pins: np.ndarray,
+    rhs: np.ndarray, signs: float | np.ndarray = -1.0,
 ) -> np.ndarray:
-    """Solve _laplacian(node_count, tails, heads, kernel.pins, signs) x = rhs
-    for one right-hand side of shape (node_count,) or a block of them,
-    (node_count, k), real or complex; x has its shape and dtype.  The real
-    and imaginary parts are solved as real columns, and a column that is 0
-    off the pins is not solved at all: its potentials are 0, as grounding at
-    the pins would give.  The columns left are solved densely when there are
-    at most _DENSE_MAX_NODES or at most as many nodes as columns (the dense
-    matrix is then no bigger than the right-hand sides), otherwise column by
-    column by CG on the unpinned matrix with the balanced right-hand side,
-    shifted back to the pinned solution (see the block comment above).  A
-    balanced column already within CG's stop is not solved: x = s w."""
+    """Solve _laplacian(node_count, tails, heads, pins, signs) x = rhs, with
+    `roots` the components (see label_components) and `pins` one node of
+    each singular one, for one right-hand side of shape (node_count,) or a
+    block of them, (node_count, k), real or complex; x has its shape and
+    dtype.  The real and imaginary parts are solved as real columns, and a
+    column that is 0 off the pins is not solved at all: its potentials are
+    0, as grounding at the pins would give.  The columns left are solved
+    densely when there are at most _DENSE_MAX_NODES or at most as many nodes
+    as columns (the dense matrix is then no bigger than the right-hand
+    sides), otherwise column by column by CG on the unpinned matrix with the
+    balanced right-hand side, shifted back to the pinned solution (see the
+    block comment above).  A balanced column already within CG's stop is not
+    solved: x is s on each pinned component."""
     block = rhs.reshape(node_count, -1)
     is_complex = np.iscomplexobj(block)
     columns = np.concatenate([block.real, block.imag], axis=1) if is_complex else block
-    pins = kernel.pins
+    pinned_roots = roots[pins]
     nonzero = columns != 0
     nonzero[pins] = False
     solved = np.flatnonzero(nonzero.any(axis=0))
@@ -378,7 +356,7 @@ def _solve(
         matrix = None
         for j in solved:
             b = columns[:, j].copy()
-            imbalance = kernel.sums(b)
+            imbalance = np.bincount(roots, b, minlength=node_count)[pinned_roots]
             b[pins] -= imbalance
             y = np.zeros(node_count)
             if np.linalg.norm(b) > _CG_TOL:  # else _pcg returns y = 0 at once
@@ -386,7 +364,9 @@ def _solve(
                     matrix = _laplacian(node_count, tails, heads, pins[:0], signs)  # unpinned
                 y = _pcg(matrix, b)
                 imbalance -= y[pins]
-            kernel.add(imbalance, y)
+            shift = np.zeros(node_count)
+            shift[pinned_roots] = imbalance
+            y += shift[roots]
             solution[:, j] = y
     if is_complex:
         k = block.shape[1]
@@ -454,12 +434,16 @@ def _pcg(
 #     omega = x_a - x_b with L x = e_a - e_b (g's own resistance distance),
 #     rho = y_a + y_b with Q y = e_a + e_b.
 #
-# L is pinned at one vertex per component.  Q is positive definite on a
-# component of g with an odd cycle and is solved there unpinned.  On a
-# bipartite component Q = S L S, with S the diagonal +-1 coloring, and Q is
-# pinned there alone; b_in is reachable from a_out only when b has the
-# other color, where S (e_a + e_b) = S_a (e_a - e_b), so y = S_a S x and
-# rho = omega with no Q solve.  (Doyle & Snell, "Random Walks and Electric
+# L is pinned at each component's root.  Q is solved as S Q S, with S the
+# diagonal of the signs in g.coloring: Q y = b is S Q S z = S b with
+# y = S z.  Flipping signs is exact in floating point, so this is the same
+# arithmetic, and the CG iterates are S times those on Q.  On a
+# bipartite component S is its +-1 coloring and S Q S = L, with the same
+# integer entries and the pin at the root; on a component with an odd cycle
+# S = 1 and Q is positive definite, solved unpinned.  On a bipartite
+# component b_in is reachable from a_out only when b has the other color,
+# where S (e_a + e_b) = S_a (e_a - e_b), so y = S_a S x and rho = omega
+# with no Q solve.  (Doyle & Snell, "Random Walks and Electric
 # Networks", section 1.3, for the resistance; Cvetkovic, Rowlinson & Simic,
 # "Signless Laplacians of finite graphs", 2007, for Q.)
 #
@@ -480,43 +464,24 @@ def _g_potentials(
     g: Graph, l_rhs: np.ndarray | None = None, q_rhs: np.ndarray | None = None
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(x, y) with L x = l_rhs and Q y = q_rhs on g, from one solve: of L or
-    Q alone, or of diag(L, Q) on 2n nodes when both are asked for.  Each
-    right-hand side is a real or complex (n, k) block, the same k for both,
-    or None, which gives None.  L is pinned at each component's root, Q at
-    the roots of the bipartite components."""
-    n, (tails, heads) = g.n, g.edges.T
+    S Q S alone, or of diag(L, S Q S) on 2n nodes when both are asked for.
+    Each right-hand side is a real or complex (n, k) block, the same k for
+    both, or None, which gives None.  L is pinned at each component's root,
+    S Q S at the roots of the bipartite components, where it is L."""
+    n, (tails, heads), roots = g.n, g.edges.T, g.component_roots
+    pins = _pins(roots)
     if q_rhs is None:
-        return _solve(n, tails, heads, _g_kernel(g, [False]), l_rhs), None
+        return _solve(n, tails, heads, roots, pins, l_rhs), None
+    signs, bipartite = g.coloring
+    q_pins, q_links, s = pins[bipartite[pins]], signs[tails] * signs[heads], signs[:, None]
     if l_rhs is None:
-        return None, _solve(n, tails, heads, _g_kernel(g, [True]), q_rhs, 1.0)
+        return None, s * _solve(n, tails, heads, roots, q_pins, s * q_rhs, q_links)
     xy = _solve(
         2 * n, np.concatenate([tails, n + tails]), np.concatenate([heads, n + heads]),
-        _g_kernel(g, [False, True]), np.concatenate([l_rhs, q_rhs]),
-        np.repeat([-1.0, 1.0], tails.size),
+        np.concatenate([roots, n + roots]), np.concatenate([pins, n + q_pins]),
+        np.concatenate([l_rhs, s * q_rhs]), np.concatenate([np.full(tails.size, -1.0), q_links]),
     )
-    return xy[:n], xy[n:]
-
-
-def _g_kernel(g: Graph, signless: Sequence[bool]) -> _Kernel:
-    """The kernel of L (False) or Q (True) on g, or of diag(L, Q), one system
-    per entry of `signless`, the i-th on the nodes i n to (i + 1) n.  L is
-    pinned at each component's root with w = 1, Q at the roots of the
-    bipartite components with w = S, their coloring."""
-    n, roots = g.n, g.component_roots
-    colors = None
-    if any(signless):
-        double_roots = g.double_roots
-        colors = np.where(double_roots[:n] == double_roots[roots], 1.0, -1.0)
-        colors[double_roots[roots] == double_roots[n + roots]] = 0.0  # an odd cycle: Q is definite
-    weights = [colors if is_q else None for is_q in signless]
-    offsets = range(0, n * len(signless), n)
-    is_root = roots == np.arange(n)
-    pins = [o + np.flatnonzero(is_root if w is None else is_root & (w != 0))
-            for o, w in zip(offsets, weights)]
-    return _Kernel(
-        np.concatenate(pins), labels=np.concatenate([o + roots for o in offsets]),
-        weights=np.concatenate([np.ones(n) if w is None else w for w in weights]),
-    )
+    return xy[:n], s * xy[n:]
 
 
 @dataclass(frozen=True)
@@ -551,16 +516,15 @@ def _pair_potentials(g: Graph, u: int, v: int, signless: bool) -> _PairPotential
     rhs = np.zeros((g.n, 1))
     rhs[u] += 1.0
     rhs[v] -= 1.0
-    x = _g_potentials(g, rhs)[0][:, 0]
-    roots = g.double_roots
-    if not signless:
-        y = None
-    elif roots[u] != roots[g.n + u]:  # u's component is bipartite
-        y = np.where(roots[: g.n] == roots[u], x, -x)
-    else:
-        rhs = np.zeros((g.n, 1))
-        np.add.at(rhs, ([u, v], 0), 1.0)
-        y = _g_potentials(g, q_rhs=rhs)[1][:, 0]
+    x, y = _g_potentials(g, rhs)[0][:, 0], None
+    if signless:
+        signs, bipartite = g.coloring
+        if bipartite[u]:
+            y = signs[u] * signs * x
+        else:
+            rhs = np.zeros((g.n, 1))
+            np.add.at(rhs, ([u, v], 0), 1.0)
+            y = _g_potentials(g, q_rhs=rhs)[1][:, 0]
     return _PairPotentials(u, v, x, y)
 
 
@@ -589,8 +553,7 @@ def solve_network(net: ElectricNetwork, *, ground: int | None = None) -> FlowSol
         return FlowSolution(feasible=False, currents=None, potentials=None, power=math.inf)
 
     tails, heads = net.resistor_edges.T
-    kernel = _Kernel(_pins(roots, ground), labels=roots)
-    potentials = _solve(net.node_count, tails, heads, kernel, net.injections)
+    potentials = _solve(net.node_count, tails, heads, roots, _pins(roots, ground), net.injections)
     currents = potentials[tails] - potentials[heads]
     power = float(np.vdot(currents, currents).real)
     return FlowSolution(feasible=True, currents=currents, potentials=potentials, power=power)
@@ -614,7 +577,7 @@ def circulation_projection(
     np.add.at(divergence, tails, flow)
     np.add.at(divergence, heads, -flow)
     roots = label_components(node_count, tails, heads)
-    potentials = _solve(node_count, tails, heads, _Kernel(_pins(roots), labels=roots), divergence)
+    potentials = _solve(node_count, tails, heads, roots, _pins(roots), divergence)
     return flow - (potentials[tails] - potentials[heads])
 
 

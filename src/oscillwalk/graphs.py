@@ -70,6 +70,21 @@ def label_components(node_count: int, tails: np.ndarray, heads: np.ndarray) -> n
     return parent
 
 
+def _int64_ids(values, what: str) -> np.ndarray:
+    """`values` as an int64 array.  A float or complex value that the
+    conversion would change (1.5, nan, inf), which numpy truncates or wraps
+    silently, raises GraphError naming the first one as `what`."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "fc":
+        return np.asarray(raw, dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        ids = raw.real.astype(np.int64)
+    changed = np.flatnonzero(ids != raw)
+    if changed.size:
+        raise GraphError(f"{what} {raw.flat[changed[0]].item()} is not an integer")
+    return ids
+
+
 class Graph:
     """Undirected d-regular simple graph with a fixed arc numbering.
 
@@ -93,6 +108,10 @@ class Graph:
     component_roots, double_roots : np.ndarray, int64
         Smallest node of each node's component in g (shape (n,)) and in its
         bipartite double (shape (2n,), on first use).
+    coloring : (signs, bipartite), np.ndarray float64 and bool, shape (n,)
+        On first use: S, the +-1 coloring of each bipartite component (+1
+        at its root), +1 on a component with an odd cycle; and which
+        vertices lie on a bipartite component.
 
     The bipartite double needs no second graph: its nodes are v_out = v and
     v_in = n + v, and its edge u_out -- v_in is g's arc a = (u, v), so
@@ -113,7 +132,8 @@ class Graph:
     ):
         if n < 1:
             raise GraphError(f"{name}: need at least one vertex, got n={n}")
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = _int64_ids(edges if isinstance(edges, np.ndarray) else list(edges),
+                           f"{name}: vertex id")
         if pairs.size == 0:
             raise GraphError(f"{name}: graph has no edges")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -174,6 +194,18 @@ class Graph:
         roots = np.concatenate([out_roots, out_roots[adj[:, 0]]])
         roots.flags.writeable = False
         return roots
+
+    @cached_property
+    def coloring(self) -> tuple[np.ndarray, np.ndarray]:
+        # u_out and u_in share a component of the double exactly when u lies
+        # on an odd closed walk.  Otherwise one of the two holds the smallest
+        # vertex r of u's component as r_out, and u has r's color exactly
+        # when u_out is in it: when u_out's root is the smaller one.
+        out_roots, in_roots = self.double_roots[: self.n], self.double_roots[self.n :]
+        signs = np.where(out_roots > in_roots, -1.0, 1.0)
+        bipartite = out_roots != in_roots
+        signs.flags.writeable = bipartite.flags.writeable = False
+        return signs, bipartite
 
     # ---- arc helpers ---------------------------------------------------------------
 
@@ -447,20 +479,14 @@ def build_graph(family: str, params: Sequence[int | str] = (), seed: int | None 
 
 
 def bipartite_partition(g: Graph) -> Bipartition | None:
-    """2-color `g` from the components of its bipartite double; returns None
-    when an odd cycle exists.
-
-    u_out and u_in share a component of the double exactly when u lies on an
-    odd closed walk.  Otherwise one of the two holds the smallest vertex r of
-    u's component as r_out, and u gets r's color exactly when u_out is in it:
-    when u_out's root is the smaller one.  So the smallest vertex of every
-    component lands in partite_x, and vertex 0 always does.
-    """
-    out_roots, in_roots = g.double_roots[: g.n], g.double_roots[g.n :]
-    if np.any(out_roots == in_roots):
+    """The color classes of `g.coloring`, or None when an odd cycle exists.
+    The smallest vertex of every component lands in partite_x, and vertex 0
+    always does."""
+    signs, bipartite = g.coloring
+    if not bipartite.all():
         return None
-    partite_x = np.flatnonzero(out_roots < in_roots)
-    partite_y = np.flatnonzero(out_roots > in_roots)
+    partite_x = np.flatnonzero(signs > 0)
+    partite_y = np.flatnonzero(signs < 0)
     partite_x.flags.writeable = partite_y.flags.writeable = False
     return Bipartition(partite_x, partite_y)
 

@@ -196,7 +196,7 @@ def _currents(g: Graph, p: np.ndarray, q: np.ndarray | None) -> np.ndarray:
 
 def _support_edge(amps: np.ndarray) -> int | None:
     """The edge whose two arcs hold every nonzero amplitude, or None."""
-    nonzero = np.flatnonzero(amps)
+    nonzero = np.flatnonzero(amps != 0)
     if nonzero.size and nonzero[0] // 2 == nonzero[-1] // 2:
         return int(nonzero[0] // 2)
     return None

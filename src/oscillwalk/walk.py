@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _int64_ids
 
 __all__ = [
     "ArcState",
@@ -186,7 +186,7 @@ def uniform_state(g: Graph, vertices: Iterable[int] | None = None) -> ArcState:
         support = np.arange(g.n)
     else:
         listed = vertices if isinstance(vertices, np.ndarray) else list(vertices)
-        support = np.unique(np.asarray(listed, dtype=np.int64))
+        support = np.unique(_int64_ids(listed, "vertex id"))
         if support.size == 0:
             raise ValueError("uniform state needs a nonempty vertex set")
         if support.min() < 0 or support.max() >= g.n:

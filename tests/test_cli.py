@@ -235,7 +235,7 @@ def test_resistance_assembles_one_laplacian_and_a_signless_one_if_odd(spec, pair
     assembled = []
 
     def recording(node_count, tails, heads, pins, signs=-1.0, *, dense=False):
-        assembled.append((node_count, tails.size, pins.size, signs))
+        assembled.append((node_count, tails.size, pins.size, np.unique(signs).tolist()))
         return laplacian(node_count, tails, heads, pins, signs, dense=dense)
 
     laplacian = electric._laplacian
@@ -243,12 +243,13 @@ def test_resistance_assembles_one_laplacian_and_a_signless_one_if_odd(spec, pair
     assert run_cli(["resistance", "--graph", spec, "--pair", pair], capsys) == expected
     # Each system is g's own, on all of its n vertices and m edges (a
     # network would lack some links): L, then Q, unpinned, when a's
-    # component has an odd cycle.  A dense L is pinned at one vertex; CG
+    # component has an odd cycle, where Q's links carry S_u S_v = +1 (see
+    # electric._g_potentials).  A dense L is pinned at one vertex; CG
     # solves L unpinned and shifts its solution to the pin's value instead.
     family, *params = spec.split(":")
     m = len(build_graph(family, params).edges)
     l_pins = 1 if n <= electric._DENSE_MAX_NODES else 0
-    assert assembled == [(n, m, l_pins, -1.0)] + ([(n, m, 0, 1.0)] if odd else [])
+    assert assembled == [(n, m, l_pins, [-1.0])] + ([(n, m, 0, [1.0])] if odd else [])
 
 
 def test_resistance_pair_in_different_copies_of_the_double_exits_one(capsys):

@@ -198,6 +198,15 @@ def test_network_validation():
         ElectricNetwork(3, ((0, 5),), np.zeros(3))
 
 
+def test_network_rejects_non_integer_node_ids():
+    # Cast to int64, [0, 1.7] would be the resistor (0, 1).
+    for bad in (1.7, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^node id {bad} is not an integer$"):
+            ElectricNetwork(3, [[0, bad], [1, 2]], np.zeros(3))
+    edges = ElectricNetwork(3, np.array([[0, 1.0], [1, 2]]), np.zeros(3)).resistor_edges
+    assert edges.dtype == np.int64 and edges.tolist() == [[0, 1], [1, 2]]
+
+
 # ---- solving ----------------------------------------------------------------------------
 
 
@@ -410,7 +419,7 @@ def test_in_place_conjugate_gradients_match_the_allocating_loop_bitwise():
     # as _solve runs it, with right-hand sides balanced against its constant
     # kernel vector; each tolerance stops the loop at a different iterate.
     g = torus_graph(3, 10)
-    pins = electric._g_kernel(g, [False]).pins
+    pins = electric._pins(g.component_roots)
     assert pins.tolist() == [0]
     rng = np.random.default_rng(37)
     b = np.zeros(g.n)
@@ -458,10 +467,11 @@ def test_dense_laplacian_is_the_sparse_one_bit_for_bit(case):
     ids=lambda g: g.name,
 )
 def test_laplacians_of_g_match_the_edge_list_assembly_bit_for_bit(g, monkeypatch):
-    # The systems _g_potentials assembles: L pinned at vertex 0, Q pinned at
-    # vertex 0 when g is bipartite (unpinned otherwise), and diag(L, Q) when
-    # both are asked for.  The numpy array and the CSR matrix, whose rows
-    # come out sorted, equal the pinned matrices built here entry by entry.
+    # The systems _g_potentials assembles: L pinned at vertex 0, Q as S Q S,
+    # which is L pinned at vertex 0 when g is bipartite and Q unpinned
+    # otherwise, and diag(L, S Q S) when both are asked for.  The numpy
+    # array and the CSR matrix, whose rows come out sorted, equal the pinned
+    # matrices built here entry by entry.
     assembled = []
     laplacian = electric._laplacian
 
@@ -474,7 +484,7 @@ def test_laplacians_of_g_match_the_edge_list_assembly_bit_for_bit(g, monkeypatch
     for l_rhs, q_rhs in ((rhs, None), (None, rhs), (rhs, rhs)):
         electric._g_potentials(g, l_rhs, q_rhs)
     l = dense_laplacian(g.n, *g.edges.T, [0])
-    q = dense_laplacian(g.n, *g.edges.T, [0] if bipartite_partition(g) is not None else [], 1.0)
+    q = l if bipartite_partition(g) is not None else dense_laplacian(g.n, *g.edges.T, [], 1.0)
     both = np.block([[l, np.zeros_like(q)], [np.zeros_like(l), q]])
     assert len(assembled) == 3
     for args, expected in zip(assembled, (l, q, both)):

@@ -3,6 +3,8 @@ edge-disjoint paths."""
 
 import hashlib
 import itertools
+import math
+import re
 from collections import deque
 
 import numpy as np
@@ -207,6 +209,17 @@ def test_graph_arrays_match_the_lexsort_formula_on_any_edge_order(g):
 def test_edge_faults_name_the_first_offending_pair(n, pairs, message):
     with pytest.raises(GraphError, match=f"^g: {message}$"):
         Graph(n, pairs, name="g")
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, 2.0**63, 2 + 1j])
+def test_vertex_ids_that_int64_would_change_are_rejected(bad):
+    # Cast to int64, (0, 1.5) would be the edge (0, 1) and complete a triangle.
+    with pytest.raises(GraphError, match=f"^g: vertex id {re.escape(str(bad))} is not an integer$"):
+        Graph(3, [(0, 1), (1, 2), (0, bad)], name="g")
+    with pytest.raises(GraphError, match="is not an integer"):
+        Graph(3, np.array([(0, 1), (1, 2), (0, bad)]), name="g")
+    for integral in (2.0, np.float32(2), 2 + 0j):
+        assert Graph(3, [(0, 1), (1, 2), (0, integral)]).edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 # ---- component labels -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Walk operators: coin, shift, evolution, flip transform, averages."""
 
+import math
 import os
 import subprocess
 import sys
@@ -112,6 +113,16 @@ def test_uniform_state_values():
 def test_uniform_state_rejects_empty_set():
     with pytest.raises(ValueError):
         uniform_state(complete_graph(3), set())
+
+
+def test_uniform_state_rejects_non_integer_vertex_ids():
+    # Cast to int64, 0.5 would be vertex 0.
+    g = complete_graph(4)
+    for bad in ([0.5], np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match=r"^vertex id (0\.5|nan) is not an integer$"):
+            uniform_state(g, bad)
+    expected = uniform_state(g, [0, 2]).amplitudes
+    assert np.array_equal(uniform_state(g, np.array([0.0, 2.0])).amplitudes, expected)
 
 
 # ---- coin ---------------------------------------------------------------------------------
@@ -305,7 +316,10 @@ def stepped_overlaps(psi, t_max):
 
 def assert_stepper_matches(psi, steps, check_every):
     """measured_overlaps and evolve against a walk_step loop and against
-    matrix powers of the dense walk, to 1e-12, leaving the input untouched."""
+    matrix powers of the dense walk, to 1e-12, leaving the input untouched.
+    The dense power is carried from checkpoint to checkpoint: U^check_every
+    is computed once, and an explicit power bridges only the final partial
+    gap."""
     g = psi.graph
     before = psi.amplitudes.copy()
     series = measured_overlaps(psi, steps)
@@ -315,12 +329,17 @@ def assert_stepper_matches(psi, steps, check_every):
     assert np.max(np.abs(series.even_overlaps - reference[0::2])) <= 1e-12
     assert np.max(np.abs(series.odd_overlaps - reference[1::2])) <= 1e-12
     matrix = dense_walk_matrix(g)
+    power = np.linalg.matrix_power(matrix, check_every)
     flipped = flip_transform(psi).amplitudes
-    current = psi
+    current, powered, checked = psi, psi.amplitudes, 0
     for t in range(steps + 1):
         if t % check_every == 0 or t == steps:
             evolved = evolve(psi, t).amplitudes
-            powered = np.linalg.matrix_power(matrix, t) @ psi.amplitudes
+            if t - checked == check_every:
+                powered = power @ powered
+            elif t > checked:
+                powered = np.linalg.matrix_power(matrix, t - checked) @ powered
+            checked = t
             assert np.max(np.abs(evolved - current.amplitudes)) <= 1e-12
             assert np.max(np.abs(evolved - powered)) <= 1e-12
             target = flipped if t % 2 else psi.amplitudes
