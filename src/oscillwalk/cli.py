@@ -4,7 +4,12 @@ Exit codes: 0 success, 1 configuration error (single-line diagnostic on
 stderr), 2 capacity error (dense-oracle ceiling), 3 failed verification
 checks, 4 a linear solve that did not converge (single-line diagnostic).
 All numeric CSV output uses 9 significant digits, so identical
-configurations produce byte-identical files.
+configurations produce byte-identical files.  `decompose`, `resistance`
+and `bounds` build one record each: their JSON is that record, and their
+single-row CSV is its scalar fields in record order (`bounds` flattens its
+`double` and `selfflip` blocks into `power_`, `alpha_lower_` and
+`overlap_lower_<mode>` columns).  Each subcommand returns its text and exit
+status, and `main` writes the text to stdout or --output.
 """
 
 from __future__ import annotations
@@ -130,14 +135,6 @@ def _parse_state(g: Graph, spec: str) -> ArcState:
     )
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _json_float(value: float) -> str:
     if value != value:
         return "NaN"
@@ -146,27 +143,6 @@ def _json_float(value: float) -> str:
     if value == -math.inf:
         return "-Infinity"
     return float.__repr__(value)  # repr(np.float64) would be 'np.float64(...)'
-
-
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: str, float, bool, None and int keys
-    become strings, any other key type raises its TypeError."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _json_float(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        name = key.__class__.__name__
-        raise TypeError(f"keys must be str, int, float, bool or None, not {name}")
-    return json.encoder.encode_basestring_ascii(key)
 
 
 def _json_chunks(obj, nl: str, out: list[str]) -> None:
@@ -203,7 +179,9 @@ def _json_chunks(obj, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out.append(sep + _json_key(key) + ": ")
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + json.encoder.encode_basestring_ascii(key) + ": ")
             sep = "," + inner
             _json_chunks(value, inner, out)
         out.append(nl + "}")
@@ -234,6 +212,9 @@ def _json_document(obj) -> str:
     set; this one appends strings to one list and joins it once.  It also
     takes a 1-D complex numpy array, written as the list of its [re, im]
     pairs; any other value json.dumps rejects raises the same TypeError.
+    A dict key must be a str (every payload's is): any other raises
+    TypeError, where json.dumps would write an int, float, bool or None
+    key as a string.
     """
     out: list[str] = []
     _json_chunks(obj, "\n", out)
@@ -259,13 +240,37 @@ def _dump_network(net: ElectricNetwork, path: str) -> None:
 # ======================================================================================
 
 
-def _cmd_simulate(args) -> int:
-    g = _parse_graph(args.graph, args.seed)
-    psi0 = _parse_state(g, args.state)
-    if args.t_max < 1:
+def _read_state(args) -> tuple[ArcState, ElectricNetwork | None]:
+    """The --state on the --graph, and the double network written to
+    --dump-network (None without it), so that `bounds` builds it once.
+    `simulate` checks --t-max before the dump: a run it rejects writes no file."""
+    psi0 = _parse_state(_parse_graph(args.graph, args.seed), args.state)
+    if args.command == "simulate" and args.t_max < 1:
         raise CLIError(f"--t-max must be >= 1, got {args.t_max}")
+    network = None
     if args.dump_network:
-        _dump_network(network_from_state_double(psi0, args.zero_tol), args.dump_network)
+        network = network_from_state_double(psi0, args.zero_tol)
+        _dump_network(network, args.dump_network)
+    return psi0, network
+
+
+def _csv_row(fields: dict) -> str:
+    """A header and one row: the fields in order, arrays left out, floats
+    by `_fmt` (an infeasible power stays inf), lists joined with ';' and
+    anything else by `str`."""
+    cells = {}
+    for name, value in fields.items():
+        if isinstance(value, float):
+            cells[name] = _fmt(value)
+        elif isinstance(value, list):
+            cells[name] = ";".join(map(str, value))
+        elif not isinstance(value, np.ndarray):
+            cells[name] = str(value)
+    return ",".join(cells) + "\n" + ",".join(cells.values()) + "\n"
+
+
+def _cmd_simulate(args) -> tuple[str, int]:
+    psi0, _ = _read_state(args)
     report = oscillation_bounds(decompose(psi0))
     series = measured_overlaps(psi0, args.t_max)
     if args.format == "json":
@@ -275,8 +280,7 @@ def _cmd_simulate(args) -> int:
             "even_bound": report.even_bound,
             "odd_bound": report.odd_bound,
         }
-        _write(_json_document(payload), args.output)
-        return 0
+        return _json_document(payload), 0
     # overlaps are finite moduli, so .9g prints them as _fmt does
     bounds = f",{_fmt(report.even_bound)},{_fmt(report.odd_bound)}\n"
     even = series.even_overlaps.tolist()
@@ -284,24 +288,12 @@ def _cmd_simulate(args) -> int:
     rows = [""] * (args.t_max + 1)
     rows[0::2] = [f"{2 * k},{x:.9g},{bounds}" for k, x in enumerate(even)]
     rows[1::2] = [f"{2 * k + 1},,{x:.9g}{bounds}" for k, x in enumerate(odd)]
-    _write("t,overlap_even,overlap_odd,bound_even,bound_odd\n" + "".join(rows), args.output)
-    return 0
+    return "t,overlap_even,overlap_odd,bound_even,bound_odd\n" + "".join(rows), 0
 
 
-def _cmd_decompose(args) -> int:
-    g = _parse_graph(args.graph, args.seed)
-    psi0 = _parse_state(g, args.state)
-    if args.dump_network:
-        _dump_network(network_from_state_double(psi0, args.zero_tol), args.dump_network)
-    dec = decompose(psi0)
-    if args.format == "csv":
-        lines = [
-            "alpha_sq,beta_sq,gamma_sq",
-            f"{_fmt(dec.alpha_sq)},{_fmt(dec.beta_sq)},{_fmt(dec.gamma_sq)}",
-        ]
-        _write("\n".join(lines) + "\n", args.output)
-        return 0
-    payload = {
+def _cmd_decompose(args) -> tuple[str, int]:
+    dec = decompose(_read_state(args)[0])
+    record = {
         "alpha_sq": dec.alpha_sq,
         "beta_sq": dec.beta_sq,
         "gamma_sq": dec.gamma_sq,
@@ -309,54 +301,28 @@ def _cmd_decompose(args) -> int:
         "uniform_component": dec.uniform_component.amplitudes,
         "remainder_component": dec.remainder_component.amplitudes,
     }
-    _write(_json_document(payload), args.output)
-    return 0
+    return (_csv_row(record) if args.format == "csv" else _json_document(record)), 0
 
 
-def _cmd_resistance(args) -> int:
+def _cmd_resistance(args) -> tuple[str, int]:
     g = _parse_graph(args.graph, args.seed)
     u, v = _parse_pair(args.pair)
     omega, omega_double = resistance_distances(g, u, v)
     family = edge_disjoint_paths(g, u, v)
-    bound = paths_resistance_bound(family.lengths)
     record = {
         "omega": omega,
         "omega_double": omega_double,
         "k": len(family),
         "path_lengths": sorted(family.lengths),
-        "paths_bound": bound,
+        "paths_bound": paths_resistance_bound(family.lengths),
         "verdict_single_edge": localization_verdict(omega_double),
         "verdict_selfflip": localization_verdict(omega),
     }
-    if args.format == "csv":
-        lengths = ";".join(str(length) for length in record["path_lengths"])
-        lines = [
-            "omega,omega_double,k,path_lengths,paths_bound,verdict_single_edge,verdict_selfflip",
-            ",".join(
-                [
-                    _fmt(omega),
-                    _fmt(omega_double),
-                    str(record["k"]),
-                    lengths,
-                    _fmt(bound),
-                    record["verdict_single_edge"],
-                    record["verdict_selfflip"],
-                ]
-            ),
-        ]
-        _write("\n".join(lines) + "\n", args.output)
-        return 0
-    _write(_json_document(record), args.output)
-    return 0
+    return (_csv_row(record) if args.format == "csv" else _json_document(record)), 0
 
 
-def _cmd_bounds(args) -> int:
-    g = _parse_graph(args.graph, args.seed)
-    psi0 = _parse_state(g, args.state)
-    network = None
-    if args.dump_network:
-        network = network_from_state_double(psi0, args.zero_tol)
-        _dump_network(network, args.dump_network)
+def _cmd_bounds(args) -> tuple[str, int]:
+    psi0, network = _read_state(args)
     cert = _certify(psi0, args.zero_tol, args.flip_tol, network)
     dec = cert.decomposition
     report = oscillation_bounds(dec)
@@ -366,57 +332,26 @@ def _cmd_bounds(args) -> int:
         "gamma_sq": dec.gamma_sq,
         "even_bound": report.even_bound,
         "odd_bound": report.odd_bound,
-        "double": _network_record(cert.power_double, "double"),
-        "selfflip": None,
     }
-    if cert.power_selfflip is not None:
-        record["selfflip"] = _network_record(cert.power_selfflip, "selfflip")
-    if args.format == "csv":
-        head = [
-            "alpha_sq",
-            "beta_sq",
-            "gamma_sq",
-            "even_bound",
-            "odd_bound",
-            "power_double",
-            "alpha_lower_double",
-            "overlap_lower_double",
-        ]
-        row = [
-            _fmt(dec.alpha_sq),
-            _fmt(dec.beta_sq),
-            _fmt(dec.gamma_sq),
-            _fmt(report.even_bound),
-            _fmt(report.odd_bound),
-            _fmt(cert.power_double),
-            _fmt(record["double"]["alpha_lower"]),
-            _fmt(record["double"]["overlap_lower"]),
-        ]
-        if record["selfflip"] is not None:
-            head += ["power_selfflip", "alpha_lower_selfflip", "overlap_lower_selfflip"]
-            row += [
-                _fmt(cert.power_selfflip),
-                _fmt(record["selfflip"]["alpha_lower"]),
-                _fmt(record["selfflip"]["overlap_lower"]),
-            ]
-        _write(",".join(head) + "\n" + ",".join(row) + "\n", args.output)
-        return 0
-    _write(_json_document(record), args.output)
-    return 0
+    row = dict(record)  # the CSV flattens each network's block into its columns
+    for mode, power in (("double", cert.power_double), ("selfflip", cert.power_selfflip)):
+        record[mode] = None
+        if power is not None:
+            alpha_lower, overlap_lower = bounds_from_power(power, mode)
+            feasible = not math.isinf(power)
+            record[mode] = {
+                "feasible": feasible,
+                "power": power if feasible else None,
+                "alpha_lower": alpha_lower,
+                "overlap_lower": overlap_lower,
+            }
+            row[f"power_{mode}"] = power
+            row[f"alpha_lower_{mode}"] = alpha_lower
+            row[f"overlap_lower_{mode}"] = overlap_lower
+    return (_csv_row(row) if args.format == "csv" else _json_document(record)), 0
 
 
-def _network_record(power: float, mode: str) -> dict:
-    alpha_lower, overlap_lower = bounds_from_power(power, mode)
-    feasible = not math.isinf(power)
-    return {
-        "feasible": feasible,
-        "power": power if feasible else None,
-        "alpha_lower": alpha_lower,
-        "overlap_lower": overlap_lower,
-    }
-
-
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> tuple[str, int]:
     if args.n < 4:
         raise CLIError(f"--n must be >= 4, got {args.n}")
     if args.t_max < 0:
@@ -443,8 +378,7 @@ def _cmd_table1(args) -> int:
                 for r in rows
             ],
         }
-        _write(_json_document(payload), args.output)
-        return 0
+        return _json_document(payload), 0
     lines = [
         f"# table1 n={args.n} t_max={args.t_max}",
         f"# reference_caption_n={REFERENCE_TABLE_CAPTION_N} "
@@ -456,11 +390,10 @@ def _cmd_table1(args) -> int:
         lines.append(
             f"{r.t},{_fmt(r.amp_ab)},{_fmt(r.amp_ba)},{_fmt(r.prob_ab)},{_fmt(r.prob_ba)}"
         )
-    _write("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     extra = _parse_graph(args.graph, args.seed) if args.graph else None
     results = run_checks(extra_graph=extra)
     lines = []
@@ -473,8 +406,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"FAIL {result.name}: {result.detail}")
     passed = len(results) - failed
     lines.append(f"verify: {passed} passed, {failed} failed")
-    _write("\n".join(lines) + "\n", args.output)
-    return 3 if failed else 0
+    return "\n".join(lines) + "\n", 3 if failed else 0
 
 
 # ======================================================================================
@@ -574,7 +506,13 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return args.handler(args)
+        text, code = args.handler(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        return code
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -73,8 +73,12 @@ def label_components(node_count: int, tails: np.ndarray, heads: np.ndarray) -> n
 def _int64_ids(values, what: str) -> np.ndarray:
     """`values` as an int64 array.  A float or complex value that the
     conversion would change (1.5, nan, inf), which numpy truncates or wraps
-    silently, raises GraphError naming the first one as `what`."""
+    silently, raises GraphError naming the first one as `what`.  A boolean
+    array, which numpy would read as the ids 0 and 1 rather than as a mask,
+    raises GraphError too."""
     raw = np.asarray(values)
+    if raw.dtype.kind == "b":
+        raise GraphError(f"{what}s must be integers, not booleans")
     if raw.dtype.kind not in "fc":
         return np.asarray(raw, dtype=np.int64)
     with np.errstate(invalid="ignore"):

@@ -180,7 +180,9 @@ def basis_arc_state(g: Graph, u: int, v: int) -> ArcState:
 def uniform_state(g: Graph, vertices: Iterable[int] | None = None) -> ArcState:
     """Equal superposition over all arcs leaving a vertex set (default: all).
 
-    Amplitude 1/sqrt(d |T|) on every arc (t, v) with t in T; norm 1.
+    Amplitude 1/sqrt(d |T|) on every arc (t, v) with t in T; norm 1.  T is
+    given by vertex ids; for a boolean mask over the vertices pass
+    `np.flatnonzero(mask)` (a boolean array raises GraphError).
     """
     if vertices is None:
         support = np.arange(g.n)

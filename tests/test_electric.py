@@ -205,6 +205,9 @@ def test_network_rejects_non_integer_node_ids():
             ElectricNetwork(3, [[0, bad], [1, 2]], np.zeros(3))
     edges = ElectricNetwork(3, np.array([[0, 1.0], [1, 2]]), np.zeros(3)).resistor_edges
     assert edges.dtype == np.int64 and edges.tolist() == [[0, 1], [1, 2]]
+    # Cast to int64, [[False, True]] would be the resistor (0, 1).
+    with pytest.raises(ValueError, match="^node ids must be integers, not booleans$"):
+        ElectricNetwork(3, np.array([[False, True]]), np.zeros(3))
 
 
 # ---- solving ----------------------------------------------------------------------------

@@ -220,6 +220,9 @@ def test_vertex_ids_that_int64_would_change_are_rejected(bad):
         Graph(3, np.array([(0, 1), (1, 2), (0, bad)]), name="g")
     for integral in (2.0, np.float32(2), 2 + 0j):
         assert Graph(3, [(0, 1), (1, 2), (0, integral)]).edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    # Cast to int64, [[True, False]] would be the edge (0, 1).
+    with pytest.raises(GraphError, match="^g: vertex ids must be integers, not booleans$"):
+        Graph(2, np.array([[True, False]]), name="g")
 
 
 # ---- component labels -------------------------------------------------------------------

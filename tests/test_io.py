@@ -84,8 +84,9 @@ def test_writer_strings_match_json_dumps(text):
     [
         [], {}, (), [[]], [{}], {"a": {}, "b": [], "c": [[], {}]}, [[[]]],
         None, True, False, 0, -1, 2**70, [None, True, False, 0, 1.5],
-        {1: "int key", 2.5: "float key", -0.0: "zero key"}, {True: 1, False: 0}, {None: 1},
-        {"b": 1, "a": {"d": [1, 2, (3, 4)], "c": None}},
+        # the keys json.dumps writes for 1, 2.5, -0.0, True, False and None
+        {"1": "int key", "2.5": "float key", "-0.0": "zero key"}, {"true": 1, "false": 0},
+        {"null": 1}, {"b": 1, "a": {"d": [1, 2, (3, 4)], "c": None}},
     ],
 )
 def test_writer_containers_and_scalars_match_json_dumps(obj):
@@ -94,10 +95,22 @@ def test_writer_containers_and_scalars_match_json_dumps(obj):
 
 @pytest.mark.parametrize(
     "obj",
+    [{1: "int key", 2.5: "float key", -0.0: "zero key"}, {True: 1, False: 0}, {None: 1},
+     {(1, 2): 0}, [{"a": {"b": [{2: 0}]}}]],
+    ids=["int-and-float", "bool", "none", "tuple", "nested"],
+)
+def test_writer_rejects_keys_that_are_not_str(obj):
+    # json.dumps writes these keys as strings; no payload of the CLI has one.
+    with pytest.raises(TypeError):
+        cli._json_document(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
     [
         {1, 2}, 1j, b"bytes", object(), np.int64(3), np.float32(0.5), np.bool_(True),
         np.arange(3.0), np.zeros((2, 2), dtype=np.complex128), [1, {"x": np.int64(2)}],
-        {(1, 2): 0}, {1: 0, "a": 0},
+        {"a": (1, {2, 3})}, {1: 0, "a": 0},
     ],
 )
 def test_writer_rejects_what_json_dumps_rejects(obj):
@@ -130,17 +143,16 @@ scalars = (
 complex_arrays = st.lists(st.complex_numbers(), max_size=5).map(
     lambda values: np.array(values, dtype=np.complex128)
 )
-json_keys = st.text(max_size=3) | st.integers(-5, 5) | st.floats() | st.booleans() | st.none()
 json_values = st.recursive(
     scalars | complex_arrays,
     lambda children: (
         st.lists(children, max_size=4)
         | st.tuples(children, children)
         | st.dictionaries(st.text(max_size=3), children, max_size=4)
-        | st.dictionaries(json_keys, children, max_size=3)
     ),
     max_leaves=24,
 )
+non_str_keys = st.integers(-5, 5) | st.floats() | st.booleans() | st.none()
 
 
 @given(json_values)
@@ -148,6 +160,14 @@ json_values = st.recursive(
 def test_writer_matches_json_dumps_on_drawn_values(obj):
     expected = outcome(dumps, plain(obj))
     assert outcome(cli._json_document, obj) == expected
+
+
+@given(st.dictionaries(non_str_keys, json_values, min_size=1, max_size=3),
+       st.dictionaries(st.text(max_size=3), json_values, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_writer_rejects_drawn_keys_that_are_not_str(bad, good):
+    with pytest.raises(TypeError):
+        cli._json_document({**good, "nested": [bad]})
 
 
 ZOO = [
@@ -205,6 +225,57 @@ def test_every_subcommand_writes_what_json_dumps_writes(spec, tmp_path, document
         assert out == dumps(json.loads(out))
     text = network.read_text()
     assert text == dumps(json.loads(text))
+
+
+SCALARS = {
+    "decompose": ["alpha_sq", "beta_sq", "gamma_sq"],
+    "resistance": ["omega", "omega_double", "k", "path_lengths", "paths_bound",
+                   "verdict_single_edge", "verdict_selfflip"],
+    "bounds": ["alpha_sq", "beta_sq", "gamma_sq", "even_bound", "odd_bound"],
+}
+
+
+def csv_cell(value) -> str:
+    if isinstance(value, float):
+        return cli._fmt(value)
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    return str(value)
+
+
+def csv_of_the_record(command, record) -> tuple[list[str], list[str]]:
+    """The columns and the row the CSV of `record` (the JSON output) holds."""
+    fields = {name: record[name] for name in SCALARS[command]}
+    for mode in ("double", "selfflip"):
+        block = record.get(mode)
+        if block is not None:
+            # JSON writes an infeasible network's power as null; its CSV as inf
+            fields[f"power_{mode}"] = math.inf if block["power"] is None else block["power"]
+            fields[f"alpha_lower_{mode}"] = block["alpha_lower"]
+            fields[f"overlap_lower_{mode}"] = block["overlap_lower"]
+    return list(fields), [csv_cell(value) for value in fields.values()]
+
+
+@pytest.mark.parametrize("spec", ZOO)
+def test_each_csv_row_is_its_json_record_at_9_digits(spec, capsys):
+    family, _, rest = spec.partition(":")
+    g = build_graph(family, rest.split(":"))
+    u, v = g.arc_endpoints(g.arc_count - 1)
+    commands = [["resistance", "--graph", spec, "--pair", f"{u}:{v}"]]
+    for state in (f"edge:{u}:{v}", f"selfflip:{u}:{v}", "uniform"):
+        commands += [[command, "--graph", spec, "--state", state]
+                     for command in ("decompose", "bounds")]
+    widths = set()
+    for argv in commands:
+        assert main(argv + ["--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert (header.split(","), row.split(",")) == csv_of_the_record(argv[0], record), argv
+        widths.add((argv[0], argv[-1].partition(":")[0], len(header.split(","))))
+        if argv[-1] == "uniform" and argv[0] == "bounds":
+            assert row.split(",")[5] == "inf"  # no steady current: P is infinite
+    assert ("bounds", "selfflip", 11) in widths and ("bounds", "edge", 8) in widths
 
 
 @pytest.mark.parametrize("spec,state,t_max", [

@@ -123,6 +123,11 @@ def test_uniform_state_rejects_non_integer_vertex_ids():
             uniform_state(g, bad)
     expected = uniform_state(g, [0, 2]).amplitudes
     assert np.array_equal(uniform_state(g, np.array([0.0, 2.0])).amplitudes, expected)
+    # Cast to int64, this mask would be the vertices 0 and 1.
+    mask = np.array([True, False, True, False])
+    with pytest.raises(ValueError, match=r"^vertex ids must be integers, not booleans$"):
+        uniform_state(g, mask)
+    assert np.array_equal(uniform_state(g, np.flatnonzero(mask)).amplitudes, expected)
 
 
 # ---- coin ---------------------------------------------------------------------------------
