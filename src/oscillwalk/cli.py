@@ -55,7 +55,6 @@ from .oscillation import (
     measured_overlaps,
     oscillation_bounds,
 )
-from .verify import run_checks
 from .walk import (
     ArcState,
     basis_arc_state,
@@ -394,6 +393,8 @@ def _cmd_table1(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    from .verify import run_checks  # only `verify` needs the check registry
+
     extra = _parse_graph(args.graph, args.seed) if args.graph else None
     results = run_checks(extra_graph=extra)
     lines = []

@@ -141,7 +141,7 @@ def test_selfflip_states_on_a_cg_sized_torus(monkeypatch):
         psi = selfflip_state(g, u, v)
         solved.clear()
         certify(psi)
-        assert solved == [g.n]
+        assert solved == [g.n // 2]  # L on its red class
         assert_matches_oracle(psi)
 
 
@@ -182,21 +182,30 @@ def test_random_regular_single_edge_states_match_the_oracle(n, d, seed):
 
 def run_recording(argv, monkeypatch, capsys):
     """Run the CLI, recording the unknowns of every CG solve and the node
-    count of every assembly of a network's Laplacian.  g's own L, Q and
-    diag(L, Q) give every node the same number of links; a network lacks
-    the links of the state's support, so its link counts differ."""
+    count of every assembly of a network's Laplacian, whole or reduced to
+    its red class.  g's own L, Q and diag(L, Q) give every node the same
+    number of links; a network lacks the links of the state's support, so
+    its link counts differ."""
     solved, networks = [], []
-    pcg, laplacian = electric._pcg, electric._laplacian
+    pcg, laplacian, red_black = electric._pcg, electric._laplacian, electric._RedBlack
 
-    def recording(node_count, tails, heads, *args, **kw):
+    def record(node_count, tails, heads):
         links = np.bincount(np.concatenate([tails, heads]), minlength=node_count)
         if links.min() != links.max():
             networks.append(node_count)
+
+    def recording(node_count, tails, heads, *args, **kw):
+        record(node_count, tails, heads)
         return laplacian(node_count, tails, heads, *args, **kw)
+
+    def reducing(tails, heads, red):
+        record(red.size, tails, heads)
+        return red_black(tails, heads, red)
 
     monkeypatch.setattr(electric, "_pcg",
                         lambda a, b: solved.append(b.size) or pcg(a, b))
     monkeypatch.setattr(electric, "_laplacian", recording)
+    monkeypatch.setattr(electric, "_RedBlack", reducing)
     code = main(argv)
     capsys.readouterr()
     return code, solved, networks
@@ -205,10 +214,11 @@ def run_recording(argv, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "spec,state,solves",
     [
-        ("hypercube:8", "edge:0:1", [256]),  # bipartite: y = S_u S x, one L solve
-        ("hypercube:8", "selfflip:3:7", [256]),
-        ("torus:2:24", "edge:0:1", [576]),
-        ("torus:2:24", "selfflip:0:24", [576]),
+        # Bipartite: y = S_u S x, one L solve, on the red class.
+        ("hypercube:8", "edge:0:1", [128]),
+        ("hypercube:8", "selfflip:3:7", [128]),
+        ("torus:2:24", "edge:0:1", [288]),
+        ("torus:2:24", "selfflip:0:24", [288]),
         ("torus:2:13", "selfflip:0:1", [169]),  # odd cycles, but no Q right-hand side
         ("torus:2:13", "edge:0:1", [169, 169]),  # L, then Q: the solves of `resistance`
     ],
@@ -266,20 +276,22 @@ def test_bounds_of_a_plaquette_state_solve_nothing(monkeypatch, capsys, tmp_path
 
 def test_decompose_of_a_wide_state_assembles_no_double(monkeypatch, capsys, tmp_path):
     # torus 2:12 is bipartite: L and Q are each pinned at vertex 0, and the
-    # block has 2 * 144 unknowns, one CG solve per real and imaginary part.
+    # block has 2 * 144 nodes, 2 * 72 of them red, one CG solve on the red
+    # class per real and imaginary part.
     g = torus_graph(2, 12)
     path = tmp_path / "state.csv"
     write_state_csv(random_state(g, np.random.default_rng(42)), str(path))
     argv = ["decompose", "--graph", "torus:2:12", "--state", f"csv:{path}"]
     code, solved, networks = run_recording(argv, monkeypatch, capsys)
-    assert (code, solved, networks) == (0, [288, 288], [])
+    assert (code, solved, networks) == (0, [144, 144], [])
 
 
 def test_bounds_of_a_real_wide_state_solve_one_real_column_per_system(monkeypatch, capsys,
                                                                       tmp_path):
     # A real state on 20 arcs of torus 2:12: its double network (288 nodes,
     # one pin in each copy) and its flip projection (diag(L, Q) of
-    # 144 + 144 unknowns) each take one CG solve; the zero imaginary part of
+    # 144 + 144 nodes) each take one CG solve on their 144 red nodes (the
+    # out-nodes; g's +1 colour in each block); the zero imaginary part of
     # the network's injections is not solved.
     g = torus_graph(2, 12)
     rng = np.random.default_rng(5)
@@ -289,7 +301,7 @@ def test_bounds_of_a_real_wide_state_solve_one_real_column_per_system(monkeypatc
     write_state_csv(ArcState(g, amps / np.linalg.norm(amps)), str(path))
     argv = ["bounds", "--graph", "torus:2:12", "--state", f"csv:{path}"]
     code, solved, networks = run_recording(argv, monkeypatch, capsys)
-    assert (code, solved, networks) == (0, [288, 288], [2 * g.n])
+    assert (code, solved, networks) == (0, [144, 144], [2 * g.n])
 
 
 @pytest.mark.parametrize(

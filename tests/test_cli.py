@@ -238,18 +238,29 @@ def test_resistance_assembles_one_laplacian_and_a_signless_one_if_odd(spec, pair
         assembled.append((node_count, tails.size, pins.size, np.unique(signs).tolist()))
         return laplacian(node_count, tails, heads, pins, signs, dense=dense)
 
-    laplacian = electric._laplacian
+    def reducing(tails, heads, red):
+        reduced = red_black(tails, heads, red)
+        assembled.append((red.size, tails.size, reduced.red.size, reduced.bt.nnz))
+        return reduced
+
+    laplacian, red_black = electric._laplacian, electric._RedBlack
     monkeypatch.setattr(electric, "_laplacian", recording)
+    monkeypatch.setattr(electric, "_RedBlack", reducing)
     assert run_cli(["resistance", "--graph", spec, "--pair", pair], capsys) == expected
     # Each system is g's own, on all of its n vertices and m edges (a
     # network would lack some links): L, then Q, unpinned, when a's
     # component has an odd cycle, where Q's links carry S_u S_v = +1 (see
-    # electric._g_potentials).  A dense L is pinned at one vertex; CG
-    # solves L unpinned and shifts its solution to the pin's value instead.
+    # electric._g_potentials).  A dense L is pinned at one vertex.  CG
+    # solves L unpinned and shifts its solution to the pin's value instead;
+    # on a bipartite g it runs on the n / 2 red vertices, whose m links to
+    # the black ones are each one entry of B, and assembles no Laplacian.
     family, *params = spec.split(":")
     m = len(build_graph(family, params).edges)
-    l_pins = 1 if n <= electric._DENSE_MAX_NODES else 0
-    assert assembled == [(n, m, l_pins, [-1.0])] + ([(n, m, 0, [1.0])] if odd else [])
+    if n <= electric._DENSE_MAX_NODES:
+        l_system = (n, m, 1, [-1.0])
+    else:
+        l_system = (n, m, 0, [-1.0]) if odd else (n, m, n // 2, m)
+    assert assembled == [l_system] + ([(n, m, 0, [1.0])] if odd else [])
 
 
 def test_resistance_pair_in_different_copies_of_the_double_exits_one(capsys):
@@ -437,6 +448,15 @@ def test_cli_import_leaves_csgraph_and_sparse_linalg_unloaded():
     result = run_python(["-c", code])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_verify_registry_unloaded():
+    # Only the `verify` subcommand imports it, so no other command compiles
+    # or runs it.
+    code = "import sys, oscillwalk.cli; print('oscillwalk.verify' in sys.modules)"
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # Runs cli.main on each argument list of argv[1] (JSON) with stdout captured,

@@ -243,6 +243,13 @@ def test_grounding_choice_does_not_change_currents():
     assert_grounding_invariance(net, (3, 7, 12))
 
 
+def disjoint_union(*graphs):
+    offsets = np.cumsum([0] + [h.n for h in graphs])
+    edges = np.concatenate([h.edges + offset for h, offset in zip(graphs, offsets)])
+    name = "+".join(h.name for h in graphs)
+    return Graph(int(offsets[-1]), edges, require_connected=False, name=name)
+
+
 def balanced_network(node_count, edges, seed):
     """Unit resistors on `edges` with random complex injections that sum to
     0 on each component (exactly 0 at an isolated node)."""
@@ -299,7 +306,7 @@ IRREGULAR_NET = near_flip_network(torus_graph(2, 24), 1)
         pytest.param(balanced_network(12, PARALLEL_EDGES, 3), 6, None, id="ground"),
         pytest.param(TORUS_AND_ISOLATED, None, 18, id="cg-isolated"),
         pytest.param(TORUS_AND_ISOLATED, 150, 18, id="cg-ground"),
-        pytest.param(IRREGULAR_NET, None, 42, id="cg-irregular"),
+        pytest.param(IRREGULAR_NET, None, 20, id="cg-irregular"),
     ],
 )
 def test_currents_match_laplacian_pseudoinverse(net, ground, max_iterations, monkeypatch):
@@ -307,8 +314,9 @@ def test_currents_match_laplacian_pseudoinverse(net, ground, max_iterations, mon
     # or `ground` in ground's component) holds potential ~0, and the
     # currents are the pseudoinverse's.  CG runs on the singular Laplacian
     # within the iterations it took with the projector onto its kernel added
-    # (18 and, on the irregular diagonal of "cg-irregular", 49 per column,
-    # where it takes 36 without).
+    # (18, and 49 per column on the irregular diagonal of "cg-irregular"),
+    # on the red class of a network of the double ("cg", "cg-irregular":
+    # 17 and 18, where CG on every node takes 18 and 36).
     from scipy.sparse.csgraph import connected_components
 
     iterations = []
@@ -523,10 +531,17 @@ def test_dense_and_cg_currents_agree_at_the_threshold(unknowns, monkeypatch):
     assert np.max(np.abs(currents[0] - currents[1])) <= 1e-12
 
 
-# CG-sized systems of g on a bipartite torus, an odd one and their disjoint
-# union (313 vertices, two components), with L's and Q's pins: each
-# component's smallest vertex, for Q only on a bipartite component.
-G_SYSTEMS = {"torus:2:12": ([0], [0]), "torus:2:13": ([0], []), "union": ([0, 144], [0])}
+# CG-sized systems of g on a bipartite torus, an odd one, their disjoint
+# union (313 vertices, two components) and a union of two bipartite tori
+# (244 vertices), with L's and Q's pins: each component's smallest vertex,
+# for Q only on a bipartite component.
+G_SYSTEMS = {
+    "torus:2:12": (torus_graph(2, 12), [0], [0]),
+    "torus:2:13": (torus_graph(2, 13), [0], []),
+    "union": (disjoint_union(torus_graph(2, 12), torus_graph(2, 13)), [0, 144], [0]),
+    "bipartite-union": (disjoint_union(torus_graph(2, 12), torus_graph(2, 10)), [0, 144],
+                        [0, 144]),
+}
 
 
 @pytest.mark.parametrize("systems", ["L", "Q", "LQ"])
@@ -536,10 +551,7 @@ def test_cg_potentials_of_g_are_the_dense_pinned_solution(name, systems, monkeyp
     # right-hand side and shifts its solution back: the potentials are the
     # pinned matrix's, pin values included, for right-hand sides of any
     # imbalance.
-    if name == "union":
-        g = disjoint_union(torus_graph(2, 12), torus_graph(2, 13))
-    else:
-        g = torus_graph(2, int(name.split(":")[2]))
+    g, l_pins, q_pins = G_SYSTEMS[name]
     solved = []
     pcg = electric._pcg
     monkeypatch.setattr(electric, "_pcg",
@@ -548,12 +560,26 @@ def test_cg_potentials_of_g_are_the_dense_pinned_solution(name, systems, monkeyp
     l_rhs = rng.standard_normal((g.n, 1)) if "L" in systems else None
     q_rhs = rng.standard_normal((g.n, 1)) if "Q" in systems else None
     x, y = electric._g_potentials(g, l_rhs, q_rhs)
-    assert solved == [len(systems) * g.n]
-    l_pins, q_pins = (np.array(pins, dtype=np.int64) for pins in G_SYSTEMS[name])
+    # CG runs on g's +1 colour class when every component is bipartite.
+    bipartite = bipartite_partition(g) is not None
+    assert solved == [len(systems) * g.n // (2 if bipartite else 1)]
+    l_pins, q_pins = (np.array(pins, dtype=np.int64) for pins in (l_pins, q_pins))
     for rhs, potentials, pins, signs in ((l_rhs, x, l_pins, -1.0), (q_rhs, y, q_pins, 1.0)):
         if rhs is not None:
             pinned = electric._laplacian(g.n, *g.edges.T, pins, signs, dense=True)
-            assert np.max(np.abs(potentials - np.linalg.solve(pinned, rhs))) <= 1e-10
+            assert np.max(np.abs(potentials - np.linalg.solve(pinned, rhs))) <= 1e-12
+
+
+def double_network(g, seed):
+    """Every arc of g as a resistor u_out -- v_in of its double, but for the
+    out-arcs of vertex 5 and the in-arcs of vertex 7 (5_out and 7_in are
+    isolated), plus a second copy of 30 arcs (parallel resistors), with
+    complex injections balanced on each component."""
+    rng = np.random.default_rng(seed)
+    kept = np.flatnonzero((g.arc_tails != 5) & (g.arc_heads != 7))
+    arcs = np.concatenate([kept, rng.choice(kept, 30)])
+    return balanced_network(2 * g.n, np.column_stack([g.arc_tails[arcs], g.n + g.arc_heads[arcs]]),
+                            seed)
 
 
 NETWORK_CASES = {
@@ -563,6 +589,11 @@ NETWORK_CASES = {
     # Feasible, though node 5's component sums to 1e-10 rather than 0.
     "imbalanced": (ElectricNetwork(200, TORUS_NET.resistor_edges,
                                    TORUS_NET.injections + 1e-10 * (np.arange(200) == 5)), None),
+    # Networks of the double with isolated nodes and parallel resistors: of
+    # torus 2:12, and of torus 2:10 beside torus 2:8 grounded at 130_in.
+    "double": (double_network(torus_graph(2, 12), 51), None),
+    "double-ground": (double_network(disjoint_union(torus_graph(2, 10), torus_graph(2, 8)), 52),
+                      164 + 130),
 }
 
 
@@ -576,19 +607,86 @@ def test_cg_network_potentials_are_the_dense_pinned_solution(case, monkeypatch):
     monkeypatch.setattr(electric, "_pcg",
                         lambda a, b: solved.append(b.size) or pcg(a, b))
     sol = solve_network(net, ground=ground)
-    assert sol.feasible and solved
-    assert set(solved) == {net.node_count}
     tails, heads = net.resistor_edges.T
+    # CG runs on the out-nodes when every resistor joins them to the
+    # in-nodes; the 30 isolated nodes after the double break that split.
+    half = net.node_count // 2
+    crossing = np.all((tails < half) != (heads < half))
+    assert sol.feasible and solved
+    assert set(solved) == {half if crossing else net.node_count}
+    assert crossing == (case not in ("isolated", "ground"))
     adjacency = sp.coo_matrix((np.ones(tails.size), (tails, heads)), shape=(net.node_count,) * 2)
     labels = connected_components(adjacency, directed=False)[1]
     pins = np.unique(labels, return_index=True)[1]  # the smallest node of each component
     if ground is not None:
         pins[labels[ground]] = ground
     pinned = electric._laplacian(net.node_count, tails, heads, pins, dense=True)
-    assert np.max(np.abs(sol.potentials - np.linalg.solve(pinned, net.injections))) <= 1e-10
+    assert np.max(np.abs(sol.potentials - np.linalg.solve(pinned, net.injections))) <= 1e-12
     # A pin holds its component's net injection, the 1e-10 included.
     sums = np.bincount(labels, net.injections.real) + 1j * np.bincount(labels, net.injections.imag)
     assert np.max(np.abs(sol.potentials[pins] - sums)) <= 1e-14
+
+
+def recording_pcg(monkeypatch):
+    """(unknowns, iterations, reduced) of every CG solve from now on."""
+    solved = []
+    pcg = electric._pcg
+
+    def counting(a, b):
+        counted = CountingMatrix(a)
+        x = pcg(counted, b)
+        solved.append((b.size, counted.products - 1, isinstance(a, electric._RedBlack)))
+        return x
+
+    monkeypatch.setattr(electric, "_pcg", counting)
+    return solved
+
+
+@pytest.mark.parametrize("g", [torus_graph(2, 13), complete_graph(150)], ids=lambda g: g.name)
+def test_graphs_with_odd_cycles_solve_every_vertex(g, monkeypatch):
+    # No 2-colouring: L, then Q, each by CG on all n vertices.
+    solved = recording_pcg(monkeypatch)
+    resistance_distances(g, 0, int(g.adjacency[0, 0]))
+    assert [(size, reduced) for size, _, reduced in solved] == [(g.n, False)] * 2
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda: resistance_distances(torus_graph(2, 12), 0, 1),
+     lambda: solve_network(network_from_state_double(basis_arc_state(torus_graph(2, 12), 0, 1)))],
+    ids=["g", "network"],
+)
+def test_red_class_solve_raises_when_not_converged(solve, monkeypatch):
+    operators = []
+    pcg = electric._pcg
+
+    def capped(a, b):
+        operators.append(type(a))
+        return pcg(a, b, max_iter=3)
+
+    monkeypatch.setattr(electric, "_pcg", capped)
+    with pytest.raises(electric.ConvergenceError, match="in 3 iterations"):
+        solve()
+    assert operators == [electric._RedBlack]
+
+
+@pytest.mark.parametrize(
+    "g", [torus_graph(2, 12), torus_graph(2, 24), torus_graph(2, 100), torus_graph(3, 8),
+          hypercube_graph(8), hypercube_graph(12)],
+    ids=lambda g: g.name,
+)
+def test_red_class_takes_at_most_half_the_iterations_plus_one(g, monkeypatch):
+    # Reid: CG on the red class takes every other step of Jacobi-CG on all
+    # of L; its stop is on the red residual, which is L's.
+    u, v = g.edges[len(g.edges) // 3].tolist()
+    solved = recording_pcg(monkeypatch)
+    reduced = resistance_distances(g, u, v)
+    monkeypatch.setattr(electric, "_g_classes", lambda g, copies: None)
+    full = resistance_distances(g, u, v)
+    [(half, k_half, first), (n, k, second)] = solved
+    assert (half, first, n, second) == (g.n // 2, True, g.n, False)
+    assert k_half <= math.ceil(k / 2) + 1
+    assert reduced == pytest.approx(full, abs=1e-12)
 
 
 def test_complex_injections_solved_componentwise():
@@ -829,13 +927,6 @@ def test_triangle_double_resistance_closed_form():
     assert omega == pytest.approx(5 / 6, abs=1e-12)  # (2n-1)/(d n) at n=3, d=2
 
 
-def disjoint_union(*graphs):
-    offsets = np.cumsum([0] + [h.n for h in graphs])
-    edges = np.concatenate([h.edges + offset for h, offset in zip(graphs, offsets)])
-    name = "+".join(h.name for h in graphs)
-    return Graph(int(offsets[-1]), edges, require_connected=False, name=name)
-
-
 def dense_laplacian(nodes, tails, heads, pins=(), signs=-1.0):
     """Laplacian of the links tails[i] -- heads[i] entry by entry, with
     signs off the diagonal (-1: L, +1: Q) and 1 added at each pinned node."""
@@ -913,7 +1004,7 @@ def test_pinned_signless_solve_on_a_bipartite_graph_is_the_colored_laplacian_one
     z = np.linalg.pinv(dense_laplacian(g.n, *g.edges.T)) @ (colors * b)
     assert np.max(np.abs(y[:, 0] - colors * (z - z[0]))) <= 1e-12
     assert abs(y[0, 0]) <= 1e-12
-    assert solved == ([] if dense else [g.n, g.n])
+    assert solved == ([] if dense else [g.n // 2, g.n // 2])  # the red class
 
 
 class CountingMatrix:
@@ -932,8 +1023,10 @@ class CountingMatrix:
 
 # Iterations of the L solve of an edge pair: CG on the unpinned L converges
 # at the Fiedler rate, L pinned at one vertex at the grounded Laplacian's
-# (401, 404 and 24).
-MAX_L_ITERATIONS = {"torus:2:100": 260, "torus:2:101": 260, "hypercube:12": 16}
+# (401, 404 and 24), and CG on the red class of a bipartite L takes half
+# the steps of CG on all of it (125 and 6 against 248 and 12; torus 2:101
+# has odd cycles and takes 250 on all of its vertices).
+MAX_L_ITERATIONS = {"torus:2:100": 130, "torus:2:101": 260, "hypercube:12": 8}
 
 
 @pytest.mark.parametrize(
@@ -943,7 +1036,7 @@ def test_cg_sized_resistances_match_fosters_closed_forms(g, monkeypatch):
     # Foster: every edge of an edge-transitive graph has resistance (n-1)/m,
     # and the double of a non-bipartite one is connected and edge-transitive
     # with 2n vertices and 2m edges.  A bipartite g takes one L solve
-    # (y = S x), an odd one L, then Q.
+    # (y = S x) on its red class, an odd one L, then Q, on all vertices.
     solved = []
     pcg = electric._pcg
 
@@ -961,7 +1054,7 @@ def test_cg_sized_resistances_match_fosters_closed_forms(g, monkeypatch):
     omegas = resistance_distances(g, u, v)
     assert omegas[0] == pytest.approx(omega, abs=1e-9)
     assert omegas[1] == pytest.approx(omega if bipartite else (2 * g.n - 1) / (2 * m), abs=1e-9)
-    assert [size for size, _ in solved] == [g.n] * (1 if bipartite else 2)
+    assert [size for size, _ in solved] == ([g.n // 2] if bipartite else [g.n] * 2)
     assert solved[0][1] <= MAX_L_ITERATIONS[g.name]
 
 

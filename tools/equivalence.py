@@ -1,6 +1,6 @@
 """Check that the CLI gives exactly what a parent commit gave.
 
-    python tools/equivalence.py PARENT
+    python tools/equivalence.py PARENT [--classes]
 
 PARENT is a commit of this repository (a hash, a branch, ``HEAD~1``).  The
 script extracts its tree with ``git archive`` into a temporary directory, so
@@ -22,14 +22,33 @@ identical byte for byte.  The script prints the number of invocations and,
 for the first one that differs, its name, its arguments, what differs and
 the first differing byte.  Exit status: 0 identical, 1 a difference, 2 a
 run that could not be made.
+
+With ``--classes``, exit codes and stderr must still be identical, and a
+file must be written on both sides or on neither, but a number in stdout or
+in a written file may differ by one of three classes of rounding, each
+counted and printed:
+
+- zero noise: both values are at most 1e-12 in modulus (the rounding noise
+  of a quantity that is 0 in exact arithmetic);
+- JSON float: in a JSON document, the values are within
+  1e-12 * max(1, |parent's value|);
+- 9-digit tie: in CSV, the two 9-significant-digit values are one unit of
+  the last digit apart and their midpoint is, within 1e-12 relative, a
+  number of the parent's JSON output of the same operation (the exact
+  value sits on the rounding boundary).
+
+Anything else fails, named by its invocation and field: another number,
+text, a JSON key or its order, a CSV column or its order, a line count.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tarfile
@@ -136,7 +155,161 @@ def first_byte(a, b) -> str:
     return f"first differing byte at {at}: {a[at:at + 60]!r} against {b[at:at + 60]!r}"
 
 
+# --classes: the rounding classes a number may differ by, in the order tried.
+ZERO, JSON_FLOAT, TIE = "zero noise", "JSON float", "9-digit tie"
+CLASS_TOL = 1e-12
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan")
+
+
+def json_numbers(text: str) -> list[float]:
+    """Every number of a JSON document, or [] if the text is not one."""
+    try:
+        document = json.loads(text)
+    except ValueError:
+        return []
+    found, stack = [], [document]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, (int, float)) and not isinstance(item, bool):
+            found.append(float(item))
+    return found
+
+
+def near(a: float, b: float) -> bool:
+    return abs(a - b) <= CLASS_TOL * max(1.0, abs(a))
+
+
+def number_class(old: str | float, new: str | float, json_values: list[float]) -> str | None:
+    """The class by which two differing numbers differ, or None.  Strings
+    are CSV cells; floats are JSON values."""
+    a, b = float(old), float(new)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return None
+    if abs(a) <= CLASS_TOL and abs(b) <= CLASS_TOL:
+        return ZERO
+    if not isinstance(old, str):
+        return JSON_FLOAT if near(a, b) else None
+    digits = f"{max(abs(a), abs(b)):.8e}"
+    unit = 10.0 ** (int(digits.split("e")[1]) - 8)
+    if abs(abs(a - b) - unit) <= 1e-6 * unit:
+        midpoint = (a + b) / 2
+        if any(near(midpoint, v) for v in json_values):
+            return TIE
+    return None
+
+
+def tally(found: dict, kind: str, a: float, b: float) -> None:
+    """Count one number of class `kind` and keep the largest relative
+    difference, |a - b| / max(1, |a|), of each class."""
+    count, largest = found.get(kind, (0, 0.0))
+    found[kind] = count + 1, max(largest, abs(a - b) / max(1.0, abs(a)))
+
+
+def json_classes(old, new, field: str, json_values, found: dict) -> str | None:
+    """Walk two JSON documents side by side, counting number classes into
+    `found`; returns the first field that differs otherwise."""
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return f"{field or '<document>'} (length {len(old)} against {len(new)})"
+        pairs = [(f"{field}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new))]
+    elif isinstance(old, dict) and isinstance(new, dict):
+        if list(old) != list(new):
+            return f"{field or '<document>'} (keys {list(old)} against {list(new)})"
+        pairs = [(f"{field}.{key}" if field else key, old[key], new[key]) for key in old]
+    elif type(old) is type(new) and (old == new or repr(old) == repr(new)):  # nan too
+        return None
+    elif (isinstance(old, float) and isinstance(new, float)
+          and (kind := number_class(old, new, json_values))):
+        tally(found, kind, old, new)
+        return None
+    else:
+        return f"{field or '<document>'} ({old!r} against {new!r})"
+    for name, a, b in pairs:
+        if (bad := json_classes(a, b, name, json_values, found)) is not None:
+            return bad
+    return None
+
+
+def text_classes(old: str, new: str, json_values, found: dict) -> str | None:
+    """Compare two outputs, JSON or CSV/plain text, counting number classes
+    into `found`; returns the first field that differs otherwise."""
+    try:
+        old_doc, new_doc = json.loads(old), json.loads(new)
+    except ValueError:
+        pass
+    else:
+        return json_classes(old_doc, new_doc, "", json_values, found)
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return f"line count ({len(old_lines)} against {len(new_lines)})"
+    header = None
+    for row, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+        if a.startswith("#") or header is None:
+            if a != b:
+                return f"line {row} ({a!r} against {b!r})"
+            header = None if a.startswith("#") else a.split(",")
+            continue
+        cells_a, cells_b = a.split(","), b.split(",")
+        if len(cells_a) != len(cells_b):
+            return f"line {row} (cell count {len(cells_a)} against {len(cells_b)})"
+        for column, (x, y) in enumerate(zip(cells_a, cells_b)):
+            name = header[column] if column < len(header) else f"column {column + 1}"
+            parts_x, parts_y = x.split(";"), y.split(";")
+            if len(parts_x) != len(parts_y):
+                return f"line {row} field {name} ({x!r} against {y!r})"
+            for p, q in zip(parts_x, parts_y):
+                if p == q:
+                    continue
+                numbers = NUMBER.fullmatch(p) and NUMBER.fullmatch(q)
+                kind = numbers and number_class(p, q, json_values)
+                if not kind:
+                    return f"line {row} field {name} ({p!r} against {q!r})"
+                tally(found, kind, float(p), float(q))
+    return None
+
+
+def classify(runs, parent, change) -> tuple[dict, dict, list[str]]:
+    """({class: (numbers, largest relative difference)}, {class:
+    invocations}, failures)."""
+    json_values: dict[str, list[float]] = {}
+    for (name, _), old in zip(runs, parent):
+        json_values.setdefault(name.split(" ")[0], []).extend(json_numbers(old[1]))
+    counts, ops, failures = {}, {}, []
+    for (name, _), old, new in zip(runs, parent, change):
+        values = json_values.get(name.split(" ")[0], [])
+        found: dict = {}
+        bad = None
+        if old[0] != new[0]:
+            bad = f"exit code ({old[0]!r} against {new[0]!r})"
+        elif old[2] != new[2]:
+            bad = f"stderr: {first_byte(old[2], new[2])}"
+        elif set(old[3]) != set(new[3]):
+            bad = f"written files ({sorted(old[3])} against {sorted(new[3])})"
+        else:
+            texts = [("stdout", old[1], new[1])] + [
+                (f"file {path}", old[3][path].decode(), new[3][path].decode())
+                for path in sorted(old[3])]
+            for what, a, b in texts:
+                if a != b and (field := text_classes(a, b, values, found)) is not None:
+                    bad = f"{what}: {field}"
+                    break
+        if bad is not None:
+            failures.append(f"{name}: {bad}")
+            continue
+        for kind, (count, largest) in found.items():
+            total, most = counts.get(kind, (0, 0.0))
+            counts[kind] = total + count, max(most, largest)
+            ops[kind] = ops.get(kind, 0) + 1
+    return counts, ops, failures
+
+
 def main(argv: list[str]) -> int:
+    classes = "--classes" in argv
+    argv = [arg for arg in argv if arg != "--classes"]
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
@@ -174,6 +347,16 @@ def main(argv: list[str]) -> int:
                  in zip(runs, results["parent"], results["change"])
                  if (found := differences(old, new))]
     print(f"{len(runs)} invocations against {argv[0]}: {len(differing)} differ")
+    if classes:
+        counts, ops, failures = classify(runs, results["parent"], results["change"])
+        for kind in (ZERO, JSON_FLOAT, TIE):
+            count, largest = counts.get(kind, (0, 0.0))
+            print(f"{kind}: {count} numbers in {ops.get(kind, 0)} invocations"
+                  f" (largest difference {largest:.2g} relative)")
+        print(f"unclassified: {len(failures)} invocations")
+        for failure in failures:
+            print(f"unclassified: {failure}")
+        return 1 if failures else 0
     if differing:
         name, args, found = differing[0]
         what, old, new = found[0]
