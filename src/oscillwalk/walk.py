@@ -50,7 +50,9 @@ of it.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -80,9 +82,11 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-9
-# read_state_csv splits a state file in blocks of about this many characters
-# (some 20k rows), which bounds the memory its field strings take.
+# read_state_csv parses a state file in blocks of about this many characters
+# (some 20k rows), which bounds the memory a block's parse takes.
 _BLOCK_CHARS = 1 << 20
+# One row of a state file.
+_STATE_ROW = np.dtype([("arc", np.int64), ("re", np.float64), ("im", np.float64)])
 # A norm this close to 1 is 1 up to the rounding of the sum that computed
 # it: dividing by it would move the amplitudes by as little and cost a copy.
 # That rounding grows with the number of terms.  The sum of a unit state's
@@ -499,7 +503,9 @@ def read_state_csv(g: Graph, path: str) -> ArcState:
     A row whose first field is arc_id is a header, one whose first field
     starts with # after leading blanks is a comment; both are skipped, as are
     blank lines.  Every other row must hold an arc id in range and two floats,
-    and every arc exactly one row.
+    and every arc exactly one row.  Ids and floats are read as int() and
+    float() read them, and any fault is worded for the first row that has
+    one, in file order.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -516,59 +522,84 @@ def _read_state_columns(fh, arc_count: int) -> np.ndarray | None:
     needs the csv module's parsing (quotes, NUL, huge fields).
 
     Without quotes csv.reader splits rows at line ends and fields at commas,
-    so str methods split the text here and int and float convert whole
-    columns.  The file is read in blocks of whole lines, so the strings of
-    one block at a time are alive.
+    which is what np.loadtxt's C parser does with no quote and no comment
+    character, so one loadtxt call reads each block of whole lines.  A plain
+    block, with at most a header on top, no # and no _, and no line over the
+    csv field limit, goes to loadtxt as it is.  Any other block is split into
+    lines first, to drop its comments, headers and blank lines and to measure
+    its lines; where its data hold a _, int() and float() convert its
+    fields, since numpy's parser does not read underscores in numbers.  Only
+    one block is alive at a time.
     """
     limit = csv.field_size_limit()
-    ids = np.empty(arc_count, dtype=np.int64)
-    values = np.empty(arc_count, dtype=np.complex128)
+    # a line over the limit holds a stretch of `step` characters with no line
+    # end that starts at a multiple of step
+    step = limit // 2 + 1
+    amps = np.empty(arc_count, dtype=np.complex128)
+    seen = np.zeros(arc_count, dtype=bool)
     rows = 0
     while block := fh.read(_BLOCK_CHARS):
         block += fh.readline()  # the rest of the line the block cut
-        if '"' in block or "\0" in block:
+        # numpy's parser strips \x1c-\x1f around a number as blanks, where
+        # int() and float() reject them
+        if any(c in block for c in '"\0\x1c\x1d\x1e\x1f'):
             return None
-        # csv.reader ends a row at \r\n, \r and \n alike
-        lines = block.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if max(map(len, lines)) > limit:
-            return None
-        if not lines[-1]:
-            lines.pop()  # the end of the block's last line
-        if lines and lines[0].partition(",")[0] == "arc_id":
-            del lines[0]  # a header on top, the one skipped row of most files
-        if "#" in block or block.find("arc_id", 1) >= 0 or "" in lines:
-            lines = [
+        header = block.startswith("arc_id") and block[6:7] in ("", ",", "\r", "\n")
+        converters = None
+        if (
+            "#" in block
+            # a _ past the arc_id on top: in a number, or in a header below
+            or block.find("_", 6 if header else 0) >= 0
+            or any(
+                block.find("\n", i, i + step) < 0 and block.find("\r", i, i + step) < 0
+                for i in range(0, len(block), step)
+            )
+        ):
+            # csv.reader ends a row at \r\n, \r and \n alike
+            lines = block.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            if max(map(len, lines)) > limit:
+                return None
+            block = "\n".join(
                 line
                 for line in lines
                 if line
                 and line.partition(",")[0] != "arc_id"
                 and not line.lstrip().startswith("#")
-            ]
-        if not lines:
-            continue
-        stop = rows + len(lines)
-        if stop > arc_count or set(map(str.count, lines, [","] * len(lines))) != {2}:
-            return None
-        fields = ",".join(lines).split(",")
+            )
+            header = False
+            if "_" in block:
+                converters = {0: int, 1: float, 2: float}
         try:
-            block_ids = list(map(int, fields[0::3]))
-            re = np.array(list(map(float, fields[1::3])))
-            im = np.array(list(map(float, fields[2::3])))
-        except ValueError:
+            with warnings.catch_warnings():
+                # a block of headers and blank lines holds no rows, and older
+                # numpy reads an id such as 1.0 through float(), with a
+                # DeprecationWarning, where int() raises
+                warnings.simplefilter("ignore", UserWarning)
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(
+                    io.StringIO(block, newline=None),  # \r\n and \r read as \n
+                    dtype=_STATE_ROW,
+                    delimiter=",",
+                    comments=None,
+                    quotechar=None,
+                    skiprows=int(header),
+                    converters=converters,
+                    ndmin=1,
+                )
+        except (ValueError, DeprecationWarning):
             return None
-        if min(block_ids) < 0 or max(block_ids) >= arc_count:
+        if not len(table):
+            continue
+        rows += len(table)
+        block_ids, re, im = table["arc"], table["re"], table["im"]
+        if rows > arc_count or block_ids.min() < 0 or block_ids.max() >= arc_count:
             return None
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             return None  # ArcState rejects them; 1j * inf would warn first
-        ids[rows:stop] = block_ids
-        values[rows:stop] = re + 1j * im  # the row reader's float(re) + 1j * float(im)
-        rows = stop
-    seen = np.zeros(arc_count, dtype=bool)
-    seen[ids[:rows]] = True
-    if not seen.all():  # with arc_count rows in range, no id repeats
+        amps[block_ids] = re + 1j * im  # the row reader's float(re) + 1j * float(im)
+        seen[block_ids] = True
+    if not seen.all():  # with at most arc_count rows in range, no id repeats
         return None
-    amps = np.empty(arc_count, dtype=np.complex128)
-    amps[ids] = values
     return amps
 
 

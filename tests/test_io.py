@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from oscillwalk import (
 )
 from oscillwalk import cli, walk
 from oscillwalk.cli import main
+from state_corpus import GOOD, HEADER, STATE_BYTES, STATE_FILES
+from state_corpus import rows as _rows
 
 # Floats whose repr switches notation or digit count, the signed zeros and
 # the subnormal and normal extremes.
@@ -339,69 +342,6 @@ def read_outcomes(g, path):
 
 
 K4 = complete_graph(4)  # 12 arcs
-GOOD = [f"{a},{0.25 * (a - 5)!r},{(-1) ** a / (a + 3)!r}" for a in range(12)]
-HEADER = "arc_id,re,im"
-
-
-def _rows(*rows, end="\n", last=True):
-    return end.join(rows) + (end if last else "")
-
-
-STATE_FILES = {
-    "header_lf": _rows(HEADER, *GOOD),
-    "no_header": _rows(*GOOD),
-    "crlf": _rows(HEADER, *GOOD, end="\r\n"),
-    "lone_cr": _rows(HEADER, *GOOD, end="\r"),
-    "mixed_ends": HEADER + "\r\n" + "\r".join(GOOD[:6]) + "\n" + "\r\n".join(GOOD[6:]),
-    "no_trailing_newline": _rows(HEADER, *GOOD, last=False),
-    "shuffled": _rows(HEADER, *[GOOD[i] for i in (5, 0, 11, 3, 7, 1, 9, 2, 10, 4, 8, 6)]),
-    "comments_and_blanks": "# a comment\n  # an indented one, with a comma\n\n"
-    + _rows(HEADER, *GOOD[:5], "", "#x", *GOOD[5:], "", ""),
-    "second_header": _rows(*GOOD[:6], HEADER, *GOOD[6:]),
-    "header_variants": _rows("arc_id", *GOOD[:6], "arc_id,x,y,z", *GOOD[6:]),
-    "quoted_fields": _rows(HEADER, *['"{}",{},{}'.format(*r.split(",")) for r in GOOD]),
-    "quoted_comma": _rows(HEADER, *GOOD[:3], '"3,4",0,0', *GOOD[4:]),
-    "spaced_fields": _rows(*[" {} ,{} , {}".format(*r.split(",")) for r in GOOD]),
-    "blank_with_spaces": _rows(*GOOD[:6], "   ", *GOOD[6:]),
-    "short_row": _rows(*GOOD[:3], "3,0.5", *GOOD[4:]),
-    "four_fields": _rows(*GOOD[:3], "3,0.5,0,1", *GOOD[4:]),
-    "short_then_long": _rows(*GOOD[:3], "3,0.5", "4,0.1,0.2,0.3", *GOOD[5:]),
-    "trailing_comma": _rows(*GOOD[:6], GOOD[6] + ",", *GOOD[7:]),
-    "id_x": _rows(*GOOD[:3], "x,0.1,0.2", *GOOD[4:]),
-    "id_float": _rows(*GOOD[:3], "1.0,0.1,0.2", *GOOD[4:]),
-    "id_spaced": _rows(*GOOD[:3], " 3 ,0.1,0.2", *GOOD[4:]),
-    "id_empty": _rows(*GOOD[:3], ",0.1,0.2", *GOOD[4:]),
-    "id_negative": _rows(*GOOD[:3], "-1,0.1,0.2", *GOOD[4:]),
-    "id_out_of_range": _rows(*GOOD[:3], "12,0.1,0.2", *GOOD[4:]),
-    "id_huge": _rows(*GOOD[:3], "9" * 30 + ",0.1,0.2", *GOOD[4:]),
-    "id_negative_in_place_of_the_last": _rows(*GOOD[:11], "-1,0.1,0.2"),
-    "short_and_long_rows_that_realign": _rows(*GOOD[:3], "3,1", "2,4,1,1", *GOOD[5:]),
-    "duplicate": _rows(*GOOD[:3], "2,0.1,0.2", *GOOD[4:]),
-    "missing": _rows(*GOOD[:7], *GOOD[8:]),
-    "empty": "",
-    "only_header": _rows(HEADER),
-    "bad_float": _rows(*GOOD[:5], "5,abc,0", *GOOD[6:]),
-    "bad_float_before_duplicate": _rows(*GOOD[:5], "5,abc,0", "1,0,0", *GOOD[6:]),
-    "duplicate_before_bad_float": _rows(*GOOD[:5], "1,0,0", "5,abc,0", *GOOD[6:]),
-    "out_of_range_before_short": _rows(*GOOD[:2], "77,0,0", "3,4", *GOOD[4:]),
-    "nan": _rows(*GOOD[:2], "2,nan,0", *GOOD[3:]),
-    "inf": _rows(*GOOD[:2], "2,0,-inf", *GOOD[3:]),
-    "underscores_and_padding": _rows(*GOOD[:6], "6,1_0.5, 1e-3 ", *GOOD[7:]),
-    "signed_zeros": _rows(*[f"{a},{re},{im}" for a, (re, im) in enumerate(
-        [(s, t) for s in ("-0.0", "0.0", "1.5") for t in ("-0.0", "0.0", "-2.5", "2.5")])]),
-    "nul": _rows(*GOOD[:6], "6,0\x00,0", *GOOD[7:]),
-    "stray_quote": _rows(*GOOD[:6], '6,0"5,0', *GOOD[7:]),
-    "header_opens_a_quote": _rows('arc_id,re,"im', *GOOD),
-    "comment_opens_a_quote": _rows(*GOOD[:6], '# see,"below', *GOOD[6:], '"'),
-    "comment_with_nul": _rows(HEADER, "# \x00", *GOOD),
-    "byte_order_mark": "﻿" + _rows(HEADER, *GOOD),
-    "field_over_csv_limit": _rows(*GOOD[:6], "6,0." + "1" * 140_000 + ",0", *GOOD[7:]),
-    "long_field_under_limit": _rows(*GOOD[:6], "6,0." + "0" * 100_000 + "1,0", *GOOD[7:]),
-}
-STATE_BYTES = {
-    "bad_utf8": _rows(HEADER, *GOOD[:6]).encode() + b"7,\xff,0\n",
-    "bad_utf8_after_short_row": _rows(HEADER, *GOOD[:2], "2,3", *GOOD[3:]).encode() + b"#\xff\n",
-}
 
 
 @pytest.mark.filterwarnings("error")  # stderr too stays as it was
@@ -458,10 +398,23 @@ def test_reader_keeps_the_row_loops_signed_zeros(tmp_path):
 
 
 line_ends = st.sampled_from(["\n", "\r\n", "\r"])
-floats_text = st.sampled_from(BOUNDARY_FLOATS).map(repr) | st.floats(-10, 10).map(repr)
+# Spellings where numpy's parser and float() could disagree: blanks that
+# float() strips or rejects, non-ASCII digits, exponents, overflow, non-finite
+# words and underscores.
+float_spellings = st.sampled_from([
+    "1E5", ".5", "5.", "1e400", "Infinity", "-nan", "\xa00.5", "\u20030.5\u2003", "\x0b0.5",
+    "0.5\x1c", "\x1f0.5", "\uff10.\uff15", "\u0660.\u0665", "1_0.5", " 1e-3 ",
+])
+floats_text = (
+    st.sampled_from(BOUNDARY_FLOATS).map(repr) | st.floats(-10, 10).map(repr) | float_spellings
+)
 bad_rows = st.sampled_from([
     "", "   ", "# note", "  #, x", HEADER, "arc_id", "x,0,0", "1.0,0,0", " 3 ,0,0", "-1,0,0",
     "12,0,0", "3,0.5", "3,0.5,0,1", "3,a,0", "3,0,b", '"3",0,0', "3,nan,0", ",,",
+    # ids where numpy's parser and int() could disagree
+    "\xa03\xa0,0,0", "\u20033,0,0", "\x0b3,0,0", "\x1c3,0,0", "3\x1d,0,0", "\uff13,0,0",
+    "\u0663,0,0", "+3,0,0", "03,0,0", "-0,0,0", "3.0,0,0", "1e0,0,0", "0" * 29 + "3,0,0",
+    "9" * 30 + ",0,0", "1_1,0,0",
 ])
 
 
@@ -506,6 +459,26 @@ def test_reader_matches_the_row_loop_across_blocks(tmp_path, monkeypatch):
         monkeypatch.setattr(walk, "_BLOCK_CHARS", block)
         reference, got = read_outcomes(g, str(path))
         assert isinstance(got, bytes) and got == reference
+
+
+@pytest.mark.parametrize("block", [1 << 20, 1 << 16])
+def test_reader_memory_is_bounded_by_its_blocks(block, tmp_path, monkeypatch):
+    """The tracemalloc peak of reading a 40,000-row state is the amplitudes
+    and their seen flags, 17 bytes an arc, one block's text and parse, at
+    most 10 bytes a block character, and 256 KiB of fixed costs (7.0 MB in
+    all at 1 MiB blocks)."""
+    g = torus_graph(2, 100)
+    path = tmp_path / "state.csv"
+    write_state_csv(random_state(g, np.random.default_rng(5)), str(path))
+    monkeypatch.setattr(walk, "_BLOCK_CHARS", block)
+    read_state_csv(g, str(path))  # lazy imports and caches out of the count
+    tracemalloc.start()
+    try:
+        read_state_csv(g, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * g.arc_count + 10 * block + (1 << 18)
 
 
 # ---- the state CSV writer -------------------------------------------------------------

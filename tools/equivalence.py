@@ -13,7 +13,9 @@ The invocations are every operation of the zoo, certify and resist plans of
 seeds 1-3 (``perfbench/inputs.plan``), each in its default format, with
 ``--format json`` and with ``--format csv``, and once more with ``--output``
 and, where the subcommand takes a state, ``--dump-network``; then ``table1``
-at n = 4, 5, 8 and 12 in both formats, ``verify``, and invocations that must
+at n = 4, 5, 8 and 12 in both formats, ``verify``, ``bounds --graph complete:4
+--state csv:F`` on every file F of the state-file corpus
+``tests/state_corpus.py`` (valid and malformed), and invocations that must
 fail (a bad graph, state, pair, tolerance and state file, and ``simulate
 --t-max 0 --dump-network F``, which writes no file).
 
@@ -90,8 +92,9 @@ with open(sys.argv[2], "wb") as fh:
 
 def invocations(workdir: str) -> list[tuple[str, list[str]]]:
     """(name, argv) of every invocation; state files are written to workdir."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     import inputs
+    import state_corpus
 
     runs = []
     for workload in WORKLOADS:
@@ -109,9 +112,14 @@ def invocations(workdir: str) -> list[tuple[str, list[str]]]:
     for n in ("4", "5", "8", "12"):
         runs += [(f"table1:{n}", ["table1", "--n", n]),
                  (f"table1:{n} json", ["table1", "--n", n, "--t-max", "30", "--format", "json"])]
-    malformed = os.path.join(workdir, "malformed.csv")
-    with open(malformed, "w", encoding="utf-8") as fh:
-        fh.write("arc_id,re,im\n0,1,0\n0,0,0\n")
+    corpus = {name: text.encode() for name, text in state_corpus.STATE_FILES.items()}
+    corpus.update(state_corpus.STATE_BYTES)
+    for name, data in sorted(corpus.items()):
+        path = os.path.join(workdir, f"{name}.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        runs.append((f"state file {name}",
+                     ["bounds", "--graph", "complete:4", "--state", f"csv:{path}"]))
     state = ["--graph", "complete:4", "--state", "edge:0:1"]
     runs += [
         ("verify", ["verify"]),
@@ -122,7 +130,6 @@ def invocations(workdir: str) -> list[tuple[str, list[str]]]:
         ("non-arc state", ["bounds", "--graph", "complete:4", "--state", "edge:0:0"]),
         ("bad pair", ["resistance", "--graph", "complete:4", "--pair", "0"]),
         ("bad tolerance", ["bounds", *state, "--zero-tol", "nan"]),
-        ("malformed state file", ["bounds", "--graph", "complete:4", "--state", f"csv:{malformed}"]),
         ("missing state file", ["decompose", "--graph", "complete:4", "--state", "csv:missing.csv"]),
         ("t-max 0 with dump", ["simulate", *state, "--t-max", "0", "--dump-network", "network.json"]),
         ("output in a missing folder", ["resistance", "--graph", "cycle:5", "--pair", "0:1",
