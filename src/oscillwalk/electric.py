@@ -81,9 +81,9 @@ FEASIBILITY_TOL = 1e-9
 # stays at 128, where the double's irregular networks cross over too (0.50
 # vs 0.57-0.81 ms at 128, 1.7 vs 0.48 at 256).  A block with at least as
 # many real right-hand sides as unknowns is solved densely too: the flip
-# projector of torus 2:22 (diag(L, Q) of 968 unknowns, 1936 columns) takes
-# 0.46 s that way against 4.0 s by CG column by column.  A dense system
-# is assembled straight into a numpy array; only the CG branch builds a scipy
+# projector of torus 2:22 (the double's 968 nodes, 1936 columns) takes
+# 0.45 s that way against 2.0 s by CG on the red class.  A dense system is
+# assembled straight into a numpy array; only the CG branch builds a scipy
 # CSR matrix and imports scipy.sparse, so a process whose solves are all
 # dense never loads scipy (its import is about half of `import oscillwalk.cli`).
 _DENSE_MAX_NODES = 128
@@ -245,16 +245,17 @@ def _network(
 # Kirchhoff solver
 # ======================================================================================
 #
-# Every system is a Laplacian A on all of its nodes: a network's, g's L, or
-# g's signless Q solved as S Q S, alone or as diag(L, S Q S).  S Q S is L on
-# a bipartite component and positive definite, with no pin, on a component
-# with an odd cycle (see the L (+) Q section below).  Every other component
-# is singular and has one pin r, and its kernel vector is the component's
-# indicator w: w^T A = 0.  A dense system is pinned: 1 is added to the diagonal at r, which makes it
-# positive definite.  Pinning is exact: the sum of a component's rows of
-# (A + e_r e_r^T) x = b gives x_r = s = w^T b, so a balanced b (s = 0)
-# forces x_r = 0 and A x = b, the system grounded at r, while a b off by s
-# raises the component's potentials by s and leaves every drop as it is.
+# Every system is a Laplacian A on all of its nodes: a network's or a
+# projection's on the double, g's L, or g's signless Q solved as S Q S, which
+# is L on a bipartite component and positive definite, with no pin, on a
+# component with an odd cycle (see the L (+) Q section below).  Every other
+# component is singular and has one pin r, and its kernel vector is the
+# component's indicator w: w^T A = 0.  A dense system is pinned: 1 is added
+# to the diagonal at r, which makes it positive definite.  Pinning is exact:
+# the sum of a component's rows of (A + e_r e_r^T) x = b gives
+# x_r = s = w^T b, so a balanced b (s = 0) forces x_r = 0 and A x = b, the
+# system grounded at r, while a b off by s raises the component's
+# potentials by s and leaves every drop as it is.
 #
 # CG reaches the same pinned solution without the pin.  With
 # b' = b - s e_r on each component, so that w^T b' = 0, the singular system
@@ -276,13 +277,13 @@ def _network(
 #
 # When every link joins a red node to a black one, as on g's L (and S Q S,
 # which is L there) when every component of g is bipartite, red being
-# g.coloring's +1, and on every network of the bipartite double, red being
-# the out-nodes, A = [[D_r, -B], [-B^T, D_b]] in the order (red, black),
-# with B the red x black link counts and D the link counts.  The black
-# rows give y_b = D_b^-1 (b_b + B^T y_r), so CG runs on the red class
-# alone: S y_r = b_r + B D_b^-1 b_b, with S = D_r - B D_b^-1 B^T the Schur
-# complement, preconditioned by D_r.  That is Reid's reduced system (Reid,
-# "The use of conjugate gradients for systems of linear equations
+# g.coloring's +1, and on every network and projection on the bipartite
+# double, red being the out-nodes, A = [[D_r, -B], [-B^T, D_b]] in the order
+# (red, black), with B the red x black link counts and D the link counts.
+# The black rows give y_b = D_b^-1 (b_b + B^T y_r), so CG runs on the red
+# class alone: S y_r = b_r + B D_b^-1 b_b, with S = D_r - B D_b^-1 B^T the
+# Schur complement, preconditioned by D_r.  That is Reid's reduced system
+# (Reid, "The use of conjugate gradients for systems of linear equations
 # possessing 'Property A'", SIAM J. Numer. Anal. 9, 1972; Hageman & Young,
 # "Applied Iterative Methods", 1981): CG on it takes every other step of
 # Jacobi-CG on A started with a zero black residual, on half the unknowns,
@@ -543,57 +544,38 @@ def _pcg(
 # Networks", section 1.3, for the resistance; Cvetkovic, Rowlinson & Simic,
 # "Signless Laplacians of finite graphs", 2007, for Q.)
 #
-# Two vertices take L, then Q, as two solves (_pair_potentials).  A state
-# with a wider support takes both as one block-diagonal system diag(L, Q)
-# (oscillation._flip_part): its spectrum is the double's, so CG takes the
-# double's iterations rather than the sum of two solves' (and per-iteration
-# Python overhead dominates CG at a few hundred unknowns).  For one pair the
-# two solves win at scale and lose a little at a few hundred unknowns.  The
-# pair potentials of an edge with Q solved, block vs two solves (one BLAS
-# thread, 2-core Xeon VM, CG on the unpinned L, fastest of 5 to 30 runs, two
-# sessions): 73-82 vs 48-53 ms on torus 2:101, 24-34 vs 20-24 on torus
-# 3:21, 1.7-1.8 vs 2.0-2.2 on a random 4-regular graph of 512 vertices,
-# 2.4-2.7 vs 3.4-3.9 on torus 2:25.
+# Two vertices take L, then Q, as two solves (_pair_potentials).  A wider
+# state's flip part is projected on the double itself (oscillation._flip_part).
 
 
 def _g_potentials(
     g: Graph, l_rhs: np.ndarray | None = None, q_rhs: np.ndarray | None = None
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(x, y) with L x = l_rhs and Q y = q_rhs on g, from one solve: of L or
-    S Q S alone, or of diag(L, S Q S) on 2n nodes when both are asked for.
-    Each right-hand side is a real or complex (n, k) block, the same k for
-    both, or None, which gives None.  L is pinned at each component's root,
-    S Q S at the roots of the bipartite components, where it is L."""
+    """(x, None) with L x = l_rhs when q_rhs is None, else (None, y) with
+    Q y = q_rhs, on g, from one solve of L or of S Q S; the right-hand side
+    is a real or complex (n, k) block.  L is pinned at each component's
+    root, S Q S at the roots of the bipartite components, where it is L."""
     n, (tails, heads), roots = g.n, g.edges.T, g.component_roots
-    pins = _pins(roots)
+    pins, classes = _pins(roots), lambda: _g_classes(g)
     if q_rhs is None:
-        return _solve(n, tails, heads, roots, pins, l_rhs, classes=lambda: _g_classes(g, 1)), None
+        return _solve(n, tails, heads, roots, pins, l_rhs, classes=classes), None
     signs, bipartite = g.coloring
     q_pins, q_links, s = pins[bipartite[pins]], signs[tails] * signs[heads], signs[:, None]
-    if l_rhs is None:
-        q = _solve(n, tails, heads, roots, q_pins, s * q_rhs, q_links, lambda: _g_classes(g, 1))
-        return None, s * q
-    xy = _solve(
-        2 * n, np.concatenate([tails, n + tails]), np.concatenate([heads, n + heads]),
-        np.concatenate([roots, n + roots]), np.concatenate([pins, n + q_pins]),
-        np.concatenate([l_rhs, s * q_rhs]), np.concatenate([np.full(tails.size, -1.0), q_links]),
-        lambda: _g_classes(g, 2),
-    )
-    return xy[:n], s * xy[n:]
+    return None, s * _solve(n, tails, heads, roots, q_pins, s * q_rhs, q_links, classes)
 
 
-def _g_classes(g: Graph, copies: int) -> np.ndarray | None:
-    """The red class of `copies` stacked copies of g (L, or diag(L, S Q S),
-    which is diag(L, L) here): where g.coloring is +1; None when a
-    component of g has an odd cycle.  A bipartite component of
-    a regular graph has as many vertices of each colour, so an odd n has an
-    odd cycle, found without labeling the double."""
+def _g_classes(g: Graph) -> np.ndarray | None:
+    """The red class of g's L (and of S Q S, which is L here): where
+    g.coloring is +1; None when a component of g has an odd cycle.  A
+    bipartite component of a regular graph has as many vertices of each
+    colour, so an odd n has an odd cycle, found without labeling the
+    double."""
     if g.n % 2:
         return None
     signs, bipartite = g.coloring
     if not bipartite.all():
         return None
-    return np.tile(signs > 0, copies)
+    return signs > 0
 
 
 @dataclass(frozen=True)
@@ -658,21 +640,25 @@ def solve_network(net: ElectricNetwork, *, ground: int | None = None) -> FlowSol
     infeasible (power = +infinity); this is a value, not an error.  Currents
     are unique, so the result does not depend on the grounding choice
     (`ground` forces a specific node to be its component's pinned node,
-    which is useful for testing exactly that).  The first half of the nodes
-    is offered to CG as the red class: every network on the bipartite
-    double (out-nodes, then in-nodes) has each resistor join the two.
+    which is useful for testing exactly that).  CG is offered the first half
+    of the nodes as the red class (_first_half).
     """
     roots = _balanced_roots(net)
     if roots is None:
         return FlowSolution(feasible=False, currents=None, potentials=None, power=math.inf)
 
     tails, heads = net.resistor_edges.T
-    node_count = net.node_count
-    potentials = _solve(node_count, tails, heads, roots, _pins(roots, ground), net.injections,
-                        classes=lambda: np.arange(node_count) < node_count // 2)
+    potentials = _solve(net.node_count, tails, heads, roots, _pins(roots, ground), net.injections,
+                        classes=_first_half(net.node_count))
     currents = potentials[tails] - potentials[heads]
     power = float(np.vdot(currents, currents).real)
     return FlowSolution(feasible=True, currents=currents, potentials=potentials, power=power)
+
+
+def _first_half(node_count: int) -> Callable[[], np.ndarray]:
+    """The red class offered for links on the bipartite double, its out-nodes;
+    _cg_solver takes it only when every link joins the two halves."""
+    return lambda: np.arange(node_count) < node_count // 2
 
 
 def circulation_projection(
@@ -688,12 +674,22 @@ def circulation_projection(
     the gradient part B^T L^+ B flow, and what remains conserves flow at
     every node.
     """
+    return _circulation_projection(
+        node_count, tails, heads, flow, label_components(node_count, tails, heads)
+    )
+
+
+def _circulation_projection(
+    node_count: int, tails: np.ndarray, heads: np.ndarray, flow: np.ndarray, roots: np.ndarray
+) -> np.ndarray:
+    """circulation_projection, given the links' components `roots` (see
+    label_components); CG is offered _first_half as the red class."""
     flow = np.asarray(flow, dtype=np.complex128 if np.iscomplexobj(flow) else np.float64)
     divergence = np.zeros((node_count,) + flow.shape[1:], dtype=flow.dtype)
     np.add.at(divergence, tails, flow)
     np.add.at(divergence, heads, -flow)
-    roots = label_components(node_count, tails, heads)
-    potentials = _solve(node_count, tails, heads, roots, _pins(roots), divergence)
+    potentials = _solve(node_count, tails, heads, roots, _pins(roots), divergence,
+                        classes=_first_half(node_count))
     return flow - (potentials[tails] - potentials[heads])
 
 

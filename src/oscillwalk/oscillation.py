@@ -25,9 +25,9 @@ from .electric import (
     ZERO_AMPLITUDE_TOL,
     ElectricNetwork,
     _balanced_roots,
+    _circulation_projection,
     _edge_double_power,
     _edge_selfflip_power,
-    _g_potentials,
     _pair_potentials,
     _PairPotentials,
     network_from_selfflip_state,
@@ -135,23 +135,23 @@ class OverlapSeries:
 # current of psi's own divergence is the orthogonal projection of psi onto
 # the cut space, and the flip part is psi minus that current.
 #
-# The double's Laplacian is never assembled.  Let o be psi's divergence at
-# the out-nodes (psi summed over the arcs leaving each vertex) and i the one
-# at the in-nodes (minus psi summed over the arcs entering it).  The change
-# of variables that splits the double's Laplacian into L (+) Q (derived in
-# electric's block comment above _g_potentials) turns the double's solve into
-# L p = o + i and Q q = o - i on g's own vertices, one block-diagonal
-# system, and the current on arc (u, v) is (p_u - p_v + q_u + q_v) / 2.
+# A wider state's flip part is electric's circulation projection on the
+# double's links u_out -- v_in, labeled by the cached g.double_roots.  The
+# double is bipartite on every g, so CG runs on its n out-nodes alone.
 #
-# A state on the two arcs of one edge {u, v}, with delta_0 on (u, v) and
-# delta_1 on (v, u), has o + i = (delta_0 - delta_1)(e_u - e_v) and
-# o - i = (delta_0 + delta_1)(e_u + e_v).  So the pair potentials of u and v,
-# L^+ (e_u - e_v) and Q^+ (e_u + e_v), give its flip part and, in `certify`,
-# the powers of its networks (electric's transfer-current block): L, then Q,
-# the solves of resistance_distance.  A self-flip state has
-# delta_1 = -delta_0 and needs no Q solve, and on a bipartite g the Q
-# potentials are the L ones turned by the coloring: either way the state
-# costs one L solve on g's n vertices.
+# A state on the two arcs of one edge {u, v} keeps to g's own L and Q.  With
+# o its divergence at the out-nodes and i the one at the in-nodes, the change
+# of variables that splits the double's Laplacian into L (+) Q (electric's
+# block comment above _g_potentials) gives L p = o + i and Q q = o - i on
+# g's vertices and the current (p_u - p_v + q_u + q_v) / 2 on arc (u, v).
+# With delta_0 on (u, v) and delta_1 on (v, u), o + i =
+# (delta_0 - delta_1)(e_u - e_v) and o - i = (delta_0 + delta_1)(e_u + e_v).
+# So the pair potentials of u and v, L^+ (e_u - e_v) and Q^+ (e_u + e_v),
+# give its flip part and, in `certify`, the powers of its networks
+# (electric's transfer-current block): L, then Q, the solves of
+# resistance_distance.  A self-flip state has delta_1 = -delta_0 and needs no
+# Q solve, and on a bipartite g the Q potentials are the L ones turned by the
+# coloring: either way the state costs one L solve on g's n vertices.
 
 
 def flip_projection(state: ArcState) -> tuple[float, ArcState]:
@@ -176,13 +176,9 @@ def _flip_amplitudes(psi: ArcState) -> np.ndarray:
 
 def _flip_part(g: Graph, flows: np.ndarray) -> np.ndarray:
     """Flip part of one arc vector, or of each column of an (arc_count, k)
-    block, from one block-diagonal L and Q solve on g; a real flow gives a
-    real flip part."""
-    block = flows.reshape(g.arc_count, -1)
-    outs = block[g.out_arcs].sum(axis=1)
-    ins = block[g.out_arcs ^ 1].sum(axis=1)
-    p, q = _g_potentials(g, outs - ins, outs + ins)
-    return (block - _currents(g, p, q)).reshape(flows.shape)
+    block: its projection onto the circulations of the bipartite double; a
+    real flow gives a real flip part."""
+    return _circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, flows, g.double_roots)
 
 
 def _currents(g: Graph, p: np.ndarray, q: np.ndarray | None) -> np.ndarray:

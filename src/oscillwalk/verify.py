@@ -121,7 +121,7 @@ def random_flip_state(g: Graph, rng: np.random.Generator) -> ArcState:
 
 def flip_projector(g: Graph) -> np.ndarray:
     """Dense (arcs x arcs) flip projector: every basis arc state projected
-    as one block of flows by one block-diagonal L and Q solve on g."""
+    as one block of flows by the flip part's own solve on the double."""
     return _flip_part(g, np.eye(g.arc_count))
 
 

@@ -1,12 +1,13 @@
-"""Bounds and flip projections on g's own L and Q, against the 2n-node oracle.
+"""Bounds and flip projections of `certify` and `decompose` against oracles.
 
-`certify` and `decompose` solve a state's systems on the base graph: one
-block-diagonal solve of L and Q for any state and, for a state on the two
-arcs of one edge, the transfer-current block (one L solve, plus a Q solve
-only on a component with an odd cycle).  The oracle is the path that builds
-the double's networks and flows: `solve_network` on
-`network_from_state_double` and `network_from_selfflip_state`, and
-`circulation_projection` on the double's edges.
+A state on the two arcs of one edge takes g's own L and Q: the
+transfer-current block (one L solve, plus a Q solve only on a component with
+an odd cycle).  Its oracle is the path that builds the double's networks and
+flows: `solve_network` on `network_from_state_double` and
+`network_from_selfflip_state`, and `circulation_projection` on the double's
+edges.  A wider state's flip part is that circulation projection, so its
+oracle is the L (+) Q change of variables instead, with dense
+pseudo-inverses of g's L and Q: it calls no solver of the package.
 """
 
 import functools
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from oscillwalk import (
     ArcState,
+    Graph,
     basis_arc_state,
     bounds_from_power,
     certify,
@@ -55,12 +57,44 @@ def pair_state(g, edge, rng):
     return ArcState(g, amps / np.linalg.norm(amps))
 
 
+@functools.cache
+def pseudo_inverses(g):
+    """Dense L^+ and Q^+ of g, from its arcs."""
+    adjacency = np.zeros((g.n, g.n))
+    np.add.at(adjacency, (g.arc_tails, g.arc_heads), 1.0)
+    degree = np.diag(adjacency.sum(axis=1))
+    return np.linalg.pinv(degree - adjacency), np.linalg.pinv(degree + adjacency)
+
+
+def lq_flip_part(psi):
+    """The flip part by the L (+) Q change of variables: with o the outflow
+    of psi at each vertex and i minus its inflow, p = L^+ (o + i) and
+    q = Q^+ (o - i) are the double's potentials turned by
+    (x, y) -> (x + y, x - y), and arc (u, v) carries the current
+    (p_u - p_v + q_u + q_v) / 2 of psi's divergence."""
+    g, amps = psi.graph, psi.amplitudes
+    outs, ins = np.zeros(g.n, dtype=complex), np.zeros(g.n, dtype=complex)
+    np.add.at(outs, g.arc_tails, amps)
+    np.add.at(ins, g.arc_heads, -amps)
+    l_inv, q_inv = pseudo_inverses(g)
+    p, q = l_inv @ (outs + ins), q_inv @ (outs - ins)
+    tails, heads = g.arc_tails, g.arc_heads
+    return amps - (p[tails] - p[heads] + q[tails] + q[heads]) / 2
+
+
 def assert_matches_oracle(psi):
-    """certify(psi) and decompose(psi) against the 2n-node networks and the
-    circulation projection on the double's edges, within RTOL relative (the
-    flip part relative to the unit state)."""
+    """certify(psi) and decompose(psi) against the 2n-node networks and a
+    flip part from outside the code under test, within RTOL relative (the
+    flip part relative to the unit state): for a state on one edge the
+    circulation projection on the double's edges, for a wider one
+    lq_flip_part."""
     g = psi.graph
-    flip = electric.circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads, psi.amplitudes)
+    support = np.flatnonzero(psi.amplitudes) // 2
+    if np.all(support == support[0]):
+        flip = electric.circulation_projection(2 * g.n, g.arc_tails, g.n + g.arc_heads,
+                                               psi.amplitudes)
+    else:
+        flip = lq_flip_part(psi)
     double = solve_network(network_from_state_double(psi)).power
     selfflip = None
     if is_selfflip_state(psi):
@@ -180,12 +214,36 @@ def test_random_regular_single_edge_states_match_the_oracle(n, d, seed):
     assert_matches_oracle(pair_state(g, g.edge_id(u, v), np.random.default_rng(seed)))
 
 
+def test_certify_does_not_depend_on_the_vertex_labels():
+    # A random relabeling pi of a CG-sized graph with odd cycles moves every
+    # arc id, double root, pin and red-class index; the scalars and the flip
+    # part, mapped back to g's arcs, stay within rounding.
+    g = random_regular_graph(200, 5, seed=3)
+    rng = np.random.default_rng(27)
+    pi = rng.permutation(g.n)
+    assert pi[0] != 0 and not g.coloring[1].all()
+    h = Graph(g.n, pi[g.edges], name="relabeled")
+    arcs = np.array([h.arc_index(u, v) for u, v in zip(pi[g.arc_tails], pi[g.arc_heads])])
+    assert np.array_equal(h.arc_tails[arcs], pi[g.arc_tails])
+    assert 2 * g.n > electric._DENSE_MAX_NODES and not np.array_equal(arcs, np.arange(g.arc_count))
+    psi = random_state(g, rng)
+    amps = np.zeros(h.arc_count, dtype=complex)
+    amps[arcs] = psi.amplitudes
+    expected, relabeled = certify(psi), certify(ArcState(h, amps))
+    for name in ("alpha_sq", "beta_sq", "gamma_sq"):
+        assert getattr(relabeled.decomposition, name) == pytest.approx(
+            getattr(expected.decomposition, name), abs=1e-12)
+    flip = expected.decomposition.flip_component.amplitudes
+    relabeled_flip = relabeled.decomposition.flip_component.amplitudes
+    assert np.max(np.abs(relabeled_flip[arcs] - flip)) <= 1e-12
+
+
 def run_recording(argv, monkeypatch, capsys):
     """Run the CLI, recording the unknowns of every CG solve and the node
     count of every assembly of a network's Laplacian, whole or reduced to
-    its red class.  g's own L, Q and diag(L, Q) give every node the same
-    number of links; a network lacks the links of the state's support, so
-    its link counts differ."""
+    its red class.  g's own L and Q, and the double's links, one per arc,
+    give every node the same number of links; a network lacks the links of
+    the state's support, so its link counts differ."""
     solved, networks = [], []
     pcg, laplacian, red_black = electric._pcg, electric._laplacian, electric._RedBlack
 
@@ -275,24 +333,27 @@ def test_bounds_of_a_plaquette_state_solve_nothing(monkeypatch, capsys, tmp_path
 
 
 def test_decompose_of_a_wide_state_assembles_no_double(monkeypatch, capsys, tmp_path):
-    # torus 2:12 is bipartite: L and Q are each pinned at vertex 0, and the
-    # block has 2 * 144 nodes, 2 * 72 of them red, one CG solve on the red
-    # class per real and imaginary part.
-    g = torus_graph(2, 12)
-    path = tmp_path / "state.csv"
-    write_state_csv(random_state(g, np.random.default_rng(42)), str(path))
-    argv = ["decompose", "--graph", "torus:2:12", "--state", f"csv:{path}"]
-    code, solved, networks = run_recording(argv, monkeypatch, capsys)
-    assert (code, solved, networks) == (0, [144, 144], [])
+    # The flip part is projected on the double's 2n nodes, one link per arc,
+    # so no network is assembled.  The double is bipartite, out-nodes against
+    # in-nodes, on bipartite torus 2:12 and on torus 2:13 and a random
+    # 5-regular graph, which have odd cycles: CG runs on the n out-nodes, once
+    # per real and imaginary part.
+    graphs = [torus_graph(2, 12), torus_graph(2, 13), random_regular_graph(200, 5, seed=3)]
+    for g, bipartite in zip(graphs, [True, False, False]):
+        assert g.coloring[1].all() == bipartite
+        path = tmp_path / "state.csv"
+        write_state_csv(random_state(g, np.random.default_rng(42)), str(path))
+        argv = ["decompose", "--graph", g.name, "--state", f"csv:{path}"]
+        assert run_recording(argv, monkeypatch, capsys) == (0, [g.n, g.n], [])
+        monkeypatch.undo()
 
 
 def test_bounds_of_a_real_wide_state_solve_one_real_column_per_system(monkeypatch, capsys,
                                                                       tmp_path):
-    # A real state on 20 arcs of torus 2:12: its double network (288 nodes,
-    # one pin in each copy) and its flip projection (diag(L, Q) of
-    # 144 + 144 nodes) each take one CG solve on their 144 red nodes (the
-    # out-nodes; g's +1 colour in each block); the zero imaginary part of
-    # the network's injections is not solved.
+    # A real state on 20 arcs of torus 2:12: its double network and its
+    # flip projection, each on the double's 288 nodes (one pin in each
+    # copy), take one CG solve on their 144 red nodes, the out-nodes; the
+    # zero imaginary parts are not solved.
     g = torus_graph(2, 12)
     rng = np.random.default_rng(5)
     amps = np.zeros(g.arc_count)

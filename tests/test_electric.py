@@ -478,11 +478,10 @@ def test_dense_laplacian_is_the_sparse_one_bit_for_bit(case):
     ids=lambda g: g.name,
 )
 def test_laplacians_of_g_match_the_edge_list_assembly_bit_for_bit(g, monkeypatch):
-    # The systems _g_potentials assembles: L pinned at vertex 0, Q as S Q S,
-    # which is L pinned at vertex 0 when g is bipartite and Q unpinned
-    # otherwise, and diag(L, S Q S) when both are asked for.  The numpy
-    # array and the CSR matrix, whose rows come out sorted, equal the pinned
-    # matrices built here entry by entry.
+    # The systems _g_potentials assembles: L pinned at vertex 0, and Q as
+    # S Q S, which is L pinned at vertex 0 when g is bipartite and Q unpinned
+    # otherwise.  The numpy array and the CSR matrix, whose rows come out
+    # sorted, equal the pinned matrices built here entry by entry.
     assembled = []
     laplacian = electric._laplacian
 
@@ -492,13 +491,12 @@ def test_laplacians_of_g_match_the_edge_list_assembly_bit_for_bit(g, monkeypatch
 
     monkeypatch.setattr(electric, "_laplacian", recording)
     rhs = np.random.default_rng(g.n).standard_normal((g.n, 1))
-    for l_rhs, q_rhs in ((rhs, None), (None, rhs), (rhs, rhs)):
+    for l_rhs, q_rhs in ((rhs, None), (None, rhs)):
         electric._g_potentials(g, l_rhs, q_rhs)
     l = dense_laplacian(g.n, *g.edges.T, [0])
     q = l if bipartite_partition(g) is not None else dense_laplacian(g.n, *g.edges.T, [], 1.0)
-    both = np.block([[l, np.zeros_like(q)], [np.zeros_like(l), q]])
-    assert len(assembled) == 3
-    for args, expected in zip(assembled, (l, q, both)):
+    assert len(assembled) == 2
+    for args, expected in zip(assembled, (l, q)):
         sparse = laplacian(*args)
         assert sparse.has_canonical_format
         assert laplacian(*args, dense=True).tobytes() == expected.tobytes()
@@ -544,13 +542,12 @@ G_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("systems", ["L", "Q", "LQ"])
+@pytest.mark.parametrize("systems", ["L", "Q"])
 @pytest.mark.parametrize("name", list(G_SYSTEMS))
 def test_cg_potentials_of_g_are_the_dense_pinned_solution(name, systems, monkeypatch):
-    # CG runs on the unpinned L, Q or diag(L, Q) with the balanced
-    # right-hand side and shifts its solution back: the potentials are the
-    # pinned matrix's, pin values included, for right-hand sides of any
-    # imbalance.
+    # CG runs on the unpinned L or Q with the balanced right-hand side and
+    # shifts its solution back: the potentials are the pinned matrix's, pin
+    # values included, for right-hand sides of any imbalance.
     g, l_pins, q_pins = G_SYSTEMS[name]
     solved = []
     pcg = electric._pcg
@@ -562,7 +559,7 @@ def test_cg_potentials_of_g_are_the_dense_pinned_solution(name, systems, monkeyp
     x, y = electric._g_potentials(g, l_rhs, q_rhs)
     # CG runs on g's +1 colour class when every component is bipartite.
     bipartite = bipartite_partition(g) is not None
-    assert solved == [len(systems) * g.n // (2 if bipartite else 1)]
+    assert solved == [g.n // (2 if bipartite else 1)]
     l_pins, q_pins = (np.array(pins, dtype=np.int64) for pins in (l_pins, q_pins))
     for rhs, potentials, pins, signs in ((l_rhs, x, l_pins, -1.0), (q_rhs, y, q_pins, 1.0)):
         if rhs is not None:
@@ -681,7 +678,7 @@ def test_red_class_takes_at_most_half_the_iterations_plus_one(g, monkeypatch):
     u, v = g.edges[len(g.edges) // 3].tolist()
     solved = recording_pcg(monkeypatch)
     reduced = resistance_distances(g, u, v)
-    monkeypatch.setattr(electric, "_g_classes", lambda g, copies: None)
+    monkeypatch.setattr(electric, "_g_classes", lambda g: None)
     full = resistance_distances(g, u, v)
     [(half, k_half, first), (n, k, second)] = solved
     assert (half, first, n, second) == (g.n // 2, True, g.n, False)
