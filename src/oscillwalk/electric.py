@@ -68,20 +68,17 @@ ZERO_AMPLITUDE_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
 # Laplacian systems of at most this many unknowns are solved densely, larger
 # ones by CG; every node is an unknown (see the Kirchhoff solver).  Measured
-# per solve with its assembly on g's own systems (one BLAS thread, 2-core
-# Xeon VM), dense vs CG: 0.07 vs 0.19 ms at 48 unknowns (L of K_48), 0.09
-# vs 0.35-0.98 at 64 (Q_6, torus 2:8, a random 4-regular graph), 0.17-0.25
-# vs 0.26-1.04 at 128 (diag(L, Q) of those), 0.41 vs 0.95 at 144 (L of
-# torus 2:12), 1.26 vs 1.33 at 200, 1.04-1.61 vs 0.46-1.28 at 256-288, 7.0
-# vs 0.73 at 512 (diag(L, Q) of Q_8), 54 vs 2.1 at 1250 (torus 2:25).  CG
-# on the unpinned L takes fewer iterations, yet the crossover stays: 0.18 vs
-# 0.39 ms at 128 (diag(L, Q) of torus 2:8), 0.19 vs 0.46 at 144, 1.3 vs
-# 0.42 at 256 (L of Q_8).
-# The crossover lies between about 150 and 250 unknowns; the threshold
-# stays at 128, where the double's irregular networks cross over too (0.50
-# vs 0.57-0.81 ms at 128, 1.7 vs 0.48 at 256).  A block with at least as
-# many real right-hand sides as unknowns is solved densely too: the flip
-# projector of torus 2:22 (the double's 968 nodes, 1936 columns) takes
+# on a pair's L solve on g with its assembly, red-black CG included (minimum
+# of 30 solves, scipy already imported, one BLAS thread, 2-core Xeon VM),
+# dense vs CG: 0.43 vs 0.76 ms at 144 unknowns (torus 2:12), 0.61 vs 0.88 at
+# 169 (torus 2:13), 0.84 vs 1.26 at 200 (random_regular 200:5:3), 1.83 vs
+# 0.63 at 256 (Q_8), 2.09 vs 1.10 at 256 (torus 2:16), 6.0 vs 1.3 at 400
+# (torus 2:20).  So for g's systems the crossover lies between 200 and 256
+# unknowns; the threshold stays at 128, where the double's irregular
+# networks crossed over before red-black CG (0.50 vs 0.57-0.81 ms at 128,
+# 1.7 vs 0.48 at 256) and have not been re-measured since.  A block with at
+# least as many real right-hand sides as unknowns is solved densely too: the
+# flip projector of torus 2:22 (the double's 968 nodes, 1936 columns) takes
 # 0.45 s that way against 2.0 s by CG on the red class.  A dense system is
 # assembled straight into a numpy array; only the CG branch builds a scipy
 # CSR matrix and imports scipy.sparse, so a process whose solves are all

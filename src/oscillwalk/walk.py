@@ -518,60 +518,43 @@ def read_state_csv(g: Graph, path: str) -> ArcState:
 
 
 def _read_state_columns(fh, arc_count: int) -> np.ndarray | None:
-    """The amplitudes a state file holds, or None where it has a fault or
-    needs the csv module's parsing (quotes, NUL, huge fields).
+    """The amplitudes a state file holds, or None where it has a fault or is
+    not plain.
 
     Without quotes csv.reader splits rows at line ends and fields at commas,
     which is what np.loadtxt's C parser does with no quote and no comment
     character, so one loadtxt call reads each block of whole lines.  A plain
-    block, with at most a header on top, no # and no _, and no line over the
-    csv field limit, goes to loadtxt as it is.  Any other block is split into
-    lines first, to drop its comments, headers and blank lines and to measure
-    its lines; where its data hold a _, int() and float() convert its
-    fields, since numpy's parser does not read underscores in numbers.  Only
-    one block is alive at a time.
+    block holds at most an arc_id header on top, no quote, #, _, NUL or
+    \\x1c-\\x1f, and no line over the csv field limit.  Any other block
+    returns None, and the csv row loop reads or rejects the file.  Only one
+    block is alive at a time.
     """
     limit = csv.field_size_limit()
     # a line over the limit holds a stretch of `step` characters with no line
-    # end that starts at a multiple of step
+    # end that starts at a multiple of step (and so does a line of step to
+    # limit characters at some offsets, which the row loop then reads)
     step = limit // 2 + 1
     amps = np.empty(arc_count, dtype=np.complex128)
     seen = np.zeros(arc_count, dtype=bool)
     rows = 0
     while block := fh.read(_BLOCK_CHARS):
         block += fh.readline()  # the rest of the line the block cut
-        # numpy's parser strips \x1c-\x1f around a number as blanks, where
-        # int() and float() reject them
-        if any(c in block for c in '"\0\x1c\x1d\x1e\x1f'):
-            return None
         header = block.startswith("arc_id") and block[6:7] in ("", ",", "\r", "\n")
-        converters = None
         if (
-            "#" in block
+            # numpy's parser strips \x1c-\x1f around a number as blanks, where
+            # int() and float() reject them
+            any(c in block for c in '"#\0\x1c\x1d\x1e\x1f')
             # a _ past the arc_id on top: in a number, or in a header below
             or block.find("_", 6 if header else 0) >= 0
             or any(
                 block.find("\n", i, i + step) < 0 and block.find("\r", i, i + step) < 0
-                for i in range(0, len(block), step)
+                for i in range(0, len(block) - step + 1, step)
             )
         ):
-            # csv.reader ends a row at \r\n, \r and \n alike
-            lines = block.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-            if max(map(len, lines)) > limit:
-                return None
-            block = "\n".join(
-                line
-                for line in lines
-                if line
-                and line.partition(",")[0] != "arc_id"
-                and not line.lstrip().startswith("#")
-            )
-            header = False
-            if "_" in block:
-                converters = {0: int, 1: float, 2: float}
+            return None
         try:
             with warnings.catch_warnings():
-                # a block of headers and blank lines holds no rows, and older
+                # a block of a header and blank lines holds no rows, and older
                 # numpy reads an id such as 1.0 through float(), with a
                 # DeprecationWarning, where int() raises
                 warnings.simplefilter("ignore", UserWarning)
@@ -583,7 +566,6 @@ def _read_state_columns(fh, arc_count: int) -> np.ndarray | None:
                     comments=None,
                     quotechar=None,
                     skiprows=int(header),
-                    converters=converters,
                     ndmin=1,
                 )
         except (ValueError, DeprecationWarning):
@@ -605,7 +587,7 @@ def _read_state_columns(fh, arc_count: int) -> np.ndarray | None:
 
 def _read_state_rows(g: Graph, path: str) -> ArcState:
     """The csv.reader row loop: words the first fault of a file in row order,
-    and reads the files the column reader leaves to the csv module.  A fault
+    and reads the files that are not plain.  A fault
     the csv module raises, such as a field over csv.field_size_limit(),
     becomes a ValueError naming the file."""
     amps = np.zeros(g.arc_count, dtype=np.complex128)

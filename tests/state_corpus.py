@@ -49,6 +49,7 @@ STATE_FILES = {
     "id_negative_in_place_of_the_last": rows(*GOOD[:11], "-1,0.1,0.2"),
     "short_and_long_rows_that_realign": rows(*GOOD[:3], "3,1", "2,4,1,1", *GOOD[5:]),
     "duplicate": rows(*GOOD[:3], "2,0.1,0.2", *GOOD[4:]),
+    "every_arc_then_a_repeat": rows(*GOOD, GOOD[0]),
     "missing": rows(*GOOD[:7], *GOOD[8:]),
     "empty": "",
     "only_header": rows(HEADER),

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from oscillwalk import (
@@ -365,18 +365,18 @@ def test_a_field_over_the_csv_limit_exits_one_with_a_one_line_diagnostic(tmp_pat
     assert err == f"error: {path}: field larger than field limit ({csv.field_size_limit()})\n"
 
 
-ACCEPTED_UNQUOTED = [
+ACCEPTED_PLAIN = [
     "header_lf", "no_header", "crlf", "lone_cr", "mixed_ends", "no_trailing_newline", "shuffled",
-    "comments_and_blanks", "second_header", "header_variants", "spaced_fields", "id_spaced",
-    "underscores_and_padding", "signed_zeros", "long_field_under_limit",
+    "spaced_fields", "id_spaced", "signed_zeros",
 ]
 
 
 @pytest.mark.parametrize("block", [1 << 20, 40, 1])
 def test_reader_reads_unquoted_files_without_the_row_loop(block, tmp_path, monkeypatch):
-    """The row loop only locates and words a fault (and reads quoted files)."""
+    """The row loop only locates and words a fault (and reads the files that
+    are not plain: quotes, comments, repeated headers, underscores)."""
     monkeypatch.setattr(walk, "_BLOCK_CHARS", block)
-    for name in ACCEPTED_UNQUOTED:
+    for name in ACCEPTED_PLAIN:
         path = tmp_path / f"{name}.csv"
         path.write_bytes(STATE_FILES[name].encode())
         assert isinstance(reference_read(K4, str(path)), ArcState), name
@@ -452,6 +452,46 @@ def test_reader_matches_the_row_loop_on_drawn_files(data):
             warnings.simplefilter("error")
             reference, got = read_outcomes(K4, path)
     assert got == reference
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+@seed(1)
+def test_reader_matches_the_row_loop_on_drawn_plain_files(data):
+    """Plain files, which the column reader reads itself unless their ids
+    are faulty: a file the row loop accepts reads without it."""
+    ids = list(data.draw(st.permutations(range(12))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        edit = data.draw(st.sampled_from(["drop", "repeat", "out_of_range"]))
+        at = data.draw(st.integers(0, len(ids) - 1))
+        if edit == "drop":
+            del ids[at]
+        elif edit == "repeat":
+            ids.insert(data.draw(st.integers(0, len(ids))), ids[at])
+        else:
+            ids[at] = data.draw(st.sampled_from([-1, 12, 13, 10**6]))
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(BOUNDARY_FLOATS)
+    rows = [f"{a},{data.draw(finite)!r},{data.draw(finite)!r}" for a in ids]
+    if data.draw(st.booleans()):
+        rows.insert(0, HEADER)
+    # each row ends in one line end, or two for a blank line after it
+    text = "".join(row + data.draw(line_ends) * data.draw(st.sampled_from([1, 1, 1, 2]))
+                   for row in rows)
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    block = data.draw(st.sampled_from([1, 5, 64, 1 << 20]))
+    with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "_BLOCK_CHARS", block)
+        path = os.path.join(folder, "state.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reference, got = read_outcomes(K4, path)
+            assert got == reference
+            if isinstance(reference, bytes):
+                patch.setattr(walk, "_read_state_rows", None)
+                assert read_state_csv(K4, path).amplitudes.tobytes() == reference
 
 
 def test_reader_matches_the_row_loop_across_blocks(tmp_path, monkeypatch):
