@@ -68,21 +68,24 @@ ZERO_AMPLITUDE_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
 # Laplacian systems of at most this many unknowns are solved densely, larger
 # ones by CG; every node is an unknown (see the Kirchhoff solver).  Measured
-# on a pair's L solve on g with its assembly, red-black CG included (minimum
-# of 30 solves, scipy already imported, one BLAS thread, 2-core Xeon VM),
-# dense vs CG: 0.43 vs 0.76 ms at 144 unknowns (torus 2:12), 0.61 vs 0.88 at
-# 169 (torus 2:13), 0.84 vs 1.26 at 200 (random_regular 200:5:3), 1.83 vs
-# 0.63 at 256 (Q_8), 2.09 vs 1.10 at 256 (torus 2:16), 6.0 vs 1.3 at 400
-# (torus 2:20).  So for g's systems the crossover lies between 200 and 256
-# unknowns; the threshold stays at 128, where the double's irregular
-# networks crossed over before red-black CG (0.50 vs 0.57-0.81 ms at 128,
-# 1.7 vs 0.48 at 256) and have not been re-measured since.  A block with at
-# least as many real right-hand sides as unknowns is solved densely too: the
-# flip projector of torus 2:22 (the double's 968 nodes, 1936 columns) takes
-# 0.45 s that way against 2.0 s by CG on the red class.  A dense system is
-# assembled straight into a numpy array; only the CG branch builds a scipy
-# CSR matrix and imports scipy.sparse, so a process whose solves are all
-# dense never loads scipy (its import is about half of `import oscillwalk.cli`).
+# with red-black CG (minimum of 30 solves, scipy already imported, one BLAS
+# thread, 2-core Xeon VM), dense vs CG in ms.  A pair's L solve on g with its
+# assembly: 0.43 vs 0.62 at 200 unknowns (random_regular 200:5:3), 0.64 vs
+# 1.09 and 0.65 vs 0.75 at 240 (random_regular 240:3 and 240:4), 0.76 vs
+# 0.32 at 256 (Q_8), 0.75 vs 0.55 at 256 (torus 2:16).  solve_network on the
+# double's network of an edge state: 0.85 vs 1.04 at 200 nodes (torus 2:10),
+# 0.92 vs 1.26 at 200 (random_regular 100:4), 1.02 vs 0.77 at 220
+# (random_regular 110:4), 1.25 vs 0.79 at 242 (torus 2:11), 1.57 vs 0.72 at
+# 256 (Q_7).  So g's systems cross over between 240 and 256 unknowns and the
+# double's between 200 and 220, and no one value is both crossovers; the
+# threshold stays at 128, below both, where the tests' CG-sized graphs (torus
+# 2:12 and 2:13, 144 and 169 unknowns) take CG.  A block with at least as
+# many real right-hand sides as unknowns is solved densely too: the flip
+# projector of torus 2:22 (the double's 968 nodes, 1936 columns) takes 0.45 s
+# that way against 2.0 s by CG on the red class.  A dense system is assembled
+# straight into a numpy array; only the CG branch builds a scipy CSR matrix
+# and imports scipy.sparse, so a process whose solves are all dense never
+# loads scipy (its import is about half of `import oscillwalk.cli`).
 _DENSE_MAX_NODES = 128
 # CG stops once the residual is at most this times max(1, |b|); a balanced
 # right-hand side already that small is not solved (see _solve).

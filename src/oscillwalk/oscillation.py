@@ -37,7 +37,7 @@ from .electric import (
 from .graphs import Graph, bipartite_partition
 from .walk import (
     ArcState,
-    _slot_steps,
+    _mean_walk,
     dense_walk_matrix,
     ensure_normalized,
     is_flip_state,
@@ -315,14 +315,15 @@ def measured_overlaps(state: ArcState, t_max: int) -> OverlapSeries:
 
     even_overlaps covers steps 0, 2, ..., odd_overlaps steps 1, 3, ...;
     odd steps are measured against the flipped starting state.  The sweep
-    steps only the start's light cone, runs in float64 when the start is
-    real and takes one dot over the cone's share of the start per two steps:
-    the odd overlap comes from the even one and the coin's vertex means (see
-    the `walk` module).  The final state is never built over all the arcs.
+    walks the out-means of U^t psi, not its arcs: one product with the
+    adjacency matrix per step on the vertices of the start's light cone, in
+    float64 when the start is real, and two dots over those vertices per two
+    steps give both overlaps (see the `walk` module).  No state over the arcs
+    is built.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    _, _, overlaps = _slot_steps(ensure_normalized(state), t_max, measure=True)
+    *_, overlaps = _mean_walk(ensure_normalized(state), t_max, measure=True)
     return OverlapSeries(even_overlaps=overlaps[0::2], odd_overlaps=overlaps[1::2])
 
 

@@ -6,45 +6,60 @@ the amplitudes of (u, v) and (v, u).  Both are real orthogonal maps, so the
 walk preserves realness and the 2-norm.
 
 `apply_coin`, `apply_shift` and `walk_step` act on one `ArcState` in arc order
-and are the single-step reference.  Many steps (`evolve`, and
-`oscillation.measured_overlaps`) run in a *slot-major* copy of the state
-instead: slot j*n + u holds the amplitude of vertex u's j-th out-arc, so the
-slot order is `out_arcs.T.ravel()`.  Viewed as d rows of n slots, the vertex
-sums of the coin are one contiguous column sum over the rows, and the shift is
-one gather with the slot of each slot's reverse arc.  A step coins one buffer
-in place and gathers it into the other, and the two buffers swap roles, so a
-step reads and writes each slot twice and keeps no third vector.  Both maps
-are real, so a start whose imaginary part is zero walks in float64 on its
-real part, half the bytes of complex128; `evolve` still returns complex
-amplitudes.
+and, with `dense_walk_matrix`, are the single-step reference.  Many steps
+(`evolve`, and `oscillation.measured_overlaps`) walk the vertex means of the
+state instead of its arcs.  Let x_t = U^t psi, and mu_t and iota_t its
+out- and in-means (the mean of x_t over each vertex's out- and in-arcs).  As
+(C x)_a = 2 mu[tail a] - x_a, x_(t+1)[a] = 2 mu_t[head a] - x_t[rev a], whose
+in-means are iota_(t+1) = mu_t.  So, with A the adjacency matrix of g,
 
-The walk moves amplitude one hop per step: the coin mixes the slots of one
-vertex, and the shift moves the amplitude of (u, v) to v.  So after t steps a
-start held by the vertex set V0 (the tails of its nonzero arcs) is exactly 0
-off the ball B(V0, t), its light cone.  The stepper walks only that cone, in
-*windows*: from step t0 it steps the slot-major block of the m vertices of
-B(V0, t0 + k) for k = _CONE_BLOCK steps (slot j*m + i holds the i-th window
-vertex's j-th out-arc), then grows the ball and carries the state over.  A
-slot whose reverse arc leaves the window gathers from one extra sink slot
-that holds 0, and 0 is what the full walk gathers there, since within the
-block no amplitude reaches the window's edge.  The coin sums run over the
-same rows in the same order and the gather reads the same values, so every
-amplitude in the window is the full walk's bit for bit.  Once the next
-window would hold _CONE_SHARE (half) of g's vertices or more, the walk takes
-all of g, which is simply the last window, for the remaining steps; a ball
-that stops growing holds whole components and is the last window too.  A
-start nonzero on half the arcs or more, such as a random state, takes all of
-g at once.
+    mu_(t+1) = (2/d) A mu_t - mu_(t-1),    mu_-1 = iota_0,
 
-The flip of a state is its shift negated, <uv|~psi> = -<vu|psi>, so for any y
-the odd overlap <~psi0|S y> equals -<psi0|y>, and |<~psi0|U^(2k+1) psi0>| is
-|<psi0|C x>| with x = U^(2k) psi0.  As (C x)_s = 2 m_u - x_s on the slots s
-of vertex u, where m_u is u's mean of x, that is |sum_u conj(s_u) 2 m_u -
-<psi0|x>| with s_u the sum of psi0 over u's slots: the even overlap <psi0|x>
-and the coin's vertex means give the odd overlap with an m-length dot, so
-the dot over the window's share of psi0 runs every other step and no flipped
-copy is kept.  V0 lies in every window, so the window's share of psi0 is all
-of it.
+a Chebyshev recurrence in A/d (Szegedy's spectral lemma; Higuchi, Konno,
+Sato & Segawa, J. Funct. Anal. 267, 2014).  A step is one product with A on
+the vertices: one gather through a (d, m) neighbour table and a sum over its
+rows, where a step on the arcs reads and writes its d m amplitudes several
+times.  The walk is real, so a start whose imaginary part is zero walks in
+float64, and each part of a complex start is summed in the order of a real
+one.
+
+The overlaps and states come from the means.  The flip of a state is its
+shift negated, so with E_t = <psi|x_t> and s_out, s_in the out- and in-sums
+of psi, at even t
+
+    |<~psi|U^(t+1) psi>| = |<psi|C x_t>| = |2 <s_out, mu_t> - E_t|,
+    E_(t+2) = E_t - 2 <s_out, mu_t> + 2 <s_in, mu_(t+1)>,    E_0 = <psi|psi>,
+
+two dots over the vertices per two steps, and x_t is psi - 2 P[tail] +
+2 Q[head] at even t and -S psi + 2 P[head] - 2 Q[tail] at odd t, with P and
+Q the sums of mu_s over the even and the odd s < t.
+
+The means move one hop per step, so mu_t is exactly 0 off the ball
+B(V0, t) around the vertex set V0 (the tails of the start's nonzero arcs),
+its light cone, and iota_0 off B(V0, 1).  The stepper walks only that cone,
+in *windows*: from step t0 it steps the m vertices of B(V0, t0 + k) for
+k = _CONE_BLOCK steps, then grows the ball and carries the means over.  A
+neighbour outside the window reads a sink that holds 0, and 0 is what the
+full walk reads there, since within the block no mean reaches the window's
+edge; the sums run over the same table rows in the same order, so every mean
+in the window is the full walk's bit for bit until the full walk first
+re-imposes its conserved sums (below).  Once the next window would hold
+_CONE_SHARE (half) of g's vertices or more, the walk takes all of g, which is
+simply the last window, for the remaining steps; a ball that stops growing
+holds whole components and is the last window too.  A start nonzero on half
+the arcs or more, such as a random state, takes all of g at once.
+
+At the eigenvalues 1 and -1 of A/d the recurrence is a Jordan block.  Exact
+arithmetic keeps the sum of mu_t over each component at that of mu_0, and
+the sum of s mu_t over each bipartite one, s its colour signs, at (-1)^t
+times that of mu_0.  Rounding breaks both, the break grows linearly in t,
+and so the overlap error like t^2 (3e-10 at t = 30,000 on Q_6).  So
+a window of whole components (all of g, or a ball that stopped growing)
+re-imposes those sums on the means of the last two steps every _CONE_BLOCK
+steps, taking its components from g.component_roots and its signs from
+g.coloring; a cone window cannot, as the sums run over whole components.
+The same parts would make P and Q grow like t and round off, so evolve's
+sums leave them out: they cancel in x_t.
 """
 
 from __future__ import annotations
@@ -97,11 +112,15 @@ _STATE_ROW = np.dtype([("arc", np.int64), ("re", np.float64), ("im", np.float64)
 # ensure_normalized allows max(UNIT_NORM_SLACK, sqrt(arc_count) eps).
 UNIT_NORM_SLACK = 4 * np.finfo(np.float64).eps
 # The walk steps each window of the light cone this many steps (an even
-# number, so every window but the last starts at an even step) ...
+# number, so every window but the last starts at an even step), and a window
+# of whole components re-imposes the conserved sums as often ...
 _CONE_BLOCK = 16
 # ... and steps all of g once the next window would hold this share of its
 # vertices or more.
 _CONE_SHARE = 0.5
+# Rows of the stepper's vertex values past the means at even and at odd t:
+# the start's out- and in-means mu_0 and mu_-1, then evolve's two sums.
+_MU0, _EVEN = 2, 4
 
 
 @dataclass
@@ -245,43 +264,6 @@ def walk_step(state: ArcState) -> ArcState:
     return apply_shift(apply_coin(state))
 
 
-def _window_slots(
-    g: Graph, inside: np.ndarray | None
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """The window of the vertices in the mask `inside` (all of g when None):
-    its vertices (None for g), the arc held by each of its slots and the slot
-    of each slot's reverse arc, or the sink slot d*m where that arc leaves
-    the window's m vertices."""
-    if inside is None:
-        # Inverting the slot order takes arc-length maps, which a window
-        # must not build, but over all of g it takes about half the time of
-        # the formula below (torus 2:300, Q_14, random_regular 20000:5).
-        order = g.out_arcs.T.ravel()
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size)
-        return None, order, pos[order ^ 1]
-    d = g.degree
-    verts = np.flatnonzero(inside)
-    m = verts.size
-    order = np.take(g.out_arcs, verts, axis=0).T.ravel()
-    # Vertex v's arcs to larger heads are the even arcs 2e of consecutive
-    # edges (v, w), the last in v's last column, so the reverse 2e of an odd
-    # arc 2e + 1 = (u, v), v < u, lies in column d - 1 - (last - e) of v's row;
-    # each even slot is the partner of the odd slot it reverses.
-    odd = np.flatnonzero(order & 1)
-    arcs = order[odd]
-    low = g.arc_heads[arcs]
-    kept = inside[low]
-    odd, arcs, low = odd[kept], arcs[kept], low[kept]
-    column = np.empty(g.n, dtype=np.intp)  # each window vertex's slot column
-    column[verts] = np.arange(m)
-    partner = (d - 1 - (g.out_arcs[:, -1][low] >> 1) + (arcs >> 1)) * m + column[low]
-    rev = np.full(d * m, d * m)
-    rev[odd] = partner
-    rev[partner] = odd
-    return verts, order, rev
-
-
 def _grow(
     g: Graph, inside: np.ndarray, layer: np.ndarray, layers: int, limit: float
 ) -> np.ndarray | None:
@@ -341,61 +323,80 @@ def _cone_windows(g: Graph, amps: np.ndarray, steps: int):
         t = stop
 
 
-def _step_block(
-    x: np.ndarray,
-    rev: np.ndarray,
-    d: int,
-    t: int,
-    stop: int,
-    start: np.ndarray | None,
-    overlaps: np.ndarray | None,
-) -> np.ndarray:
-    """Walk the slot-major state x[:-1] of a window from step t to `stop`.
-
-    x[-1] is the window's sink, 0, and `rev` the window's reverse slots.  `x`
-    is one of the two buffers and is overwritten; returns the slots that hold
-    the state at `stop`.  With the window's share `start` of the start, it
-    writes the overlaps of steps t..stop-1 to `overlaps`.  The loop body
-    takes two steps, so no step tests its parity.
-    """
-    dm = rev.size
-    y = np.empty_like(x)
-    y[dm] = 0.0
-    xs, ys = x[:dm], y[:dm]
-    rows_x, rows_y = xs.reshape(d, -1), ys.reshape(d, -1)
-    twice_mean = np.empty(dm // d, dtype=x.dtype)
-    scale = 2.0 / d
-    if start is not None:
-        sums = np.add.reduce(start.reshape(d, -1), axis=0)
-    # mode="clip" lets take write straight into its out; "raise" would buffer it
-    for t in range(t, stop, 2):
-        if start is not None:
-            even = np.vdot(start, xs)
-            overlaps[t] = abs(even)
-        np.add.reduce(rows_x, axis=0, out=twice_mean)
-        twice_mean *= scale
-        np.subtract(twice_mean, rows_x, out=rows_x)
-        np.take(x, rev, out=ys, mode="clip")
-        if start is not None:
-            overlaps[t + 1] = abs(np.vdot(sums, twice_mean) - even)
-        if t + 1 == stop:
-            return ys
-        np.add.reduce(rows_y, axis=0, out=twice_mean)
-        twice_mean *= scale
-        np.subtract(twice_mean, rows_y, out=rows_y)
-        np.take(y, rev, out=xs, mode="clip")
-    return xs
+def _window(
+    g: Graph, inside: np.ndarray | None, verts: np.ndarray | None
+) -> tuple[np.ndarray, bool]:
+    """The (d, m) neighbour table, in window ids, of the window of the m
+    vertices `verts` in the mask `inside` (all of g when None), where the
+    sink m stands for a neighbour outside the window, and whether the window
+    holds whole components of g (no neighbour lies outside)."""
+    if inside is None:
+        return np.ascontiguousarray(g.adjacency.T), True
+    heads = np.take(g.adjacency, verts, axis=0).T
+    table = np.searchsorted(verts, heads)
+    outside = ~inside[heads]
+    table[outside] = verts.size
+    return table, not outside.any()
 
 
-def _slot_steps(
+def _parts(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the real and imaginary parts of a complex array, or the array."""
+    return (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+
+
+def _drift_terms(g: Graph, verts: np.ndarray | None) -> tuple:
+    """For a window of whole components: the component of each of its
+    vertices (None when it holds one), the component sizes and each vertex's
+    colour sign on a bipartite component, 0 elsewhere (None when no vertex
+    lies on one)."""
+    labels = g.component_roots if verts is None else g.component_roots[verts]
+    if labels.min() == labels.max():
+        labels, sizes = None, float(labels.size)
+    else:  # 1 for a label no vertex has, which keeps 0 / 0 out
+        sizes = np.maximum(np.bincount(labels), 1).astype(np.float64)
+    signs, bipartite = g.coloring
+    signs = np.where(bipartite, signs, 0.0)
+    if verts is not None:
+        signs = signs[verts]
+    return labels, sizes, signs if signs.any() else None
+
+
+def _component_means(values: np.ndarray, labels: np.ndarray | None, sizes) -> np.ndarray:
+    """The mean of each row of the real (k, m) `values` over each component,
+    at each vertex (one column for a window of one component)."""
+    if labels is None:
+        return values.sum(axis=-1, keepdims=True) / sizes
+    return np.stack([(np.bincount(labels, row, sizes.size) / sizes)[labels] for row in values])
+
+
+def _conserved(x: np.ndarray, terms: tuple, sign=1.0) -> np.ndarray:
+    """The part of each row of the (k, m) vertex values x on the eigenvalue 1
+    of A/d, plus `sign` times its part on -1: the row's mean on each
+    component, and its signed mean on each bipartite one times the signs.
+    A complex x takes each of its parts as a real x."""
+    labels, sizes, signs = terms
+    kept = np.empty_like(x)
+    for part, values in zip(_parts(kept), _parts(x)):
+        part[...] = _component_means(values, labels, sizes)
+        if signs is not None:
+            part += sign * _component_means(signs * values, labels, sizes) * signs
+    return kept
+
+
+def _mean_walk(
     psi: ArcState, steps: int, measure: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Walk `psi` `steps` steps (>= 0) in the windows of its light cone.
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Walk the out-means mu_t of `psi` for t < steps (steps >= 0) in the
+    windows of its light cone (see the module docstring).
 
-    Returns the arc held by each slot of the last window, U^steps psi on
-    those slots (it is 0 on every other arc) and, with `measure`, the
-    overlaps |<psi|U^t psi>| at even t and |<~psi|U^t psi>| at odd t for
-    t = 0..steps.
+    Returns the last window's vertices (None for all of g), its neighbour
+    table and its rows of vertex values, each ending in the window's sink, 0:
+    mu_t at the last even and the last odd t < steps in rows 0 and 1 (mu_0,
+    and mu_-1 where no odd t is), mu_0 and mu_-1 in rows _MU0 and _MU0 + 1
+    and, without `measure`, P and Q in rows _EVEN and _EVEN + 1, both less
+    the same multiple of their parts on the eigenvalues 1 and -1 of A/d,
+    which cancel in x_t.  With `measure` it also returns the overlaps
+    |<psi|U^t psi>| at even t and |<~psi|U^t psi>| at odd t for t = 0..steps.
     """
     g = psi.graph
     d = g.degree
@@ -403,43 +404,110 @@ def _slot_steps(
     if not amps.imag.any():
         amps = amps.real  # the walk is real, so a real start stays real
     overlaps = np.empty(steps + 1) if measure else None
-    t, verts, xs = 0, None, None
+    scale = 2.0 / d
+    t, verts, rows, even = 0, None, None, None  # even: <psi|U^t psi> at the next even t
     for inside, stop in _cone_windows(g, amps, steps):
-        carried, old = verts, xs
-        x = xs = order = rev = start = None  # free the last window before this one
-        verts, order, rev = _window_slots(g, inside)
+        carried, old = verts, rows
+        table = block = total = None  # free the last window before this one
+        verts = None if inside is None else np.flatnonzero(inside)
         m = g.n if verts is None else verts.size
-        x = np.empty(d * m + 1, dtype=amps.dtype)
-        x[-1] = 0.0  # the sink
-        if measure:
-            start = amps[order]
+        rows = np.zeros((4 if measure else 6, m + 1), dtype=amps.dtype)
         if old is None:
-            x[:-1] = start if measure else amps[order]
+            # (d, m) and C-ordered, so that add.reduce sums it row by row, in
+            # the order it sums either part of a complex start; indexed, since
+            # np.take copies all of a strided real part first
+            arcs = (g.out_arcs if verts is None else np.take(g.out_arcs, verts, axis=0)).T.copy()
+            held = amps[arcs]  # every arc that holds the start
+            even = np.vdot(held, held)
+            np.add.reduce(held, axis=0, out=rows[_MU0, :m])
+            del held
+            arcs ^= 1  # the arcs into the window's vertices
+            np.add.reduce(amps[arcs], axis=0, out=rows[_MU0 + 1, :m])
+            del arcs
+            # a real factor keeps the two parts of a complex start apart
+            rows[_MU0 : _MU0 + 2] *= 1.0 / d
+            rows[:2] = rows[_MU0 : _MU0 + 2]
         else:  # carry the walk over from the last window
-            x[:-1] = 0.0
-            columns = carried if verts is None else np.searchsorted(verts, carried)
-            x[:-1].reshape(d, m)[:, columns] = old.reshape(d, -1)
+            rows[:, carried if verts is None else np.searchsorted(verts, carried)] = old[:, :-1]
         del old
-        xs = _step_block(x, rev, d, t, stop, start, overlaps)
+        table, whole = _window(g, inside, verts)
+        # g.coloring peaks at some 41 B per arc on first use: before the
+        # gather block is taken
+        terms = _drift_terms(g, verts) if whole and steps > _CONE_BLOCK else None
+        block = np.empty(table.shape, dtype=amps.dtype)
+        total = np.empty(m, dtype=amps.dtype)
+
+        def advance(mu, last):  # mu_(t+1) = (2/d) A mu_t - mu_(t-1), over mu_(t-1)
+            mu.take(table, out=block, mode="clip")
+            np.add.reduce(block, axis=0, out=total)
+            np.multiply(total, scale, out=total)
+            np.subtract(total, last, out=last)
+
+        means = rows[:2, :m]  # mu_t at even t in row 0, at odd t in row 1
+        conserved = None
+        if terms is not None:
+            # what the means keep on the eigenvalues 1 and -1 of A/d, in the
+            # rows of `means` (module docstring)
+            conserved = _conserved(rows[[_MU0, _MU0], :m], terms, np.array([[1.0], [-1.0]]))
+        sums = rows[_EVEN:]  # evolve's P and Q
+        for t in range(t, stop, 2):  # every window starts at an even step
+            if conserved is not None and t % _CONE_BLOCK == 0 and t:
+                # re-impose what rounding drifted off, in place
+                means -= _conserved(means, terms)
+                means += conserved
+            if measure:
+                out = d * np.vdot(rows[_MU0], rows[0])
+                overlaps[t] = abs(even)
+                overlaps[t + 1] = abs(2.0 * out - even)
+            if t + 1 == steps:
+                if not measure:
+                    sums[0] += rows[0]
+                    if conserved is not None:
+                        sums[0, :m] -= conserved[0]
+                break
+            advance(rows[0], means[1])
+            if measure:
+                even += 2.0 * (d * np.vdot(rows[_MU0 + 1], rows[1]) - out)
+            else:
+                sums += rows[:2]
+                if conserved is not None:
+                    sums[:, :m] -= conserved
+            if t + 2 < steps:
+                advance(rows[1], means[0])
+        if conserved is not None and not measure and steps % 2:
+            # the sums leave out the conserved parts, which would grow with t
+            # and round off: all but one even term's, which cancel in U^t psi
+            sums[0, :m] += conserved[0]
         t = stop
     if measure and steps % 2 == 0:
-        overlaps[steps] = abs(np.vdot(start, xs))
-    return order, xs, overlaps
+        overlaps[steps] = abs(even)
+    return verts, table, rows, overlaps
 
 
 def evolve(state: ArcState, t: int) -> ArcState:
     """Apply the walk t times (t >= 0) to a normalized state.
 
-    The walk steps only the state's light cone (see the module docstring)
-    and scatters its last window into the returned amplitudes, 0 elsewhere.
+    The walk steps the vertex means of the state's light cone and builds
+    U^t psi from their sums on the arcs of its last window, 0 elsewhere (see
+    the module docstring).
     """
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
     psi = ensure_normalized(state)
-    order, x, _ = _slot_steps(psi, t)
-    amps = np.zeros(psi.graph.arc_count, dtype=np.complex128)
-    amps[order] = x
-    return ArcState(psi.graph, amps)
+    g = psi.graph
+    verts, table, rows, _ = _mean_walk(psi, t)
+    p, q = rows[_EVEN], rows[_EVEN + 1]
+    if verts is None:
+        arcs, tails, heads = np.arange(g.arc_count), g.arc_tails, g.arc_heads
+    else:
+        arcs = np.take(g.out_arcs, verts, axis=0).ravel()
+        tails, heads = np.repeat(np.arange(verts.size), g.degree), table.T.ravel()
+    amps = np.zeros(g.arc_count, dtype=np.complex128)
+    if t % 2 == 0:
+        amps[arcs] = psi.amplitudes[arcs] - 2.0 * p[tails] + 2.0 * q[heads]
+    else:
+        amps[arcs] = 2.0 * p[heads] - 2.0 * q[tails] - psi.amplitudes[arcs ^ 1]
+    return ArcState(g, amps)
 
 
 def flip_transform(state: ArcState) -> ArcState:

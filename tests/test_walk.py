@@ -21,6 +21,7 @@ from oscillwalk import (
     apply_shift,
     basis_arc_state,
     bipartite_partition,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     dense_walk_matrix,
@@ -40,6 +41,7 @@ from oscillwalk import (
     write_state_csv,
 )
 from oscillwalk import walk
+from oscillwalk.complete import amp_ab, amp_ba
 from oscillwalk.walk import UNIT_NORM_SLACK
 from oscillwalk.verify import (
     assert_bipartite_alternation,
@@ -295,7 +297,7 @@ def test_dense_walk_matrix_matches_operator():
         assert_allclose(matrix.T @ matrix, np.eye(g.arc_count), atol=1e-12)
 
 
-# ---- many steps: the slot-major stepper behind evolve and measured_overlaps ----------------
+# ---- many steps: the vertex-mean stepper behind evolve and measured_overlaps ---------------
 
 
 def stepper_states(g, rng):
@@ -358,7 +360,7 @@ def assert_stepper_matches(psi, steps, check_every):
     "g", ZOO + [complete_graph(2), cycle_graph(7)], ids=lambda g: g.name
 )
 def test_stepper_matches_single_steps_and_matrix_powers(g):
-    # complete:2 has degree 1: its slot order is a read-only view of out_arcs
+    # complete:2 has degree 1: out_arcs.T is C-ordered, a read-only view unless copied
     for psi in stepper_states(g, np.random.default_rng(12)).values():
         assert_stepper_matches(psi, 13, 1)
 
@@ -410,9 +412,12 @@ def test_a_cone_over_two_windows_matches_single_steps():
 
 
 def test_windows_step_bit_for_bit_like_the_full_graph(monkeypatch):
-    """Inside a window the amplitudes are the full walk's, bit for bit, and
-    0 outside it: the same coin sums in the same row order and the same
-    gather, with a zero sink where a reverse arc leaves the window."""
+    """Inside a window the vertex means, and so the amplitudes, are the full
+    walk's, bit for bit, and 0 outside it: the same table rows summed in the
+    same order, with a zero sink where a neighbour leaves the window.  That
+    holds at every step while no walk re-imposes its conserved sums, and up
+    to step BLOCK of evolve when they do, which only windows of whole
+    components can; past it the two agree to rounding."""
     cases = []
     for g in (cycle_graph(401), torus_graph(2, 41)):
         u, v = (int(x) for x in g.edges[len(g.edges) // 2])
@@ -420,18 +425,33 @@ def test_windows_step_bit_for_bit_like_the_full_graph(monkeypatch):
         local = np.zeros(g.arc_count, dtype=complex)
         local[g.out_arcs[[u, v]].ravel()] = rng.standard_normal(2 * g.degree) + 1j
         cases += [basis_arc_state(g, u, v), ArcState(g, local / np.linalg.norm(local))]
-    steps = (0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 1, 5 * BLOCK, 150)
-    windowed = [[evolve(psi, t).amplitudes for t in steps] for psi in cases]
-    monkeypatch.setattr(walk, "_CONE_SHARE", 0.0)  # every walk takes all of g at once
-    for psi, states in zip(cases, windowed):
-        for t, state in zip(steps, states):
-            full = evolve(psi, t).amplitudes
-            assert np.array_equal(state.view(np.int64), full.view(np.int64))
+    steps = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 5 * BLOCK, 150)
+
+    def walks():
+        return [[evolve(psi, t).amplitudes for t in steps] for psi in cases]
+
+    windowed = walks()
+    with monkeypatch.context() as patch:
+        patch.setattr(walk, "_drift_terms", lambda g, verts: None)  # no walk re-imposes sums
+        plain = walks()
+        patch.setattr(walk, "_CONE_SHARE", 0.0)  # every walk takes all of g at once
+        plain_full = walks()
+    monkeypatch.setattr(walk, "_CONE_SHARE", 0.0)
+    full = walks()
+    for case in zip(windowed, plain, plain_full, full):
+        for t, state, plain_state, plain_full_state, full_state in zip(steps, *case):
+            assert np.array_equal(plain_state.view(np.int64), plain_full_state.view(np.int64))
+            if t <= BLOCK:
+                assert np.array_equal(state.view(np.int64), full_state.view(np.int64))
+            assert np.max(np.abs(state - full_state)) <= 1e-14
+
+
+TWO_CYCLES = Graph(802, np.vstack([cycle_graph(401).edges, cycle_graph(401).edges + 401]),
+                   require_connected=False, name="two cycles")
 
 
 def test_a_disconnected_graph_keeps_the_other_component_at_zero():
-    two = np.vstack([cycle_graph(401).edges, cycle_graph(401).edges + 401])
-    g = Graph(802, two, require_connected=False, name="two cycles")
+    g = TWO_CYCLES
     psi = basis_arc_state(g, 7, 8)
     for t in (1, BLOCK, 150, 300):
         amps = evolve(psi, t).amplitudes
@@ -489,6 +509,61 @@ def test_real_starts_overlap_like_their_complex_turns(g):
         assert np.max(np.abs(real.odd_overlaps - complex_.odd_overlaps)) <= 1e-12
 
 
+@pytest.mark.parametrize("g", STEPPER_GRAPHS + [TWO_CYCLES], ids=lambda g: g.name)
+def test_vertex_means_follow_single_steps(g):
+    """The stepper's recurrence mu_(t+1) = (2/d) A mu_t - mu_(t-1) from
+    mu_-1 = iota_0 gives the out-means of walk_step^t psi for t <= 20, past
+    the first step at which a whole window re-imposes its conserved sums
+    (complete:2 has degree 1)."""
+    for psi in stepper_states(g, np.random.default_rng(21)).values():
+        current = psi
+        for t in range(21):
+            verts, _, rows, _ = walk._mean_walk(psi, t + 1)
+            means = np.zeros((2, g.n), dtype=rows.dtype)
+            means[:, slice(None) if verts is None else verts] = rows[[t % 2, 1 - t % 2], :-1]
+            assert np.max(np.abs(means[0] - vertex_averages(current).avg_out)) <= 1e-13
+            if t == 0:
+                assert np.max(np.abs(means[1] - vertex_averages(psi).avg_in)) <= 1e-13
+            current = walk_step(current)
+
+
+DRIFT_STEPS = 30_000
+
+
+def test_long_sweeps_keep_the_complete_graph_edge_overlaps():
+    """At the eigenvalues 1 and -1 of A/d the recurrence is a Jordan block, so
+    rounding drifts the means off their conserved sums and the overlap error
+    grows like t^2 unless a whole window re-imposes them: 2e-10 from K_12's
+    closed form at 30,000 steps without, 4e-12 with (the closed form's own
+    rounding of cos(theta t))."""
+    n = 12
+    series = measured_overlaps(basis_arc_state(complete_graph(n), 0, 1), DRIFT_STEPS)
+    even = [abs(amp_ab(n, t)) for t in range(0, DRIFT_STEPS + 1, 2)]
+    odd = [abs(amp_ba(n, t)) for t in range(1, DRIFT_STEPS + 1, 2)]
+    assert np.max(np.abs(series.even_overlaps - even)) <= 2e-11
+    assert np.max(np.abs(series.odd_overlaps - odd)) <= 2e-11
+
+
+@pytest.mark.parametrize(
+    "g", [hypercube_graph(6), complete_bipartite_graph(4)], ids=lambda g: g.name
+)
+def test_long_sweeps_match_dense_matrix_powers(g):
+    """Random complex starts on two bipartite graphs at 30,000 steps: overlaps
+    and states within 2e-11 of dense matrix powers, where the uncorrected
+    recurrence strays by 3e-11 to 8e-10."""
+    psi = random_state(g, np.random.default_rng(5))
+    series = measured_overlaps(psi, DRIFT_STEPS)
+    matrix = dense_walk_matrix(g)
+    flipped = flip_transform(psi).amplitudes
+    x = np.linalg.matrix_power(matrix, DRIFT_STEPS - 1) @ psi.amplitudes
+    for t in (DRIFT_STEPS - 1, DRIFT_STEPS):
+        target = flipped if t % 2 else psi.amplitudes
+        measured = series.odd_overlaps[t // 2] if t % 2 else series.even_overlaps[t // 2]
+        assert abs(measured - abs(np.vdot(target, x))) <= 2e-11
+        assert np.max(np.abs(evolve(psi, t).amplitudes - x)) <= 2e-11
+        x = matrix @ x
+
+
 @pytest.mark.parametrize("t_max", [1, 2, 3])
 @pytest.mark.parametrize("g", STEPPER_GRAPHS, ids=lambda g: g.name)
 def test_short_sweeps_end_on_either_parity(g, t_max):
@@ -531,8 +606,10 @@ def test_measured_overlaps_of_an_edge_start_keep_to_its_light_cone():
 
 
 def test_measured_overlaps_keep_to_a_few_state_vectors():
-    """The normalization copy, the start, two walk buffers and the slot maps:
-    below six complex state vectors at the peak (5.5 measured)."""
+    """The start's arcs gathered for its vertex sums, the (d, n) neighbour
+    table and gather block, and four rows of vertex values: below three
+    complex state vectors at the peak (2.76 measured; the arc walk it
+    replaced kept 5.5)."""
     g = torus_graph(2, 100)
     psi = random_state(g, np.random.default_rng(18))
     tracemalloc.start()
@@ -541,7 +618,7 @@ def test_measured_overlaps_keep_to_a_few_state_vectors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 16 * g.arc_count
+    assert peak < 3 * 16 * g.arc_count
 
 
 # ---- flip transform and averages -----------------------------------------------------------
