@@ -461,9 +461,9 @@ def _mean_walk(
                 overlaps[t + 1] = abs(2.0 * out - even)
             if t + 1 == steps:
                 if not measure:
+                    # P takes mu_t whole, so it leaves out as many conserved
+                    # parts as Q: they cancel in U^t psi
                     sums[0] += rows[0]
-                    if conserved is not None:
-                        sums[0, :m] -= conserved[0]
                 break
             advance(rows[0], means[1])
             if measure:
@@ -474,10 +474,6 @@ def _mean_walk(
                     sums[:, :m] -= conserved
             if t + 2 < steps:
                 advance(rows[1], means[0])
-        if conserved is not None and not measure and steps % 2:
-            # the sums leave out the conserved parts, which would grow with t
-            # and round off: all but one even term's, which cancel in U^t psi
-            sums[0, :m] += conserved[0]
         t = stop
     if measure and steps % 2 == 0:
         overlaps[steps] = abs(even)

@@ -464,22 +464,25 @@ def test_a_disconnected_graph_keeps_the_other_component_at_zero():
 
 
 def test_a_ball_that_fills_its_component_stays_the_window():
-    # cycle 101 holds less than half of the 502 vertices: the cone of a
-    # start on it stops growing at about step 50 and walks that window on
-    mixed = np.vstack([cycle_graph(101).edges, cycle_graph(401).edges + 101])
-    g = Graph(502, mixed, require_connected=False, name="cycles 101 and 401")
-    psi = basis_arc_state(g, 3, 4)
-    series = measured_overlaps(psi, 200)
-    reference = stepped_overlaps(psi, 200)
-    assert np.max(np.abs(series.even_overlaps - reference[0::2])) <= 1e-12
-    assert np.max(np.abs(series.odd_overlaps - reference[1::2])) <= 1e-12
-    current = psi
-    for t in range(201):
-        if t % 25 == 0:
-            amps = evolve(psi, t).amplitudes
-            assert not amps[g.out_arcs[101:]].any()
-            assert np.max(np.abs(amps - current.amplitudes)) <= 1e-12
-        current = walk_step(current)
+    # cycle n holds less than half of the n + 401 vertices: the cone of a
+    # start on it stops growing at about step n / 2 and walks that window on.
+    # From vertex 3 of cycle 97 the ball fills the cycle at step 48, the last
+    # layer of a window, so the windows from steps 32 and 48 both hold it.
+    for n in (101, 97):
+        mixed = np.vstack([cycle_graph(n).edges, cycle_graph(401).edges + n])
+        g = Graph(n + 401, mixed, require_connected=False, name=f"cycles {n} and 401")
+        psi = basis_arc_state(g, 3, 4)
+        series = measured_overlaps(psi, 200)
+        reference = stepped_overlaps(psi, 200)
+        assert np.max(np.abs(series.even_overlaps - reference[0::2])) <= 1e-12
+        assert np.max(np.abs(series.odd_overlaps - reference[1::2])) <= 1e-12
+        current = psi
+        for t in range(201):
+            if t % 25 == 0:
+                amps = evolve(psi, t).amplitudes
+                assert not amps[g.out_arcs[n:]].any()
+                assert np.max(np.abs(amps - current.amplitudes)) <= 1e-12
+            current = walk_step(current)
 
 
 def test_translated_edge_starts_give_the_same_overlaps():
