@@ -17,11 +17,13 @@ in-means are iota_(t+1) = mu_t.  So, with A the adjacency matrix of g,
 
 a Chebyshev recurrence in A/d (Szegedy's spectral lemma; Higuchi, Konno,
 Sato & Segawa, J. Funct. Anal. 267, 2014).  A step is one product with A on
-the vertices: one gather through a (d, m) neighbour table and a sum over its
-rows, where a step on the arcs reads and writes its d m amplitudes several
-times.  The walk is real, so a start whose imaginary part is zero walks in
-float64, and each part of a complex start is summed in the order of a real
-one.
+the vertices, where a step on the arcs reads and writes its d m amplitudes
+several times: for each column block of a (d, m) neighbour table, one gather
+of the means it names, a sum over its rows, a scale and a subtraction, done
+while the block is in cache (_GATHER_BYTES).  Each mean is summed over the
+same rows in the same order whatever the blocks.  The walk is real, so a
+start whose imaginary part is zero walks in float64, and each part of a
+complex start is summed in the order of a real one.
 
 The overlaps and states come from the means.  The flip of a state is its
 shift negated, so with E_t = <psi|x_t> and s_out, s_in the out- and in-sums
@@ -118,6 +120,16 @@ _CONE_BLOCK = 16
 # ... and steps all of g once the next window would hold this share of its
 # vertices or more.
 _CONE_SHARE = 0.5
+# A step gathers the means through the neighbour table in column blocks
+# whose gathered values take at most this many bytes, and sums, scales and
+# subtracts each block while it is still in cache.  A whole (d, m) block
+# outgrows an L2 cache of 2 MB per core on large graphs (5.8 MB for a
+# complex start on torus 2:300), and each step then writes it out to memory
+# and reads it back; a block of this size and its slice of the table (half
+# as large again for a complex start, as large for a real one) fit.  Smaller
+# blocks only add calls: split in two, the 0.61 MB complex block of K_200
+# (d = 199) steps some 10 % slower, so the bound keeps it whole.
+_GATHER_BYTES = 5 << 17
 # Rows of the stepper's vertex values past the means at even and at odd t:
 # the start's out- and in-means mu_0 and mu_-1, then evolve's two sums.
 _MU0, _EVEN = 2, 4
@@ -324,19 +336,37 @@ def _cone_windows(g: Graph, amps: np.ndarray, steps: int):
 
 
 def _window(
-    g: Graph, inside: np.ndarray | None, verts: np.ndarray | None
-) -> tuple[np.ndarray, bool]:
-    """The (d, m) neighbour table, in window ids, of the window of the m
-    vertices `verts` in the mask `inside` (all of g when None), where the
-    sink m stands for a neighbour outside the window, and whether the window
-    holds whole components of g (no neighbour lies outside)."""
-    if inside is None:
-        return np.ascontiguousarray(g.adjacency.T), True
-    heads = np.take(g.adjacency, verts, axis=0).T
-    table = np.searchsorted(verts, heads)
-    outside = ~inside[heads]
-    table[outside] = verts.size
-    return table, not outside.any()
+    g: Graph, inside: np.ndarray | None, verts: np.ndarray | None, itemsize: int
+) -> tuple[list[np.ndarray], list[int], bool]:
+    """The neighbour table, in window ids, of the window of the m vertices
+    `verts` in the mask `inside` (all of g when None), where the sink m stands
+    for a neighbour outside the window, and whether the window holds whole
+    components of g (no neighbour lies outside).
+
+    The table comes as its column blocks, with the columns where they start
+    and, last, m: C-ordered (d, w) tables whose gathers of values of
+    `itemsize` bytes take at most _GATHER_BYTES each, or the whole (d, m)
+    table when that fits.  The first block is the widest, and blocks are as
+    even as can be and at least two columns wide, so none is a single
+    column, which numpy's add.reduce would sum pairwise, in another order
+    than a block's rows.
+    """
+    d = g.degree
+    m = g.n if verts is None else verts.size
+    count = -(-m // max(3, _GATHER_BYTES // (d * itemsize)))
+    cuts = [-(-m * k // count) for k in range(count + 1)]
+    tables, whole = [], True
+    for lo, hi in zip(cuts, cuts[1:]):
+        if verts is None:
+            table = np.ascontiguousarray(g.adjacency[lo:hi].T)
+        else:
+            heads = np.take(g.adjacency, verts[lo:hi], axis=0).T
+            table = np.searchsorted(verts, heads)
+            outside = ~inside[heads]
+            table[outside] = m
+            whole = whole and not outside.any()
+        tables.append(table)
+    return tables, cuts, whole
 
 
 def _parts(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -385,18 +415,23 @@ def _conserved(x: np.ndarray, terms: tuple, sign=1.0) -> np.ndarray:
 
 def _mean_walk(
     psi: ArcState, steps: int, measure: bool = False
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray | None, list[np.ndarray], np.ndarray, np.ndarray | None]:
     """Walk the out-means mu_t of `psi` for t < steps (steps >= 0) in the
     windows of its light cone (see the module docstring).
 
+    Each step takes the window's neighbour table block by block (_window):
+    each block's gather, row sum, scale and subtraction run before the next
+    block's, through one gather buffer of the widest block.
+
     Returns the last window's vertices (None for all of g), its neighbour
-    table and its rows of vertex values, each ending in the window's sink, 0:
-    mu_t at the last even and the last odd t < steps in rows 0 and 1 (mu_0,
-    and mu_-1 where no odd t is), mu_0 and mu_-1 in rows _MU0 and _MU0 + 1
-    and, without `measure`, P and Q in rows _EVEN and _EVEN + 1, both less
-    the same multiple of their parts on the eigenvalues 1 and -1 of A/d,
-    which cancel in x_t.  With `measure` it also returns the overlaps
-    |<psi|U^t psi>| at even t and |<~psi|U^t psi>| at odd t for t = 0..steps.
+    table's column blocks and its rows of vertex values, each row ending in
+    the window's sink, 0: mu_t at the last even and the last odd t < steps
+    in rows 0 and 1 (mu_0, and mu_-1 where no odd t is), mu_0 and mu_-1 in
+    rows _MU0 and _MU0 + 1 and, without `measure`, P and Q in rows _EVEN and
+    _EVEN + 1, both less the same multiple of their parts on the eigenvalues
+    1 and -1 of A/d, which cancel in x_t.  With `measure` it also returns the
+    overlaps |<psi|U^t psi>| at even t and |<~psi|U^t psi>| at odd t for
+    t = 0..steps.
     """
     g = psi.graph
     d = g.degree
@@ -408,7 +443,7 @@ def _mean_walk(
     t, verts, rows, even = 0, None, None, None  # even: <psi|U^t psi> at the next even t
     for inside, stop in _cone_windows(g, amps, steps):
         carried, old = verts, rows
-        table = block = total = None  # free the last window before this one
+        tables = blocks = gather = total = None  # free the last window before this one
         verts = None if inside is None else np.flatnonzero(inside)
         m = g.n if verts is None else verts.size
         rows = np.zeros((4 if measure else 6, m + 1), dtype=amps.dtype)
@@ -430,20 +465,30 @@ def _mean_walk(
         else:  # carry the walk over from the last window
             rows[:, carried if verts is None else np.searchsorted(verts, carried)] = old[:, :-1]
         del old
-        table, whole = _window(g, inside, verts)
+        tables, cuts, whole = _window(g, inside, verts, amps.itemsize)
         # g.coloring peaks at some 41 B per arc on first use: before the
         # gather block is taken
         terms = _drift_terms(g, verts) if whole and steps > _CONE_BLOCK else None
-        block = np.empty(table.shape, dtype=amps.dtype)
-        total = np.empty(m, dtype=amps.dtype)
-
-        def advance(mu, last):  # mu_(t+1) = (2/d) A mu_t - mu_(t-1), over mu_(t-1)
-            mu.take(table, out=block, mode="clip")
-            np.add.reduce(block, axis=0, out=total)
-            np.multiply(total, scale, out=total)
-            np.subtract(total, last, out=last)
-
         means = rows[:2, :m]  # mu_t at even t in row 0, at odd t in row 1
+        gather = np.empty(d * cuts[1], dtype=amps.dtype)
+        total = np.empty(cuts[1], dtype=amps.dtype)
+        # for each row of `means`, what steps the other row's means over it:
+        # per column block, its table, gather block, sums and slice of the row
+        blocks = [
+            [
+                (table, gather[: table.size].reshape(table.shape), total[: hi - lo], last[lo:hi])
+                for table, lo, hi in zip(tables, cuts, cuts[1:])
+            ]
+            for last in means
+        ]
+
+        def advance(mu, into):  # mu_(t+1) = (2/d) A mu_t - mu_(t-1), over mu_(t-1)
+            for table, block, part, last in into:
+                mu.take(table, out=block, mode="clip")
+                np.add.reduce(block, axis=0, out=part)
+                np.multiply(part, scale, out=part)
+                np.subtract(part, last, out=last)
+
         conserved = None
         if terms is not None:
             # what the means keep on the eigenvalues 1 and -1 of A/d, in the
@@ -465,7 +510,7 @@ def _mean_walk(
                     # parts as Q: they cancel in U^t psi
                     sums[0] += rows[0]
                 break
-            advance(rows[0], means[1])
+            advance(rows[0], blocks[1])
             if measure:
                 even += 2.0 * (d * np.vdot(rows[_MU0 + 1], rows[1]) - out)
             else:
@@ -473,11 +518,11 @@ def _mean_walk(
                 if conserved is not None:
                     sums[:, :m] -= conserved
             if t + 2 < steps:
-                advance(rows[1], means[0])
+                advance(rows[1], blocks[0])
         t = stop
     if measure and steps % 2 == 0:
         overlaps[steps] = abs(even)
-    return verts, table, rows, overlaps
+    return verts, tables, rows, overlaps
 
 
 def evolve(state: ArcState, t: int) -> ArcState:
@@ -491,13 +536,14 @@ def evolve(state: ArcState, t: int) -> ArcState:
         raise ValueError(f"step count must be >= 0, got {t}")
     psi = ensure_normalized(state)
     g = psi.graph
-    verts, table, rows, _ = _mean_walk(psi, t)
+    verts, tables, rows, _ = _mean_walk(psi, t)
     p, q = rows[_EVEN], rows[_EVEN + 1]
     if verts is None:
         arcs, tails, heads = np.arange(g.arc_count), g.arc_tails, g.arc_heads
     else:
         arcs = np.take(g.out_arcs, verts, axis=0).ravel()
-        tails, heads = np.repeat(np.arange(verts.size), g.degree), table.T.ravel()
+        tails = np.repeat(np.arange(verts.size), g.degree)
+        heads = np.concatenate([table.T for table in tables]).ravel()
     amps = np.zeros(g.arc_count, dtype=np.complex128)
     if t % 2 == 0:
         amps[arcs] = psi.amplitudes[arcs] - 2.0 * p[tails] + 2.0 * q[heads]

@@ -530,6 +530,48 @@ def test_vertex_means_follow_single_steps(g):
             current = walk_step(current)
 
 
+@pytest.mark.parametrize("g", STEPPER_GRAPHS + [TWO_CYCLES], ids=lambda g: g.name)
+def test_column_blocks_step_bit_for_bit(g, monkeypatch):
+    """A step in column blocks of three columns or fewer sums each mean over
+    the same table rows in the same order as a step through the whole table:
+    overlaps and states bit for bit, for real and complex starts, in cone
+    windows (whose sink falls inside a block on the two cycles) and in whole
+    ones, past two re-impositions of the conserved sums."""
+    rng = np.random.default_rng(22)
+    u, v = (int(x) for x in g.edges[0])
+    edge = basis_arc_state(g, u, v)
+    starts = [edge, ArcState(g, np.exp(0.4j) * edge.amplitudes),
+              random_state(g, rng), random_state(g, rng, real=True)]
+    times = (1, 2, 17, 33, 34)
+
+    def walks():
+        series = [measured_overlaps(psi, t_max) for psi in starts for t_max in (33, 34)]
+        return ([np.concatenate([s.even_overlaps, s.odd_overlaps]) for s in series]
+                + [evolve(psi, t).amplitudes for psi in starts for t in times])
+
+    whole = walks()
+    split = []
+    window = walk._window
+
+    def spy(g, inside, verts, itemsize):
+        tables, cuts, covered = window(g, inside, verts, itemsize)
+        split.append(([table.shape[1] for table in tables],
+                      any((table == cuts[-1]).any() for table in tables[:-1])))
+        return tables, cuts, covered
+
+    monkeypatch.setattr(walk, "_GATHER_BYTES", 1)
+    monkeypatch.setattr(walk, "_window", spy)
+    blocked = walks()
+    # a window of three vertices or fewer is one block
+    assert all(len(widths) > 1 for widths, _ in split if sum(widths) > 3)
+    if g.n not in (2, 6):  # cycle:6 splits into two blocks of three
+        assert any(len(set(widths)) > 1 for widths, _ in split)
+    if g is TWO_CYCLES:
+        assert any(sink_inside for _, sink_inside in split)
+    for before, after in zip(whole, blocked, strict=True):
+        assert np.array_equal(before.view(np.int64), after.view(np.int64))
+
+
 DRIFT_STEPS = 30_000
 
 
@@ -610,18 +652,22 @@ def test_measured_overlaps_of_an_edge_start_keep_to_its_light_cone():
 
 def test_measured_overlaps_keep_to_a_few_state_vectors():
     """The start's arcs gathered for its vertex sums, the (d, n) neighbour
-    table and gather block, and four rows of vertex values: below three
-    complex state vectors at the peak (2.76 measured; the arc walk it
-    replaced kept 5.5)."""
-    g = torus_graph(2, 100)
-    psi = random_state(g, np.random.default_rng(18))
-    tracemalloc.start()
-    try:
-        measured_overlaps(psi, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 16 * g.arc_count
+    table, the gather block and four rows of vertex values: below three
+    complex state vectors at the peak on torus 2:100, whose complex gather
+    of 625 KiB is one block (2.76 measured; the arc walk it replaced kept
+    5.5).  On torus 2:150 the 1.4 MB gather takes three column blocks of
+    0.48 MB and no whole gather block is held: below 2.6 (2.50 measured,
+    2.75 with the whole block)."""
+    for k, vectors in ((100, 3), (150, 2.6)):
+        g = torus_graph(2, k)
+        psi = random_state(g, np.random.default_rng(18))
+        tracemalloc.start()
+        try:
+            measured_overlaps(psi, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vectors * 16 * g.arc_count
 
 
 # ---- flip transform and averages -----------------------------------------------------------

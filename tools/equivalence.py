@@ -13,8 +13,11 @@ The invocations are every operation of the zoo, certify and resist plans of
 seeds 1-3 (``perfbench/inputs.plan``), each in its default format, with
 ``--format json`` and with ``--format csv``, and once more with ``--output``
 and, where the subcommand takes a state, ``--dump-network``; then ``table1``
-at n = 4, 5, 8 and 12 in both formats, ``verify``, ``bounds --graph complete:4
---state csv:F`` on every file F of the state-file corpus
+at n = 4, 5, 8 and 12 in both formats, ``simulate --graph torus:2:200`` from
+``edge:0:1`` to t = 150 and from ``uniform`` to t = 40 in CSV and in JSON
+(walks of a whole-graph window of 40,000 vertices, which the walk steps in
+several column blocks; every plan's walk takes one), ``verify``, ``bounds
+--graph complete:4 --state csv:F`` on every file F of the state-file corpus
 ``tests/state_corpus.py`` (valid and malformed), and invocations that must
 fail (a bad graph, state, pair, tolerance and state file, and ``simulate
 --t-max 0 --dump-network F``, which writes no file).
@@ -112,6 +115,10 @@ def invocations(workdir: str) -> list[tuple[str, list[str]]]:
     for n in ("4", "5", "8", "12"):
         runs += [(f"table1:{n}", ["table1", "--n", n]),
                  (f"table1:{n} json", ["table1", "--n", n, "--t-max", "30", "--format", "json"])]
+    for state, t_max in (("edge:0:1", "150"), ("uniform", "40")):
+        argv = ["simulate", "--graph", "torus:2:200", "--state", state, "--t-max", t_max]
+        runs += [(f"simulate torus:2:200 {state} {form}", argv + ["--format", form])
+                 for form in ("csv", "json")]
     corpus = {name: text.encode() for name, text in state_corpus.STATE_FILES.items()}
     corpus.update(state_corpus.STATE_BYTES)
     for name, data in sorted(corpus.items()):
